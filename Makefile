@@ -91,13 +91,14 @@ load-test:
 	dir=$$(mktemp -d) && $(GO) run ./cmd/tsload -servers 8 -clients 5000 -msgs 2 \
 		-zipf 0.9 -leaves 4 -spill-dir $$dir -segment 512 -control && rm -rf $$dir
 
-# Throughput gate: cmd/tsbench runs every scenario (loop, tcp, journal,
-# load, async) with a fixed seed, writes BENCH_<name>.json, and fails if any
-# report is malformed or either arm recorded zero throughput. Committed
-# BENCH files at the repo root are refreshed by running this and checking in
-# the result.
+# The repository benchmark (tsperf/README.md): tsperf runs its four
+# workloads at the shipped defaults with a fixed seed, verifies every
+# iteration against the sequential replay, and writes one schema-2
+# BENCH_<workload>.json per workload, environment included. The committed
+# BENCH files at the repo root are refreshed by running this and checking
+# in the result.
 bench:
-	$(GO) run ./cmd/tsbench -seed 42 -out .
+	bash tsperf/run.sh --seed 1 --out .
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...

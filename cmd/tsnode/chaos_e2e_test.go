@@ -304,11 +304,9 @@ func TestE2EAsyncKillNineRecovers(t *testing.T) {
 // of the stitched-together run against the sequential replay. The traces
 // then go through "tsanalyze trace-report" as an independent oracle.
 //
-// The two seeds also split the journal commit mode: seed 1 runs the default
-// group commit (one fsync covers a batch of records, so the SIGKILL lands
-// between batch commits and may tear a multi-record batch mid-line), seed 2
-// runs -journal-sync each (the fsync-per-record baseline). Recovery must
-// stitch the run back together identically in both modes.
+// Journals group-commit (one fsync covers a batch of records), so the
+// SIGKILL lands between batch commits and may tear a multi-record batch
+// mid-line; the two seeds exercise that torn-batch recovery twice.
 //
 // Skipped under -short: it compiles binaries, opens sockets, and kills
 // processes.
@@ -324,12 +322,8 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 	bin := buildBinary(t, goTool, binDir, "syncstamp/cmd/tsnode")
 	tsanalyze := buildBinary(t, goTool, binDir, "syncstamp/cmd/tsanalyze")
 
-	for _, tc := range []struct {
-		seed int64
-		sync string
-	}{{1, "group"}, {2, "each"}} {
-		seed, syncMode := tc.seed, tc.sync
-		t.Run(fmt.Sprintf("seed%d-%s", seed, syncMode), func(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed%d-group", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			addrs := freeAddrs(t, 3)
 			traces := make([]string, 3)
@@ -350,14 +344,13 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Journal-bearing nodes carry this subtest's commit mode. Every
-			// node keeps a flight recorder with a dump path: crashes and peer
-			// losses snapshot the ring, and each surviving incarnation's
+			// Every node keeps a flight recorder with a dump path: crashes and
+			// peer losses snapshot the ring, and each surviving incarnation's
 			// end-of-run dump overwrites with the full journal-restored
 			// history.
 			journalArgs := func(i int) []string {
 				return append(chaosArgs(i, addrs, traces[i], journals[i], planPath, "250ms"),
-					"-journal-sync", syncMode, "-flight-dump", flights[i])
+					"-flight-dump", flights[i])
 			}
 			n0 := startChaosNode(t, bin, append(chaosArgs(0, addrs, traces[0], "", planPath, "250ms"),
 				"-flight-dump", flights[0]))

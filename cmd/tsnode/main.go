@@ -93,8 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asyncFlag := fs.Bool("async", false, "asynchronous-substrate mode: adaptive per-peer RTO, safe-counter piggyback on SYN/ACK, suspicion-driven peer health (implies recovery)")
 	rttInit := fs.Duration("rtt-init", tssync.DefaultRTTInit, "with -async: initial RTT guess seeding each peer's estimator")
 	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
-	noCoalesce := fs.Bool("no-coalesce", false, "flush every frame to the transport individually instead of coalescing bursts")
-	journalSync := fs.String("journal-sync", "group", "journal commit mode: group (one fsync per batch) or each (one fsync per record)")
 	flight := fs.Int("flight", 4096, "flight recorder capacity in events (0 disables the ring)")
 	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (JSONL) on failure, peer loss, SIGQUIT, and end of run")
 	if err := fs.Parse(args); err != nil {
@@ -224,15 +222,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		switch *journalSync {
-		case "group":
-			// Default: group commit, one fsync covers a batch of records.
-		case "each":
-			j.SetSyncEach(true)
-		default:
-			_ = j.Close()
-			return fail(fmt.Errorf("-journal-sync %q: want group or each", *journalSync))
-		}
 		defer func() {
 			_ = j.Close() // every Append returned durable; nothing to flush
 		}()
@@ -257,7 +246,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HandshakeTimeout:  *handshake,
 		RendezvousTimeout: *rendezvous,
 		Obs:               o,
-		NoCoalesce:        *noCoalesce,
 		Recovery:          rec,
 		FlightRecorder:    *flight,
 		FlightDump:        *flightDump,

@@ -129,17 +129,15 @@ func (n *Node) noteTimeout(peer int) {
 	}
 }
 
-// noteSuspect reacts to a peer turning suspect: count it, then let the
-// degradation policy have it. Abort fails the run on suspicion itself;
-// Wait and Exclude grant the peer the reconnect window to produce liveness
-// evidence, enforced by a watchdog goroutine.
+// noteSuspect reacts to a peer turning suspect: count it, then grant the
+// peer the reconnect window to produce liveness evidence, enforced by a
+// watchdog goroutine. Suspicion alone never fails the run under any
+// policy: on a busy host a healthy peer turns suspect and heals routinely.
+// Abort stays fail-fast for what it names — a dead data connection fails
+// the run at once through peerLost.
 func (n *Node) noteSuspect(peer int) {
 	n.suspicions.Add(1)
 	n.ins.Suspicions.Add(1)
-	if n.rec.OnPeerLoss == PeerLossAbort {
-		n.fail(fmt.Errorf("node %d: node %d suspect after consecutive timeouts", n.cfg.Node, peer))
-		return
-	}
 	n.mu.Lock()
 	skip := n.suspectWatch[peer] || n.excluded[peer]
 	if !skip {
@@ -156,8 +154,9 @@ func (n *Node) noteSuspect(peer int) {
 // watchSuspect grants a suspect peer the reconnect window, then applies the
 // peer-loss policy if no liveness evidence healed it: exclude removes the
 // peer from the run (its components freeze, parked rendezvous wake with
-// ErrPeerLost), wait fails the run — the same window semantics recoverPeer
-// applies to hard connection loss, now driven purely by unresponsiveness.
+// ErrPeerLost), wait and abort fail the run — the same window semantics
+// recoverPeer applies to hard connection loss under wait and exclude, now
+// driven purely by unresponsiveness.
 func (n *Node) watchSuspect(peer int) {
 	defer n.recoveryWG.Done()
 	timer := time.NewTimer(n.rec.ReconnectWindow)

@@ -27,12 +27,12 @@ func benchMatching(pairs int) (*decomp.Decomposition, []int) {
 
 // runBenchCluster drives one 2-node Loop run and reports errors on b.
 func runBenchCluster(b *testing.B, dec *decomp.Decomposition, placement []int,
-	programs map[int]func(*Process) error, coalesce bool) {
+	programs map[int]func(*Process) error) {
 	b.Helper()
 	ts := loopTransports(2)
 	nodes := make([]*Node, 2)
 	for i := range nodes {
-		n, err := New(Config{Node: i, Placement: placement, Dec: dec, NoCoalesce: !coalesce}, ts[i])
+		n, err := New(Config{Node: i, Placement: placement, Dec: dec}, ts[i])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,8 +56,8 @@ func runBenchCluster(b *testing.B, dec *decomp.Decomposition, placement []int,
 	}
 }
 
-// benchPrograms is the tsbench workload shape: every pair ping-pongs rounds
-// times concurrently over the single inter-node connection.
+// benchPrograms has every pair ping-pong rounds times concurrently over the
+// single inter-node connection, so concurrent senders share its writes.
 func benchPrograms(pairs, rounds int) map[int]func(*Process) error {
 	programs := make(map[int]func(*Process) error, 2*pairs)
 	for i := 0; i < pairs; i++ {
@@ -83,32 +83,21 @@ func benchPrograms(pairs, rounds int) map[int]func(*Process) error {
 }
 
 // BenchmarkLoopRendezvous measures the full remote rendezvous round trip —
-// SYN encode, pipe, merge, ACK, adopt — over the in-memory Loop transport
-// with the coalescing writer on; ns/op is per message.
+// SYN encode, pipe, merge, ACK, adopt — over the in-memory Loop transport;
+// ns/op is per message.
 func BenchmarkLoopRendezvous(b *testing.B) {
 	const pairs = 8
 	dec, placement := benchMatching(pairs)
 	rounds := b.N/pairs + 1
 	b.ReportAllocs()
 	b.ResetTimer()
-	runBenchCluster(b, dec, placement, benchPrograms(pairs, rounds), true)
-	b.StopTimer()
-}
-
-// BenchmarkLoopRendezvousNoCoalesce is the flush-per-frame baseline arm.
-func BenchmarkLoopRendezvousNoCoalesce(b *testing.B) {
-	const pairs = 8
-	dec, placement := benchMatching(pairs)
-	rounds := b.N/pairs + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	runBenchCluster(b, dec, placement, benchPrograms(pairs, rounds), false)
+	runBenchCluster(b, dec, placement, benchPrograms(pairs, rounds))
 	b.StopTimer()
 }
 
 // benchJournalAppend drives b.N appends through a journal from workers
 // concurrent goroutines; ns/op is per committed record.
-func benchJournalAppend(b *testing.B, each bool, workers int) {
+func benchJournalAppend(b *testing.B, workers int) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.journal")
 	j, _, err := OpenJournal(path)
@@ -116,7 +105,6 @@ func benchJournalAppend(b *testing.B, each bool, workers int) {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	j.SetSyncEach(each)
 	rec := JournalRecord{Kind: journalInternal, Proc: 1, Note: "bench"}
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -145,9 +133,7 @@ func benchJournalAppend(b *testing.B, each bool, workers int) {
 	}
 }
 
-func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, false, 8) }
-
-func BenchmarkJournalAppendSyncEach(b *testing.B) { benchJournalAppend(b, true, 8) }
+func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, 8) }
 
 // TestNodeHotPathAllocBudget pins the per-message allocation count of the
 // full distributed rendezvous path. The budget is deliberately loose — the

@@ -2,12 +2,12 @@ package node
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
-	"syncstamp/internal/vector"
+	"syncstamp/internal/wire"
 )
 
 // coalesceFamily is one topology family for the coalescing determinism
@@ -150,46 +150,11 @@ func chain(p *Process, steps ...step) error {
 	return nil
 }
 
-// collectLogs flattens runCluster results into per-process rendezvous logs.
-func collectLogs(results []clusterResult, nprocs int) [][]csp.Record {
-	logs := make([][]csp.Record, nprocs)
-	for _, r := range results {
-		if r.info == nil {
-			continue
-		}
-		for p, l := range r.info.Logs {
-			logs[p] = l
-		}
-	}
-	return logs
-}
-
-// identicalLogs requires the two arms to agree record for record: same
-// operations, same peers, same agreed stamps.
-func identicalLogs(a, b [][]csp.Record) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d vs %d processes", len(a), len(b))
-	}
-	for p := range a {
-		if len(a[p]) != len(b[p]) {
-			return fmt.Errorf("process %d: %d vs %d records", p, len(a[p]), len(b[p]))
-		}
-		for i := range a[p] {
-			x, y := a[p][i], b[p][i]
-			if x.Kind != y.Kind || x.Peer != y.Peer || !vector.Eq(x.Stamp, y.Stamp) {
-				return fmt.Errorf("process %d record %d: %+v vs %+v", p, i, x, y)
-			}
-		}
-	}
-	return nil
-}
-
-// TestCoalescingDeterminism runs each topology family twice — once with
-// the coalescing writer (the default) and once flushing every frame — and
-// requires byte-identical rendezvous logs plus agreement with the
-// sequential replay oracle. Batching frames into fewer TCP writes must be
-// invisible to the protocol: it may change *when* bytes move, never which
-// stamps are agreed.
+// TestCoalescingDeterminism runs each topology family through the
+// coalescing writer and requires agreement with the sequential replay
+// oracle. Batching frames into fewer transport writes must be invisible to
+// the protocol: it may change *when* bytes move, never which stamps are
+// agreed.
 func TestCoalescingDeterminism(t *testing.T) {
 	const rounds = 25
 	for _, fam := range coalesceFamilies() {
@@ -202,28 +167,54 @@ func TestCoalescingDeterminism(t *testing.T) {
 					nodes = n + 1
 				}
 			}
-			run := func(noCoalesce bool) (*csp.Result, [][]csp.Record) {
-				res, results, err := runCluster(dec, fam.placement, loopTransports(nodes),
-					fam.programs(rounds), Config{NoCoalesce: noCoalesce})
-				if err != nil {
-					t.Fatalf("noCoalesce=%v: %v", noCoalesce, err)
-				}
-				for i, r := range results {
-					if r.err != nil {
-						t.Fatalf("noCoalesce=%v node %d: %v", noCoalesce, i, r.err)
-					}
-				}
-				return res, collectLogs(results, fam.g.N())
+			res, results, err := runCluster(dec, fam.placement, loopTransports(nodes),
+				fam.programs(rounds), Config{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			coalesced, coalescedLogs := run(false)
-			plain, plainLogs := run(true)
-
-			want := rounds * fam.perRound
-			verifyAgainstSequential(t, coalesced, dec, want)
-			verifyAgainstSequential(t, plain, dec, want)
-			if err := identicalLogs(coalescedLogs, plainLogs); err != nil {
-				t.Fatalf("coalesced and unbatched runs diverged: %v", err)
+			for i, r := range results {
+				if r.err != nil {
+					t.Fatalf("node %d: %v", i, r.err)
+				}
 			}
+			verifyAgainstSequential(t, res, dec, rounds*fam.perRound)
 		})
+	}
+}
+
+// TestCloseDeliversInheritedFlush pins the end of a run under flush-on-idle:
+// a frame whose flush a later sender inherited reaches the peer even when
+// the connection closes before that sender gets to flush.
+func TestCloseDeliversInheritedFlush(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	n, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: dec}, NewLoop(2).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	near, far := net.Pipe()
+	defer far.Close()
+	enc := wire.NewEncoder(near, dec.D())
+	enc.SetBatch(true)
+	pc := &peerConn{n: n, node: 1, c: near, enc: enc}
+
+	// A later sender has committed to encoding and not finished, so the
+	// BYE's flush is its responsibility.
+	pc.pending.Add(1)
+	if err := pc.send(&wire.Frame{Kind: wire.KindBye}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		f, err := wire.NewDecoder(far, dec.D()).Decode()
+		if err == nil && f.Kind != wire.KindBye {
+			err = fmt.Errorf("read %v, want BYE", f.Kind)
+		}
+		got <- err
+	}()
+	pc.close()
+	if err := <-got; err != nil {
+		t.Fatalf("peer did not receive the BYE: %v", err)
 	}
 }

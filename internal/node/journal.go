@@ -48,19 +48,16 @@ type JournalRecord struct {
 // Journal is an append-only JSONL file of committed operations, safe for
 // concurrent use by a node's process goroutines.
 //
-// Commits are group-committed by default: concurrent Appends pool their
-// records and a single leader writes and fsyncs the whole batch, so one
-// fsync covers every rendezvous that reached the journal while the previous
-// fsync was in flight. The durability contract is unchanged — Append
-// returns only after the fsync covering its record has completed — which is
-// what preserves the write-ahead invariant (a merge's journal entry is
-// durable before its ACK leaves the node). SetSyncEach(true) restores
-// fsync-per-record commits, the baseline arm of cmd/tsbench.
+// Commits are group-committed: concurrent Appends pool their records and a
+// single leader writes and fsyncs the whole batch, so one fsync covers every
+// rendezvous that reached the journal while the previous fsync was in
+// flight. Append returns only after the fsync covering its record has
+// completed, which is what preserves the write-ahead invariant (a merge's
+// journal entry is durable before its ACK leaves the node).
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	restarts int
-	each     bool // fsync per record instead of per batch
 
 	// Group-commit state, guarded by mu. Records queue as complete
 	// newline-terminated JSONL lines in buf; a crash mid-batch therefore
@@ -95,11 +92,6 @@ type JournalStats struct {
 	Appends int64 `json:"appends"`
 	Syncs   int64 `json:"syncs"`
 }
-
-// SetSyncEach switches the journal to fsync-per-record commits (true) or
-// back to group commit (false, the default). Call before the run starts;
-// it is not synchronized against in-flight Appends.
-func (j *Journal) SetSyncEach(each bool) { j.each = each }
 
 // Stats snapshots the journal's commit accounting.
 func (j *Journal) Stats() JournalStats {
@@ -178,8 +170,8 @@ func replayJournal(f *os.File) (recs []JournalRecord, restarts int, good int64, 
 }
 
 // Append commits one record. The record is durable when Append returns:
-// either this goroutine wrote and fsynced it (fsync-per-record mode, or as
-// the batch leader), or it waited for the leader whose batch carried it.
+// either this goroutine wrote and fsynced it as the batch leader, or it
+// waited for the leader whose batch carried it.
 func (j *Journal) Append(rec JournalRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -218,17 +210,6 @@ func (j *Journal) commit(b []byte, count int64) error {
 		return j.err
 	}
 	j.appends += count
-	if j.each {
-		j.syncs++
-		if _, err := j.f.Write(b); err != nil {
-			return fmt.Errorf("node: journal append: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("node: journal sync: %w", err)
-		}
-		return nil
-	}
-
 	j.buf = append(j.buf, b...)
 	mine := j.batch
 	for j.committed < mine && j.err == nil {

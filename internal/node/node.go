@@ -97,12 +97,6 @@ type Config struct {
 	// dump. Empty keeps the ring in memory only (still served over
 	// /debug/flight).
 	FlightDump string
-	// NoCoalesce disables frame coalescing on data connections: every frame
-	// is flushed to the transport individually, one write per frame, as the
-	// pre-batching runtime did. It is the baseline arm of cmd/tsbench and a
-	// debugging aid; the default (false) lets concurrent senders share
-	// transport writes via the flush-on-idle writer.
-	NoCoalesce bool
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and
 	// (optionally) crash-recovery journaling. Nil keeps the original
@@ -157,10 +151,10 @@ const flushYields = 4
 
 // send encodes one frame, serializing concurrent senders, and charges the
 // owning node's live wire-traffic counters (no-ops with obs disabled).
-// With coalescing enabled the encoder runs in batch mode and the last
-// concurrent sender out flushes for everyone; send may return with its
-// frame still in the write buffer only when a later sender has already
-// committed to encoding — that sender (or its successor) flushes it.
+// The encoder runs in batch mode and the last concurrent sender out flushes
+// for everyone; send may return with its frame still in the write buffer
+// only when a later sender has already committed to encoding — that sender
+// (or its successor) flushes it.
 func (pc *peerConn) send(f *wire.Frame) error {
 	if pc.n.asyncOn() && (f.Kind == wire.KindSyn || f.Kind == wire.KindAck) {
 		// Async mode piggybacks the synchronizer's cumulative safe counter on
@@ -188,9 +182,6 @@ func (pc *peerConn) send(f *wire.Frame) error {
 		return err
 	}
 	pc.mu.Unlock()
-	if pc.n.cfg.NoCoalesce {
-		return err // Encode flushed itself
-	}
 	for y := 0; y < flushYields; y++ {
 		runtime.Gosched()
 		if pc.pending.Load() > 0 {
@@ -207,6 +198,18 @@ func (pc *peerConn) send(f *wire.Frame) error {
 	}
 	pc.mu.Unlock()
 	return err
+}
+
+// close ends the connection at end of run. It first flushes what
+// concurrent senders encoded but have not flushed yet: the sender that
+// inherited a flush may still be yielding when the end-of-run barrier
+// lifts, and closing under it would strand the frames it owes the peer,
+// this node's BYE among them.
+func (pc *peerConn) close() {
+	pc.mu.Lock()
+	_ = pc.enc.Flush() // best effort: a retired connection is already dead
+	pc.mu.Unlock()
+	_ = pc.c.Close()
 }
 
 // overhead snapshots the encoder's piggyback accounting.
@@ -533,7 +536,7 @@ func (n *Node) handleAccept(c net.Conn) error {
 		_ = c.SetDeadline(time.Time{})
 		// The HELLO above flushed itself; from here the stream carries data
 		// frames, which coalesce under the flush-on-idle writer.
-		enc.SetBatch(!n.cfg.NoCoalesce)
+		enc.SetBatch(true)
 		pc := &peerConn{n: n, node: f.Node, epoch: f.Epoch, c: c, enc: enc, dec: dec}
 		if err := n.register(pc); err != nil {
 			return err
@@ -639,7 +642,7 @@ func (n *Node) dialPeer(j, epoch int) error {
 		return fmt.Errorf("node %d: node %d has topology digest %#x, ours is %#x (mismatched decomposition or placement)", n.cfg.Node, j, f.Digest, n.digest)
 	}
 	_ = c.SetDeadline(time.Time{})
-	enc.SetBatch(!n.cfg.NoCoalesce)
+	enc.SetBatch(true)
 	return n.register(&peerConn{n: n, node: j, epoch: epoch, c: c, enc: enc, dec: dec})
 }
 
@@ -964,7 +967,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		}
 		info.Overhead.Merge(pc.overhead())
 		info.Frames.Merge(pc.stats())
-		_ = pc.c.Close()
+		pc.close()
 	}
 	info.Dropped = n.dropped.Load()
 	info.Retransmits = n.retransmits.Load()

@@ -24,7 +24,8 @@ const (
 	// PeerLossAbort fails the run as soon as a data connection dies. This is
 	// the fail-stop behavior of the non-recovering runtime: retransmission
 	// and dedup still mask individual lost frames, but a broken connection
-	// is fatal.
+	// is fatal. Under Async, a suspect peer whose connection is still up
+	// gets ReconnectWindow to heal, as under PeerLossWait.
 	PeerLossAbort PeerLossPolicy = iota
 	// PeerLossWait redials (or awaits a redial) for ReconnectWindow; only an
 	// expired window fails the run. A crashed peer that restarts from its
@@ -99,10 +100,10 @@ type RecoveryConfig struct {
 	// RetransmitMin/Max backoff with a per-peer adaptive RTO (Jacobson RTT
 	// estimator, seeded-jitter capped exponential backoff), piggybacks
 	// cumulative safe counters on SYN/ACK frames, and drives the per-peer
-	// health FSM whose suspect state applies OnPeerLoss without waiting
-	// for a connection to die. See async.go. RetransmitMin/Max still govern
-	// the reconnect dial backoff; the rendezvous retransmission timer is
-	// the synchronizer's.
+	// health FSM: a peer still suspect after ReconnectWindow meets
+	// OnPeerLoss without waiting for a connection to die. See async.go.
+	// RetransmitMin/Max still govern the reconnect dial backoff; the
+	// rendezvous retransmission timer is the synchronizer's.
 	Async *tssync.Config
 }
 

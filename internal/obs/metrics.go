@@ -143,7 +143,7 @@ var (
 	// LatencyEdges buckets wall-clock latencies in nanoseconds, 1µs–10s,
 	// on a log-spaced 1-2-5 ladder. Decade-only buckets made p50 and p99
 	// quantize to the same edge on any workload whose latencies span less
-	// than 10x (visible in early BENCH_loop.json artifacts); three edges
+	// than 10x, as a loop rendezvous's latencies do; three edges
 	// per decade keeps the quantile bound within a factor ~2.5 of the
 	// true value while the scan stays a couple dozen compares.
 	LatencyEdges = []int64{
