@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race net-test obs-test chaos-test async-test load-test bench microbench fuzz repro examples clean
+.PHONY: all build vet lint lint-baseline test race net-test obs-test chaos-test load-test bench microbench fuzz repro examples clean
 
 all: build lint test
 
@@ -57,28 +57,22 @@ obs-test:
 	$(GO) test -race -run 'Obs|Dropped|TraceReport|Rollup|Flight|CriticalPath' ./internal/csp ./internal/node ./cmd/tsanalyze
 	$(GO) test -race -run 'TestE2E' -v ./cmd/tsnode
 
-# Fault-injection gate: the deterministic injector and the loss-tolerant
-# protocol under the race detector (chaos matrix, resets, exclusion,
-# journal restore), plus the chaos e2e runs — fault-plan trace determinism
-# and the kill -9 crash-recovery soak over real OS processes, which also
-# requires every node's flight dump to exist and the merged dumps to
-# replay-verify against the sequential oracle.
+# Fault-injection gate: the deterministic injector, the synchronizer and
+# the loss-tolerant protocol under the race detector — the internal/sync
+# estimator/backoff/health units; the chaos matrix and the full async chaos
+# matrix (every topology family × 8 seeds × loss to 20% × the three jitter
+# profiles, stamps byte-equal to the sequential oracle); resets, exclusion
+# by connection loss and by suspicion with its property-level check;
+# journal restore and the synchronizer's cluster rollup — plus the chaos
+# e2e runs over real OS processes: fault-plan trace determinism, the kill -9
+# crash-recovery soak (every node's flight dump must exist and the merged
+# dumps replay-verify against the sequential oracle), and the jittered
+# kill -9 run.
 chaos-test:
-	$(GO) test -race ./internal/fault
-	$(GO) test -race -run 'TestJournal|TestRestore|TestLateAck|TestDialClassification' ./internal/node
-	$(GO) test -race -run 'TestE2EFaultPlanDeterministicTraces|TestE2EKillNineRecoverySoak' -v ./cmd/tsnode
-
-# Async-substrate gate: the α-synchronizer under the race detector — the
-# internal/sync estimator/backoff/health units, the full async chaos matrix
-# (every topology family × 8 seeds × loss to 20% × the three jitter
-# profiles, stamps byte-equal to the sequential oracle), suspicion-driven
-# exclusion with its property-level check, the async cluster rollup, and
-# the async kill -9 e2e over real OS processes.
-async-test:
 	$(GO) test -race ./internal/sync
-	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -run 'TestAsync|TestPropAsync' -timeout 30m ./internal/fault
-	$(GO) test -race -run 'TestAsyncClusterRollup' ./internal/node
-	$(GO) test -race -run 'TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
+	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -timeout 30m ./internal/fault
+	$(GO) test -race -run 'TestJournal|TestRestore|TestLateAck|TestDialClassification|TestAsync|TestRecoveryRunsTheSynchronizer' ./internal/node
+	$(GO) test -race -run 'TestE2EFaultPlanDeterministicTraces|TestE2EKillNineRecoverySoak|TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
 
 # Load/collector gate: the open-loop driver and the sharded collector tree
 # under the race detector (incremental oracle, spill recovery, leaf-crash

@@ -17,6 +17,7 @@ import (
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
+	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/vector"
 )
 
@@ -108,9 +109,9 @@ func chaosArgs(i int, addrs []string, trace, journal, plan, retransmitMin string
 // first SYN/ACK frame, forcing a retransmission to mask the loss — and
 // requires byte-identical JSONL traces across the two runs: the fault
 // injector, the retransmission protocol, and the trace exporter must all be
-// deterministic together. The retransmit interval is chosen to dominate any
-// realistic localhost round trip, so the masked drop costs exactly one
-// retransmitted SYN in every run (trace meta counts frames; a
+// deterministic together. The RTO floor (-retransmit-min) is chosen to
+// dominate any realistic localhost round trip, so the masked drop costs
+// exactly one retransmitted SYN in every run (trace meta counts frames; a
 // timing-dependent extra retransmit would byte-diff it).
 //
 // Skipped under -short: it compiles a binary and opens real sockets.
@@ -193,9 +194,10 @@ func TestE2EFaultPlanDeterministicTraces(t *testing.T) {
 }
 
 // TestE2EAsyncKillNineRecovers is the async-substrate acceptance run: three
-// tsnode OS processes over real TCP in -async mode, every link jittered by
-// a lognormal latency profile, with node 1 SIGKILLed mid-computation and
-// restarted from its write-ahead journal. The adaptive RTO must carry the
+// tsnode OS processes over real TCP at the default RTO floor, every link
+// jittered by a lognormal latency profile, with node 1 SIGKILLed
+// mid-computation and restarted from its write-ahead journal. The adaptive
+// RTO must carry the
 // rendezvous protocol across the jitter, the restarted incarnation must
 // resume the session, and the collector must verify the stitched run's
 // stamps against the sequential replay — the synchronizer changes when
@@ -219,15 +221,15 @@ func TestE2EAsyncKillNineRecovers(t *testing.T) {
 	for i := range journals {
 		journals[i] = filepath.Join(dir, fmt.Sprintf("node%d.journal", i))
 	}
-	// The jitter stretches the run past the kill point; -async replaces the
-	// fixed backoff with the per-peer adaptive RTO that has to ride it out.
+	// The jitter stretches the run past the kill point; at the default RTO
+	// floor it is the per-peer adaptive RTO that has to ride it out.
 	asyncArgs := func(i int) []string {
 		journal := ""
 		if i != 0 {
 			journal = journals[i]
 		}
-		return append(chaosArgs(i, addrs, "", journal, "", "250ms"),
-			"-async", "-rtt-init", "30ms", "-jitter-profile", "lognormal:10:0.5")
+		return append(chaosArgs(i, addrs, "", journal, "", tssync.DefaultRTOMin.String()),
+			"-jitter-profile", "lognormal:10:0.5")
 	}
 
 	n0 := startChaosNode(t, bin, asyncArgs(0))
@@ -287,7 +289,7 @@ func TestE2EAsyncKillNineRecovers(t *testing.T) {
 	if !strings.Contains(out0, "verified: distributed stamps match the sequential replay") {
 		t.Fatalf("collector did not verify the async run:\n%s", out0)
 	}
-	if !strings.Contains(out0, "tsnode: async:") {
+	if !strings.Contains(out0, "tsnode: sync:") {
 		t.Fatalf("collector printed no synchronizer summary:\n%s", out0)
 	}
 	if killed && !strings.Contains(n1.out.String(), "restart #") {

@@ -30,12 +30,16 @@
 // into one view.
 //
 // Chaos and recovery: -fault-plan wraps the transport with the deterministic
-// internal/fault injector (same plan + seed → same faults); -journal names a
+// internal/fault injector (same plan + seed → same faults), and
+// -jitter-profile adds seeded link latency to it; -journal names a
 // crash-recovery journal so a killed node, restarted with identical flags,
 // replays its committed operations and resumes the run; -on-peer-loss picks
-// what survivors do about a peer that stays gone (abort, wait, exclude). Any
-// of these flags enables the loss-tolerant protocol (retransmission, dedup,
-// session-resuming reconnects).
+// what survivors do about a peer that stays gone or unresponsive (abort,
+// wait, exclude). Any of these flags enables the loss-tolerant protocol:
+// dedup, session-resuming reconnects, and SYN retransmission paced by the
+// internal/sync synchronizer — a per-peer adaptive RTO, floored at
+// -retransmit-min, and a per-peer health FSM whose summary prints after the
+// run.
 package main
 
 import (
@@ -88,10 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	journalFlag := fs.String("journal", "", "crash-recovery journal file; a restarted node replays it and resumes the session (implies recovery)")
 	onPeerLoss := fs.String("on-peer-loss", "abort", "policy for a peer unreachable past -reconnect-window: abort, wait, or exclude")
 	reconnectWindow := fs.Duration("reconnect-window", 10*time.Second, "how long a lost peer may stay unreachable before -on-peer-loss applies")
-	retransmitMin := fs.Duration("retransmit-min", node.DefaultRetransmitMin, "initial SYN retransmission backoff")
-	retransmitMax := fs.Duration("retransmit-max", node.DefaultRetransmitMax, "retransmission backoff cap")
-	asyncFlag := fs.Bool("async", false, "asynchronous-substrate mode: adaptive per-peer RTO, safe-counter piggyback on SYN/ACK, suspicion-driven peer health (implies recovery)")
-	rttInit := fs.Duration("rtt-init", tssync.DefaultRTTInit, "with -async: initial RTT guess seeding each peer's estimator")
+	retransmitMin := fs.Duration("retransmit-min", tssync.DefaultRTOMin, "floor of the adaptive SYN retransmission timeout")
 	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
 	flight := fs.Int("flight", 4096, "flight recorder capacity in events (0 disables the ring)")
 	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (JSONL) on failure, peer loss, SIGQUIT, and end of run")
@@ -205,15 +206,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Any chaos/recovery flag turns on the loss-tolerant protocol; the plain
 	// invocation keeps the original fail-stop semantics.
 	var rec *node.RecoveryConfig
-	if *journalFlag != "" || plan != nil || policy != node.PeerLossAbort || *asyncFlag {
+	if *journalFlag != "" || plan != nil || policy != node.PeerLossAbort {
 		rec = &node.RecoveryConfig{
 			OnPeerLoss:      policy,
-			RetransmitMin:   *retransmitMin,
-			RetransmitMax:   *retransmitMax,
 			ReconnectWindow: *reconnectWindow,
-		}
-		if *asyncFlag {
-			rec.Async = &tssync.Config{RTTInit: *rttInit}
+			Async:           &tssync.Config{RTOMin: *retransmitMin},
 		}
 	}
 	var journalRecs []node.JournalRecord
@@ -301,15 +298,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(info.Excluded) > 0 {
 		fmt.Fprintf(stdout, "tsnode: peers excluded from the run: %v\n", info.Excluded)
 	}
-	if rec != nil && rec.Async != nil {
-		fmt.Fprintf(stdout, "tsnode: async: %d spurious retransmits, %d suspicions\n",
+	if rec != nil {
+		fmt.Fprintf(stdout, "tsnode: sync: %d spurious retransmits, %d suspicions\n",
 			info.Spurious, info.Suspicions)
 		for j := 0; j < len(addrs); j++ {
 			st, ok := info.PeerRTT[j]
 			if !ok {
 				continue
 			}
-			fmt.Fprintf(stdout, "tsnode: async: peer %d %s — srtt %v, rto %v, p50 %v, p99 %v over %d samples\n",
+			fmt.Fprintf(stdout, "tsnode: sync: peer %d %s — srtt %v, rto %v, p50 %v, p99 %v over %d samples\n",
 				j, info.PeerHealth[j], time.Duration(st.SRTTNS), time.Duration(st.RTONS),
 				time.Duration(st.P50NS), time.Duration(st.P99NS), st.Samples)
 		}

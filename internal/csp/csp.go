@@ -219,8 +219,8 @@ func (p *Process) complete(env envelope) (Message, error) {
 func (p *Process) Internal(note any) {
 	p.log = append(p.log, Record{Kind: RecordInternal, Note: note})
 	p.sys.ins.InternalEvents.Add(1)
-	// The note rendering allocates, so it only happens when tracing is on.
-	if o := p.sys.obsv; o != nil && o.Tracer != nil {
+	// The note rendering allocates, so it only happens when a recorder is on.
+	if o := p.sys.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
 		o.Internal(-1, p.id, p.clock.Current(), fmt.Sprint(note))
 	}
 }

@@ -14,27 +14,12 @@ import (
 	"syncstamp/internal/fault"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
-	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/trace"
 )
 
-// asyncRecovery is chaosRecovery with the α-synchronizer switched on: a
-// small initial RTT guess and tight RTO bounds keep in-memory retries at
-// millisecond scale, like the fixed chaos backoff they replace.
-func asyncRecovery(policy node.PeerLossPolicy, seed int64) *node.RecoveryConfig {
-	rec := chaosRecovery(policy)
-	rec.Async = &tssync.Config{
-		RTTInit: 5 * time.Millisecond,
-		RTOMin:  time.Millisecond,
-		RTOMax:  100 * time.Millisecond,
-		Seed:    seed,
-	}
-	return rec
-}
-
 // asyncMatrixSeeds reports how many seeds per cell the matrix runs: the
 // full eight of the acceptance gate under SYNCSTAMP_ASYNC_MATRIX=full (the
-// make async-test / CI setting), a fast sample of two otherwise.
+// make chaos-test / CI setting), a fast sample of two otherwise.
 func asyncMatrixSeeds() int64 {
 	if os.Getenv("SYNCSTAMP_ASYNC_MATRIX") == "full" {
 		return 8
@@ -42,13 +27,13 @@ func asyncMatrixSeeds() int64 {
 	return 2
 }
 
-// TestAsyncMatrixStampsMatchSequential is the async tentpole's correctness
+// TestAsyncMatrixStampsMatchSequential is the synchronizer's correctness
 // gate: across the topology families, loss rates up to 20%, and the three
 // jitter profiles (fixed, lognormal, pareto), a computation run over the
-// never-synchronous substrate — adaptive per-peer RTO instead of the fixed
-// backoff, safe counters piggybacked on every SYN/ACK — must still produce
-// exactly the stamps of a fault-free sequential replay. Latency and loss
-// may reshape every schedule; they must never reshape a timestamp.
+// never-synchronous substrate, retransmitting on a per-peer adaptive RTO,
+// must still produce exactly the stamps of a fault-free sequential replay.
+// Latency and loss may reshape every schedule; they must never reshape a
+// timestamp.
 func TestAsyncMatrixStampsMatchSequential(t *testing.T) {
 	families := []struct {
 		name string
@@ -92,7 +77,7 @@ func TestAsyncMatrixStampsMatchSequential(t *testing.T) {
 						if err := plan.Validate(); err != nil {
 							t.Fatal(err)
 						}
-						res, results, err := runChaos(dec, plan, asyncRecovery(node.PeerLossWait, seed), projectionPrograms(tr))
+						res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -220,7 +205,7 @@ func TestAsyncSuspicionExcludesUnresponsivePeer(t *testing.T) {
 		Seed:  1,
 		Links: []fault.LinkFault{{From: 2, To: 0, Drop: 1.0}},
 	}
-	rec := asyncRecovery(node.PeerLossExclude, 9)
+	rec := chaosRecovery(node.PeerLossExclude)
 	rec.ReconnectWindow = 250 * time.Millisecond
 	res, results, err := runChaos(dec, plan, rec, programs)
 	if err != nil {
@@ -350,7 +335,7 @@ func TestPropAsyncExclusionPreservesFrozenStamps(t *testing.T) {
 			Seed:  in.Seed,
 			Links: []fault.LinkFault{{From: victim, To: 0, Drop: 1.0}},
 		}
-		rec := asyncRecovery(node.PeerLossExclude, in.Seed)
+		rec := chaosRecovery(node.PeerLossExclude)
 		rec.ReconnectWindow = 250 * time.Millisecond
 		res, results, err := runChaosPlaced(dec, placement, plan, rec, programs)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"syncstamp/internal/fault"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
+	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 )
@@ -25,14 +26,20 @@ type chaosResult struct {
 	stats fault.Stats
 }
 
-// fast recovery tunables for in-memory chaos runs: a dropped frame costs a
-// few milliseconds, not the production default's tens.
+// fast recovery tunables for in-memory chaos runs: a small initial RTT
+// guess and tight RTO bounds keep retries at millisecond scale. The cap
+// matters most: under the default 2 s one, a streak of drops leaves a
+// sender waiting seconds between retries, and a peer it suspects can go
+// the whole 5 s reconnect window without a frame to heal it.
 func chaosRecovery(policy node.PeerLossPolicy) *node.RecoveryConfig {
 	return &node.RecoveryConfig{
 		OnPeerLoss:      policy,
-		RetransmitMin:   2 * time.Millisecond,
-		RetransmitMax:   20 * time.Millisecond,
 		ReconnectWindow: 5 * time.Second,
+		Async: &tssync.Config{
+			RTTInit: 5 * time.Millisecond,
+			RTOMin:  time.Millisecond,
+			RTOMax:  100 * time.Millisecond,
+		},
 	}
 }
 
@@ -263,7 +270,7 @@ func TestChaosExcludeKeepsSurvivorsStamping(t *testing.T) {
 		},
 	}
 	rec := chaosRecovery(node.PeerLossExclude)
-	rec.RetransmitMin = 5 * time.Millisecond
+	rec.Async.RTOMin = 5 * time.Millisecond
 	rec.ReconnectWindow = 200 * time.Millisecond
 	res, results, err := runChaos(dec, &fault.Plan{Seed: 1}, rec, programs)
 	if err != nil {

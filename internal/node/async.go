@@ -2,35 +2,30 @@ package node
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
-	"syncstamp/internal/wire"
 )
 
-// Asynchronous-substrate mode (RecoveryConfig.Async): the α-style
-// synchronizer from internal/sync threaded through the runtime. Loss stops
-// being an injected fault and becomes the operating assumption: every
-// SYN/ACK toward a peer piggybacks a cumulative safe counter (the round
-// acknowledgment of the synchronizer), the retransmission timer adapts to a
-// per-peer Jacobson RTT estimate instead of the fixed min/max backoff, and
-// a per-peer health FSM (healthy → degraded → suspect → excluded) lets the
-// OnPeerLoss policy act on suspicion — an unresponsive peer — rather than
-// waiting for a connection to die.
+// The synchronizer from internal/sync threaded through the recovery
+// runtime: the retransmission timer of every remote Send adapts to a
+// per-peer Jacobson RTT estimate, and a per-peer health FSM (healthy →
+// degraded → suspect → excluded) lets the OnPeerLoss policy act on
+// suspicion — an unresponsive peer — rather than waiting for a connection
+// to die.
 //
-// The mode changes when frames move, never what the stamps say: under every
-// async schedule the collected trace must equal the synchronous oracle's.
-// That is also why none of the state here reaches the tracer or the flight
-// recorder — retransmission timing is wall-clock nondeterminism, and the
-// exported event streams are contractually byte-identical across runs. The
-// synchronizer surfaces through metrics and RunInfo only.
+// The synchronizer changes when frames move, never what the stamps say:
+// under every schedule the collected trace must equal the synchronous
+// oracle's. That is also why none of the state here reaches the tracer or
+// the flight recorder — retransmission timing is wall-clock nondeterminism,
+// and the exported event streams are contractually byte-identical across
+// runs. The synchronizer surfaces through metrics and RunInfo only.
 
 // RTTStats is RunInfo's per-peer view of the RTT estimator and the health
-// monitor in async mode. P50NS/P99NS are quantile upper bounds from the
-// peer's RTT histogram (zero with obs disabled); the rest comes from the
-// estimator and monitor directly.
+// monitor. P50NS/P99NS are quantile upper bounds from the peer's RTT
+// histogram (zero with obs disabled); the rest comes from the estimator and
+// monitor directly.
 type RTTStats struct {
 	SRTTNS     int64
 	RTONS      int64
@@ -41,19 +36,14 @@ type RTTStats struct {
 	Suspicions int64
 }
 
-// asyncOn reports whether the synchronizer is active.
-func (n *Node) asyncOn() bool { return n.coord != nil }
-
 // initAsync builds the synchronizer state after the Node's sizes are known.
-// Called from New, before any connection exists.
+// Called from New for every recovery run, before any connection exists.
 func (n *Node) initAsync() {
 	cfg := *n.rec.Async
 	// The synchronizer's jitter seed doubles as the per-node identity salt,
 	// so two nodes of one run never share a jitter stream.
 	cfg.Seed = cfg.Seed*1_000_003 + int64(n.cfg.Node)
 	n.coord = tssync.NewCoordinator(cfg, n.nodes, n.cfg.Node)
-	n.safeTx = make([]atomic.Uint64, n.nodes)
-	n.safeRx = make([]uint64, n.nodes)
 	n.suspectWatch = make([]bool, n.nodes)
 	if r := n.cfg.Obs.Registry(); r != nil {
 		n.peerRTT = make([]*obs.Histogram, n.nodes)
@@ -68,39 +58,13 @@ func (n *Node) initAsync() {
 	}
 }
 
-// safeFor returns the safe counter to piggyback on a frame toward a peer
-// node: the count of rendezvous this node has fully committed with it.
-func (n *Node) safeFor(peer int) uint64 {
-	if !n.asyncOn() || peer < 0 || peer >= len(n.safeTx) {
-		return 0
-	}
-	return n.safeTx[peer].Load()
-}
-
-// noteSafe advances the safe counter toward a peer node by one committed
-// rendezvous. The new value rides every subsequent SYN/ACK to that peer.
-func (n *Node) noteSafe(peer int) {
-	if !n.asyncOn() || peer < 0 || peer >= len(n.safeTx) {
-		return
-	}
-	n.safeTx[peer].Add(1)
-}
-
 // noteAlive is the synchronizer's receive hook, called by the read loop for
-// every frame a peer delivers: the frame itself is liveness evidence, and a
-// SYN/ACK's Safe field advances our view of the peer's committed rounds.
-// Evidence heals the health FSM (suspect → healthy on a late ACK); the
-// healed state is mirrored into the health gauge.
-func (n *Node) noteAlive(peer int, f *wire.Frame) {
-	if !n.asyncOn() {
+// every frame a peer delivers: the frame itself is liveness evidence, which
+// heals the health FSM (suspect → healthy on a late ACK); the healed state
+// is mirrored into the health gauge. A fail-stop node has no synchronizer.
+func (n *Node) noteAlive(peer int) {
+	if n.coord == nil {
 		return
-	}
-	if f.Kind == wire.KindSyn || f.Kind == wire.KindAck {
-		n.mu.Lock()
-		if f.Safe > n.safeRx[peer] {
-			n.safeRx[peer] = f.Safe
-		}
-		n.mu.Unlock()
 	}
 	p := n.coord.Peer(peer)
 	if p == nil {
@@ -196,7 +160,7 @@ func (n *Node) setHealthGauge(peer int, st tssync.State) {
 
 // asyncInfo fills RunInfo's synchronizer fields at end of run.
 func (n *Node) asyncInfo(info *RunInfo) {
-	if !n.asyncOn() {
+	if n.coord == nil {
 		return
 	}
 	info.Spurious = n.spurious.Load()

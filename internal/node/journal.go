@@ -347,7 +347,7 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 			n.obsv.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseMerge, rec.Stamp)
 		case journalInternal:
 			st.log = append(st.log, csp.Record{Kind: csp.RecordInternal, Note: rec.Note})
-			if o := n.obsv; o != nil && o.Tracer != nil {
+			if o := n.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
 				o.Internal(n.cfg.Node, p, st.clock.Current(), rec.Note)
 			}
 		default:

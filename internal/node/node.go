@@ -156,12 +156,6 @@ const flushYields = 4
 // only when a later sender has already committed to encoding — that sender
 // (or its successor) flushes it.
 func (pc *peerConn) send(f *wire.Frame) error {
-	if pc.n.asyncOn() && (f.Kind == wire.KindSyn || f.Kind == wire.KindAck) {
-		// Async mode piggybacks the synchronizer's cumulative safe counter on
-		// every rendezvous frame toward this peer; retransmissions carry the
-		// freshest value automatically because it is read per encode.
-		f.Safe = pc.n.safeFor(pc.node)
-	}
 	pc.pending.Add(1)
 	//nolint:lockcheck released early on every branch below: the flush-on-idle protocol must drop the lock before yielding so later senders can encode
 	pc.mu.Lock()
@@ -272,14 +266,10 @@ type Node struct {
 	peerEvent  chan struct{}
 	recoveryWG sync.WaitGroup
 
-	// Asynchronous-substrate state (coord nil means the synchronizer is
-	// off; see async.go). safeTx counts committed rendezvous toward each
-	// peer node (piggybacked on outgoing SYN/ACK); safeRx (guarded by mu)
-	// is the highest safe counter seen from each peer; suspectWatch
-	// (guarded by mu) marks peers with a suspicion watchdog in flight.
+	// Synchronizer state (coord is nil exactly when rec is; see async.go).
+	// suspectWatch (guarded by mu) marks peers with a suspicion watchdog in
+	// flight.
 	coord        *tssync.Coordinator
-	safeTx       []atomic.Uint64
-	safeRx       []uint64
 	suspectWatch []bool
 	peerRTT      []*obs.Histogram
 	peerHealth   []*obs.Gauge
@@ -341,25 +331,17 @@ func New(cfg Config, tr Transport) (*Node, error) {
 	}
 	if cfg.Recovery != nil {
 		rc := *cfg.Recovery // normalized copy; the caller's struct stays untouched
-		if rc.RetransmitMin <= 0 {
-			rc.RetransmitMin = DefaultRetransmitMin
-		}
-		if rc.RetransmitMax < rc.RetransmitMin {
-			rc.RetransmitMax = DefaultRetransmitMax
-		}
-		if rc.RetransmitMax < rc.RetransmitMin {
-			rc.RetransmitMax = rc.RetransmitMin
-		}
 		if rc.ReconnectWindow <= 0 {
 			rc.ReconnectWindow = cfg.HandshakeTimeout
 		}
+		var ac tssync.Config
 		if rc.Async != nil {
-			ac := *rc.Async
-			if err := ac.Validate(); err != nil {
-				return nil, fmt.Errorf("node: %w", err)
-			}
-			rc.Async = &ac
+			ac = *rc.Async
 		}
+		if err := ac.Validate(); err != nil {
+			return nil, fmt.Errorf("node: %w", err)
+		}
+		rc.Async = &ac
 		cfg.Recovery = &rc
 	}
 	n := &Node{
@@ -414,7 +396,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 			n.wireBytes[k] = r.Counter(bn)
 		}
 	}
-	if n.rec != nil && n.rec.Async != nil {
+	if n.rec != nil {
 		n.initAsync()
 	}
 	return n, nil
@@ -698,7 +680,7 @@ func (n *Node) readLoop(pc *peerConn) {
 			n.fail(fmt.Errorf("node %d: connection to node %d: %w", n.cfg.Node, pc.node, err))
 			return
 		}
-		n.noteAlive(pc.node, f)
+		n.noteAlive(pc.node)
 		switch f.Kind {
 		case wire.KindSyn:
 			if f.To < 0 || f.To >= len(n.mailboxes) || n.mailboxes[f.To] == nil {
@@ -823,7 +805,7 @@ type RunInfo struct {
 	// after a rendezvous timeout and frame kinds unexpected on a data
 	// connection.
 	Dropped int64
-	// Retransmits counts SYN frames re-sent after a backoff interval
+	// Retransmits counts SYN frames re-sent after a retransmission timeout
 	// expired without the ACK (recovery mode only).
 	Retransmits int64
 	// Reconnects counts data connections re-established after a peer loss.
@@ -854,14 +836,14 @@ type RunInfo struct {
 	// folded into the node's live registry, so /metrics serves the merged
 	// cluster view.
 	Rollup *obs.Snapshot
-	// Spurious and Suspicions are async-mode totals (zero otherwise):
+	// Spurious and Suspicions are synchronizer totals (recovery mode only):
 	// retransmissions the Eifel-style detector proved unnecessary, and
 	// transitions of any peer's health FSM into the suspect state.
 	Spurious   int64
 	Suspicions int64
-	// PeerRTT and PeerHealth are async mode's per-peer synchronizer view,
-	// keyed by peer node id: the RTT estimator and histogram quantiles, and
-	// the health FSM's final state name. Nil outside async mode.
+	// PeerRTT and PeerHealth are the synchronizer's per-peer view, keyed by
+	// peer node id: the RTT estimator and histogram quantiles, and the
+	// health FSM's final state name. Nil without recovery.
 	PeerRTT    map[int]RTTStats
 	PeerHealth map[int]string
 }

@@ -64,15 +64,33 @@ func (p *Process) Send(q int) (vector.V, error) {
 		return nil, fmt.Errorf("node: destination %d out of range [0,%d)", q, len(p.n.cfg.Placement))
 	}
 	n := p.n
-	timer := time.NewTimer(n.cfg.RendezvousTimeout)
+	target := n.cfg.Placement[q]
+	remote := target != n.cfg.Node
+	// With recovery on a remote send, the synchronizer paces retransmissions
+	// of the self-contained SYN (dedup on the far side makes them
+	// idempotent), and the exclusion broadcast wakes the wait if the
+	// partner's node is removed from the run. One timer serves both the
+	// retries and the deadline: it fires at the next retry or at the
+	// rendezvous deadline, whichever comes first.
+	wait := n.cfg.RendezvousTimeout
+	var peer *tssync.Peer
+	var exclC chan struct{}
+	var sendWall, lastWall time.Time
+	var attempts int
+	if remote && n.rec != nil {
+		peer = n.coord.Peer(target)
+		exclC = n.exclusionCh()
+		sendWall = time.Now()
+		lastWall = sendWall
+		wait = min(wait, peer.RetryIn(0))
+	}
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
 
 	pre := p.clock.Current()
 	n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
 	t0 := n.obsv.Now()
 	seq := p.nextSeq()
-	target := n.cfg.Placement[q]
-	remote := target != n.cfg.Node
 	var ack chan vector.V
 	var syn *wire.Frame
 	if !remote {
@@ -102,39 +120,9 @@ func (p *Process) Send(q int) (vector.V, error) {
 				return nil, err
 			}
 			// Recovery mode: the link may be down mid-reconnect; the
-			// retransmission ticks below cover the lost first transmission.
+			// retransmissions below cover the lost first transmission.
 		}
 		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
-	}
-
-	// With recovery on a remote send, two more wake-ups join the wait: the
-	// retransmission backoff (re-send the self-contained SYN; dedup on the
-	// far side makes this idempotent) and the exclusion broadcast (the
-	// partner's node was removed from the run). In async mode the fixed
-	// min/max backoff is replaced by the synchronizer's adaptive interval:
-	// the peer's Jacobson RTO, doubled per attempt and jittered.
-	var retryT *time.Timer
-	var retryC <-chan time.Time
-	var exclC chan struct{}
-	var backoff time.Duration
-	var peer *tssync.Peer
-	var attempts int
-	var sendWall, lastWall time.Time
-	if remote && n.rec != nil {
-		if n.asyncOn() {
-			peer = n.coord.Peer(target)
-		}
-		if peer != nil {
-			sendWall = time.Now()
-			lastWall = sendWall
-			backoff = peer.RetryIn(0)
-		} else {
-			backoff = n.rec.RetransmitMin
-		}
-		retryT = time.NewTimer(backoff)
-		defer retryT.Stop()
-		retryC = retryT.C
-		exclC = n.exclusionCh()
 	}
 
 	t1 := n.obsv.Now()
@@ -164,11 +152,6 @@ func (p *Process) Send(q int) (vector.V, error) {
 			if err := n.journalCommit(JournalRecord{Kind: journalSend, Proc: p.id, Peer: q, Seq: seq, Stamp: stamp}); err != nil {
 				return nil, err
 			}
-			if remote {
-				// The rendezvous is committed on our side; the next frame to
-				// this peer advertises it as safe.
-				n.noteSafe(target)
-			}
 			n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseAdopt, stamp)
 			n.ins.Rendezvous.Add(1)
 			n.ins.Proc(p.id).Add(1)
@@ -183,42 +166,36 @@ func (p *Process) Send(q int) (vector.V, error) {
 			}
 			return nil, ErrStopped
 		case <-timer.C:
-			if remote {
-				n.clearWaiter(p.id)
+			if peer == nil || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
+				if remote {
+					n.clearWaiter(p.id)
+				}
+				err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
+				n.fail(err)
+				return nil, err
 			}
-			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
-			n.fail(err)
-			return nil, err
+			if n.isExcluded(target) {
+				n.clearWaiter(p.id)
+				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
+			}
+			// Best effort: during a reconnect there is no connection to
+			// write to; the next retry goes out on the restored session.
+			_ = n.sendToPeer(target, syn)
+			n.retransmits.Add(1)
+			n.ins.Retransmits.Add(1)
+			attempts++
+			lastWall = time.Now()
+			n.noteTimeout(target)
+			retry := peer.RetryIn(attempts)
+			n.ins.BackoffNS.Observe(int64(retry))
+			// The channel was just drained, so Reset cannot leave a stale tick.
+			timer.Reset(min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
 		case <-exclC:
 			if n.isExcluded(target) {
 				n.clearWaiter(p.id)
 				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
 			}
 			exclC = n.exclusionCh() // some other peer was excluded; re-arm
-		case <-retryC:
-			if n.isExcluded(target) {
-				n.clearWaiter(p.id)
-				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
-			}
-			// Best effort: during a reconnect there is no connection to
-			// write to; the next tick retries on the restored session.
-			_ = n.sendToPeer(target, syn)
-			n.retransmits.Add(1)
-			n.ins.Retransmits.Add(1)
-			if peer != nil {
-				attempts++
-				lastWall = time.Now()
-				n.noteTimeout(target)
-				backoff = peer.RetryIn(attempts)
-				n.ins.BackoffNS.Observe(int64(backoff))
-			} else {
-				n.ins.BackoffNS.Observe(int64(backoff))
-				backoff *= 2
-				if backoff > n.rec.RetransmitMax {
-					backoff = n.rec.RetransmitMax
-				}
-			}
-			retryT.Reset(backoff)
 		}
 	}
 }
@@ -311,9 +288,6 @@ func (p *Process) complete(in inbound) (Message, error) {
 		if p.n.rec != nil {
 			p.n.noteMerged(in.from, in.seq, p.id, stamp)
 		}
-		// The merge is journaled: the rendezvous is committed on our side,
-		// so the ACK itself already carries the advanced safe counter.
-		p.n.noteSafe(p.n.cfg.Placement[in.from])
 		pc, err := p.n.connTo(p.n.cfg.Placement[in.from])
 		if err == nil {
 			err = pc.send(&wire.Frame{Kind: wire.KindAck, From: p.id, To: in.from, Seq: in.seq, Vec: stamp})
@@ -347,8 +321,9 @@ func (p *Process) Internal(note string) {
 	_ = p.n.journalCommit(JournalRecord{Kind: journalInternal, Proc: p.id, Note: note})
 	p.log = append(p.log, csp.Record{Kind: csp.RecordInternal, Note: note})
 	p.n.ins.InternalEvents.Add(1)
-	// Guarded so the clock snapshot (a clone) only happens when tracing.
-	if o := p.n.obsv; o != nil && o.Tracer != nil {
+	// Guarded so the clock snapshot (a clone) only happens when a recorder
+	// is on.
+	if o := p.n.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
 		o.Internal(p.n.cfg.Node, p.id, p.clock.Current(), note)
 	}
 }

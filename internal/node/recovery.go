@@ -24,8 +24,8 @@ const (
 	// PeerLossAbort fails the run as soon as a data connection dies. This is
 	// the fail-stop behavior of the non-recovering runtime: retransmission
 	// and dedup still mask individual lost frames, but a broken connection
-	// is fatal. Under Async, a suspect peer whose connection is still up
-	// gets ReconnectWindow to heal, as under PeerLossWait.
+	// is fatal. A suspect peer whose connection is still up gets
+	// ReconnectWindow to heal, as under PeerLossWait.
 	PeerLossAbort PeerLossPolicy = iota
 	// PeerLossWait redials (or awaits a redial) for ReconnectWindow; only an
 	// expired window fails the run. A crashed peer that restarts from its
@@ -66,28 +66,16 @@ func ParsePeerLossPolicy(s string) (PeerLossPolicy, error) {
 	}
 }
 
-// Default recovery tunables applied when RecoveryConfig leaves them zero.
-const (
-	DefaultRetransmitMin = 25 * time.Millisecond
-	DefaultRetransmitMax = 1 * time.Second
-)
-
 // RecoveryConfig turns on the loss-tolerant protocol: sequence-numbered
-// SYN/ACK retransmission with capped exponential backoff, idempotent dedup
-// on receive, peer reconnection with session resume, and (optionally) a
-// write-ahead journal for crash recovery. With recovery enabled every
+// SYN/ACK retransmission paced by the internal/sync synchronizer, idempotent
+// dedup on receive, peer reconnection with session resume, and (optionally)
+// a write-ahead journal for crash recovery. With recovery enabled every
 // connection encodes vectors self-contained (dense), because delta
 // compression assumes a lossless FIFO stream.
 type RecoveryConfig struct {
 	// OnPeerLoss selects the degradation policy for a connection that stays
-	// dead past ReconnectWindow.
+	// dead, or a peer that stays suspect, past ReconnectWindow.
 	OnPeerLoss PeerLossPolicy
-	// RetransmitMin is the initial (and minimum) retransmission backoff.
-	// Zero means DefaultRetransmitMin.
-	RetransmitMin time.Duration
-	// RetransmitMax caps the exponential backoff. Zero means
-	// DefaultRetransmitMax.
-	RetransmitMax time.Duration
 	// ReconnectWindow bounds how long a lost peer may stay unreachable
 	// before OnPeerLoss applies. Zero means the handshake timeout.
 	ReconnectWindow time.Duration
@@ -95,15 +83,12 @@ type RecoveryConfig struct {
 	// committed rendezvous is appended (and fsynced) before its ACK leaves
 	// the node, so a restarted node replays it with Restore and resumes.
 	Journal *Journal
-	// Async, when non-nil, enables the asynchronous-substrate mode: the
-	// α-style synchronizer of internal/sync replaces the fixed
-	// RetransmitMin/Max backoff with a per-peer adaptive RTO (Jacobson RTT
-	// estimator, seeded-jitter capped exponential backoff), piggybacks
-	// cumulative safe counters on SYN/ACK frames, and drives the per-peer
-	// health FSM: a peer still suspect after ReconnectWindow meets
-	// OnPeerLoss without waiting for a connection to die. See async.go.
-	// RetransmitMin/Max still govern the reconnect dial backoff; the
-	// rendezvous retransmission timer is the synchronizer's.
+	// Async tunes the synchronizer (see async.go) that paces every remote
+	// Send's retransmissions — a per-peer adaptive RTO from a Jacobson RTT
+	// estimator, doubled with seeded jitter per unanswered attempt — and
+	// drives the per-peer health FSM: a peer still suspect after
+	// ReconnectWindow meets OnPeerLoss without waiting for a connection to
+	// die. Nil means the tssync defaults.
 	Async *tssync.Config
 }
 
@@ -248,7 +233,8 @@ func (n *Node) peerLost(pc *peerConn, cause error) {
 // recoverPeer tries to restore the session with a lost peer within the
 // reconnect window, then applies the peer-loss policy. The lower-numbered
 // side waits passively (mesh convention: higher dials lower); the higher
-// side actively redials with a fresh epoch.
+// side actively redials with a fresh epoch, paced like TCPTransport's dial
+// retries.
 func (n *Node) recoverPeer(peer int, cause error) {
 	defer func() {
 		n.mu.Lock()
@@ -258,8 +244,8 @@ func (n *Node) recoverPeer(peer int, cause error) {
 	}()
 	window := n.rec.ReconnectWindow
 	deadline := time.Now().Add(window)
-	backoff := n.rec.RetransmitMin
-	for time.Now().Before(deadline) && !n.stopped() {
+	bo := tssync.NewBackoff(dialBackoffMin, dialBackoffMax, int64(n.cfg.Node*n.nodes+peer))
+	for attempt := 0; time.Now().Before(deadline) && !n.stopped(); attempt++ {
 		n.mu.Lock()
 		restored := n.conns[peer] != nil
 		finished := n.peerDone(peer)
@@ -272,16 +258,12 @@ func (n *Node) recoverPeer(peer int, cause error) {
 				return
 			}
 		}
-		timer := time.NewTimer(backoff)
+		timer := time.NewTimer(bo.Delay(attempt))
 		select {
 		case <-timer.C:
 		case <-n.stop:
 			timer.Stop()
 			return
-		}
-		backoff *= 2
-		if backoff > n.rec.RetransmitMax {
-			backoff = n.rec.RetransmitMax
 		}
 	}
 	n.mu.Lock()

@@ -164,7 +164,7 @@ func TestCollectTreeClusterRollup(t *testing.T) {
 	}
 }
 
-// TestAsyncClusterRollup runs a 2-node async-mode cluster and pins the
+// TestAsyncClusterRollup runs a 2-node recovery-mode cluster and pins the
 // synchronizer's observability contract: the spurious-retransmit counter in
 // the root rollup is exactly the sum over the nodes' registries, each
 // per-peer RTT histogram lands in the rollup with precisely the sample
@@ -179,10 +179,8 @@ func TestAsyncClusterRollup(t *testing.T) {
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	rec := &RecoveryConfig{
 		OnPeerLoss:      PeerLossWait,
-		RetransmitMin:   2 * time.Millisecond,
-		RetransmitMax:   20 * time.Millisecond,
 		ReconnectWindow: 5 * time.Second,
-		Async:           &tssync.Config{Seed: 7},
+		Async:           &tssync.Config{RTOMin: 2 * time.Millisecond, Seed: 7},
 	}
 	var info0 *RunInfo
 	var collectErr error
@@ -298,16 +296,22 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 }
 
 // TestRunWritesFlightDumpAndReplays drives a 2-node cluster with the flight
-// recorder on: every node must publish its end-of-run dump, and the merged
-// dumps must replay-verify against the sequential oracle — the flight
-// recorder is a faithful (bounded) record of the computation, not just a
-// debugging convenience.
+// recorder on and no tracer: every node must publish its end-of-run dump,
+// and the merged dumps must replay-verify against the sequential oracle,
+// internal events included — the flight recorder is a faithful (bounded)
+// record of the computation, not just a debugging convenience.
 func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 	leakCheck(t)
 	g := graph.Path(2)
 	dec := decomp.Best(g)
 	dir := t.TempDir()
 	transports := loopTransports(2)
+	programs := pingPong(5)
+	ping := programs[0]
+	programs[0] = func(p *Process) error {
+		p.Internal("checkpoint")
+		return ping(p)
+	}
 	results := make([]clusterResult, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -325,7 +329,7 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 				return
 			}
 			defer n.Close()
-			info, err := n.Run(pingPong(5))
+			info, err := n.Run(programs)
 			results[i] = clusterResult{info: info, err: err}
 		}(i)
 	}
@@ -350,6 +354,9 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 	}
 	if res.Trace.NumMessages() != 10 {
 		t.Fatalf("dumps reconstruct %d messages, run carried 10", res.Trace.NumMessages())
+	}
+	if len(res.Internal) != 1 || res.Internal[0].Note != "checkpoint" {
+		t.Fatalf("dumps reconstruct internal events %+v, run recorded one \"checkpoint\"", res.Internal)
 	}
 	seq, err := core.StampTrace(res.Trace, dec)
 	if err != nil {

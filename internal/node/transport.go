@@ -38,18 +38,16 @@ type TCPTransport struct {
 	// (obs.MetricDialRetries). Set it before the node starts connecting.
 	Retries *obs.Counter
 
-	// Backoff, when non-nil, supplies the dial retry delays (seeded jitter,
-	// capped exponential). Set it before the node starts connecting; when
-	// nil, Dial lazily builds one over the default bounds with a seed drawn
-	// from the listener's port, so concurrent dialers on one host do not
-	// retry in lockstep.
-	Backoff *tssync.Backoff
-
 	mu    sync.Mutex
 	addrs []string
+	// backoff supplies the dial retry delays (seeded jitter, capped
+	// exponential), built on first Dial with a seed drawn from the
+	// listener's port, so concurrent dialers on one host do not retry in
+	// lockstep.
+	backoff *tssync.Backoff
 }
 
-// Backoff bounds for TCPTransport dial retries.
+// Backoff bounds for TCPTransport dial retries and recoverPeer's redials.
 const (
 	dialBackoffMin = 25 * time.Millisecond
 	dialBackoffMax = 500 * time.Millisecond
@@ -83,8 +81,7 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 func (t *TCPTransport) Dial(node int, deadline time.Time) (net.Conn, error) {
 	t.mu.Lock()
 	addrs := t.addrs
-	bo := t.Backoff
-	if bo == nil {
+	if t.backoff == nil {
 		// Derive the jitter seed from the bound port: stable per transport,
 		// distinct per node on a shared host.
 		var seed int64
@@ -93,9 +90,9 @@ func (t *TCPTransport) Dial(node int, deadline time.Time) (net.Conn, error) {
 				seed = int64(ta.Port)
 			}
 		}
-		bo = tssync.NewBackoff(dialBackoffMin, dialBackoffMax, seed)
-		t.Backoff = bo
+		t.backoff = tssync.NewBackoff(dialBackoffMin, dialBackoffMax, seed)
 	}
+	bo := t.backoff
 	t.mu.Unlock()
 	if node < 0 || node >= len(addrs) {
 		return nil, fmt.Errorf("node: dial target %d out of range for %d addresses", node, len(addrs))

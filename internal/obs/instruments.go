@@ -29,7 +29,7 @@ const (
 	// ACKs after a rendezvous timeout, unexpected kinds on a data stream).
 	MetricDroppedFrames = "dropped_frames_total"
 	// MetricRetransmits counts SYN frames re-sent by a parked sender whose
-	// ACK had not arrived within the current backoff interval.
+	// ACK had not arrived within the current retransmission timeout.
 	MetricRetransmits = "retransmits_total"
 	// MetricReconnects counts data connections re-established after a peer
 	// loss (session resume via a higher HELLO epoch).
@@ -37,17 +37,17 @@ const (
 	// MetricDedupFrames counts duplicate SYN frames suppressed by the
 	// receiver's idempotent dedup (re-ACKed from the merge cache or dropped).
 	MetricDedupFrames = "dedup_frames_total"
-	// MetricBackoffNS is the retransmission backoff chosen after each resend
-	// (LatencyEdges). Deterministic: the sequence of values depends only on
-	// how many resends a rendezvous needed, not on wall-clock time.
+	// MetricBackoffNS is the retransmission timeout chosen after each resend
+	// (LatencyEdges): the peer's RTO, doubled per resend and jittered. Not
+	// deterministic: the RTO follows measured round-trip times.
 	MetricBackoffNS = "retransmit_backoff_ns"
 	// MetricSpuriousRetransmits counts retransmissions proven unnecessary:
 	// the ACK arrived so soon after the retransmission that it must answer
-	// an earlier copy (async mode's Eifel-style detection). High values mean
-	// the RTT estimator is timing out too eagerly.
+	// an earlier copy (the synchronizer's Eifel-style detection). High
+	// values mean the RTT estimator is timing out too eagerly.
 	MetricSpuriousRetransmits = "spurious_retransmits_total"
 	// MetricSuspicions counts transitions of a peer's health FSM into the
-	// suspect state (async mode). Each suspicion arms the degradation
+	// suspect state (recovery mode). Each suspicion arms the degradation
 	// policy; a recovery (evidence before the window expires) disarms it.
 	MetricSuspicions = "peer_suspicions_total"
 	// MetricPeerRTTNS is the per-peer round-trip-time histogram of accepted

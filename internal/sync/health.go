@@ -86,8 +86,8 @@ func (m *Monitor) Timeout() (State, bool) {
 	return m.state, changed
 }
 
-// Evidence records proof the peer is alive — a frame received from it, its
-// safe counter advancing, a late ACK — and heals Degraded/Suspect back to
+// Evidence records proof the peer is alive — a frame received from it, a
+// late ACK included — and heals Degraded/Suspect back to
 // Healthy. Excluded is terminal; evidence cannot resurrect an excluded
 // peer (its components are already frozen in every surviving clock).
 func (m *Monitor) Evidence() (State, bool) {

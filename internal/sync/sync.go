@@ -1,27 +1,24 @@
-// Package sync is the α-style synchronizer for the asynchronous-substrate
-// mode of the node runtime: the machinery that lets the Figure 5 rendezvous
-// run over links that are lossy, jittery, and never synchronous, while the
-// collected trace stays byte-identical to the synchronous oracle's.
+// Package sync is the synchronizer of the node runtime's loss-tolerant
+// mode: the machinery that lets the Figure 5 rendezvous run over links that
+// are lossy, jittery, and never synchronous, while the collected trace stays
+// byte-identical to the synchronous oracle's. It is the runtime's only
+// rendezvous retransmission engine.
 //
-// The synchronizer (after Awerbuch's α synchronizer; Ghaffari–Trygub is the
-// modern treatment) rests on "safe" acknowledgments: a process is safe in a
-// round once every message it sent in that round has been acknowledged. The
-// runtime's rendezvous protocol already acknowledges every message
-// individually (the ACK of the SYN/ACK exchange), so the synchronizer layers
-// a cumulative per-peer safe counter on top: each node piggybacks, on every
-// SYN and ACK toward a peer, the count of rendezvous it has fully committed
-// with that peer. An advancing counter is the peer's proof of progress —
-// the liveness evidence the health monitor feeds on — and a frozen one is
-// how an unresponsive peer is told apart from a quiet link.
+// The synchronizer follows Awerbuch's α synchronizer (Ghaffari–Trygub is
+// the modern treatment), which rests on "safe" acknowledgments: a process
+// is safe in a round once every message it sent in that round has been
+// acknowledged. The rendezvous protocol already acknowledges every message
+// individually (the ACK of the SYN/ACK exchange), so what remains is
+// pacing: when to retransmit an unacknowledged SYN, and when silence means
+// the peer is gone.
 //
 // Three mechanisms live here, combined per peer by a Coordinator:
 //
 //   - Estimator: a Jacobson-style RTT estimator (EWMA smoothed RTT plus
-//     mean deviation) that adapts the retransmission timeout to the link
-//     instead of the fixed min/max backoff of plain recovery mode. Karn's
-//     rule keeps ambiguous (retransmitted) exchanges out of the estimate,
-//     and Eifel-style spurious-retransmit detection feeds the estimate back
-//     down when a retransmission is proven unnecessary.
+//     mean deviation) that adapts the retransmission timeout to the link.
+//     Karn's rule keeps ambiguous (retransmitted) exchanges out of the
+//     estimate, and Eifel-style spurious-retransmit detection feeds the
+//     estimate back down when a retransmission is proven unnecessary.
 //
 //   - Backoff: capped exponential backoff with deterministic seeded jitter,
 //     so retransmit (and dial) storms desynchronize without wall-clock
@@ -47,7 +44,7 @@ import (
 // Defaults applied when Config leaves fields zero.
 const (
 	DefaultRTTInit = 50 * time.Millisecond
-	DefaultRTOMin  = 2 * time.Millisecond
+	DefaultRTOMin  = 1 * time.Millisecond
 	DefaultRTOMax  = 2 * time.Second
 	// DefaultDegradeAfter and DefaultSuspectAfter are the consecutive-timeout
 	// thresholds of the health FSM: two unanswered retransmission intervals
@@ -156,10 +153,15 @@ type Peer struct {
 	mon *Monitor
 }
 
-// RetryIn returns the jittered retransmission delay for the given attempt
-// (0 = the initial wait for the first transmission's ACK): the estimator's
-// current RTO, doubled per attempt, capped, and jittered into [d/2, d).
+// RetryIn returns the retransmission delay for the given attempt (0 = the
+// initial wait for the first transmission's ACK). Attempt 0 waits exactly
+// the estimator's current RTO, as RFC 6298 does: jittering it would
+// retransmit before the estimator's own timeout. Later attempts double the
+// RTO per attempt, cap it, and jitter it into [d/2, d).
 func (p *Peer) RetryIn(attempt int) time.Duration {
+	if attempt == 0 {
+		return p.est.RTO()
+	}
 	return p.bo.Jitter(scale(p.est.RTO(), attempt, p.bo.max))
 }
 
@@ -193,9 +195,9 @@ func (p *Peer) OnAck(sinceFirst, sinceLast time.Duration, retransmits int) (samp
 // this timeout changed it.
 func (p *Peer) OnTimeout() (State, bool) { return p.mon.Timeout() }
 
-// OnEvidence records liveness evidence — any frame received from the peer,
-// or its safe counter advancing — and heals the FSM (suspect or degraded →
-// healthy). It returns the state and whether the evidence changed it.
+// OnEvidence records liveness evidence — any frame received from the peer —
+// and heals the FSM (suspect or degraded → healthy). It returns the state
+// and whether the evidence changed it.
 func (p *Peer) OnEvidence() (State, bool) { return p.mon.Evidence() }
 
 // Exclude pins the FSM at Excluded (terminal).

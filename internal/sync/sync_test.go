@@ -203,9 +203,10 @@ func TestPeerRetryInGrowsAndCaps(t *testing.T) {
 	if rto != 30*time.Millisecond {
 		t.Fatalf("initial RTO = %v, want 30ms", rto)
 	}
-	d0 := p.RetryIn(0)
-	if d0 < rto/2 || d0 >= rto {
-		t.Errorf("attempt 0 delay %v outside [%v, %v)", d0, rto/2, rto)
+	// The first wait is the RTO itself: a jittered one would retransmit
+	// before the estimator's own timeout.
+	if d0 := p.RetryIn(0); d0 != rto {
+		t.Errorf("attempt 0 delay %v, want exactly the RTO %v", d0, rto)
 	}
 	d3 := p.RetryIn(3)
 	if d3 < 40*time.Millisecond || d3 >= 80*time.Millisecond {

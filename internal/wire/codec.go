@@ -32,14 +32,6 @@ type Frame struct {
 	From, To int
 	Seq      uint64
 	Vec      vector.V
-	// Safe is the synchronizer's cumulative round acknowledgment: the count
-	// of rendezvous the sending node has fully committed with the receiving
-	// node (asynchronous-substrate mode). It rides SYN/ACK frames as an
-	// optional trailing field — encoded only when nonzero, read only when
-	// present — so frames from runs without the synchronizer are
-	// byte-identical to the pre-Safe wire format, old decoders reject
-	// nothing they used to accept, and new decoders accept both.
-	Safe uint64
 
 	// INTERNAL fields.
 	Proc int
@@ -281,11 +273,6 @@ func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
 		dst = appendUvarint(dst, uint64(f.To))
 		dst = appendUvarint(dst, f.Seq)
 		dst = e.appendVec(dst, f)
-		if f.Safe > 0 {
-			// Optional trailing field: zero is omitted, keeping frames from
-			// synchronizer-free runs byte-identical to the pre-Safe format.
-			dst = appendUvarint(dst, f.Safe)
-		}
 	case KindInternal:
 		if len(f.Note) > MaxNote {
 			return nil, fmt.Errorf("wire: note of %d bytes exceeds limit %d", len(f.Note), MaxNote)
@@ -650,13 +637,6 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		}
 		if f.Vec, err = d.readVec(r, f.From, f.To); err != nil {
 			return nil, err
-		}
-		if r.off < len(r.b) {
-			// Version-tolerant decode: a trailing uvarint is the optional
-			// Safe field; its absence means zero.
-			if f.Safe, err = r.uvarint(); err != nil {
-				return nil, err
-			}
 		}
 	case KindInternal:
 		if f.Proc, err = r.intField("proc", 1<<31); err != nil {

@@ -172,6 +172,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{0x05, 0x02, 0x00, 0x00}, // SYN truncated before vector
 		{0x00},                   // zero-length frame
 		{0x03, 0x02, 0x00, 0x00}, // SYN with trailing bytes missing vec mode
+		{0x08, 0x02, 0x00, 0x01, 0x01, 0x00, 0x01, 0x00, 0x05}, // whole SYN plus one trailing byte
 	}
 	for i, c := range cases {
 		dec := NewDecoder(bytes.NewReader(c), 2)
