@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -fuzz=FuzzNolint -fuzztime=10s ./internal/lint
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/node
 
 # Regenerate every paper figure/claim table into paperbench_output.txt.
 repro:

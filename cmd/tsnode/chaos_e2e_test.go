@@ -334,7 +334,7 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 			for i := range traces {
 				traces[i] = filepath.Join(dir, fmt.Sprintf("node%d.jsonl", i))
 				journals[i] = filepath.Join(dir, fmt.Sprintf("node%d.journal", i))
-				flights[i] = filepath.Join(dir, fmt.Sprintf("node%d.flight.jsonl", i))
+				flights[i] = filepath.Join(dir, fmt.Sprintf("node%d.flight", i))
 			}
 			// Delays stretch the run so the SIGKILL lands mid-computation;
 			// node 2 additionally crashes itself every 10 egress frames.

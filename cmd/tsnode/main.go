@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retransmitMin := fs.Duration("retransmit-min", tssync.DefaultRTOMin, "floor of the adaptive SYN retransmission timeout")
 	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
 	flight := fs.Int("flight", 4096, "flight recorder capacity in events (0 disables the ring)")
-	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (JSONL) on failure, peer loss, SIGQUIT, and end of run")
+	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (binary journal records) on failure, peer loss, SIGQUIT, and end of run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

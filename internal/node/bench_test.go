@@ -9,6 +9,7 @@ import (
 
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/vector"
 )
 
 // benchMatching builds a P-pair matching topology split across two nodes:
@@ -134,6 +135,94 @@ func benchJournalAppend(b *testing.B, workers int) {
 }
 
 func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, 8) }
+
+// stampedRecords returns n receive records with d-component stamps whose
+// components grow with the record index, the shape of a spill segment.
+func stampedRecords(n, d int) []JournalRecord {
+	recs := make([]JournalRecord, n)
+	stamps := make([]int, n*d)
+	for i := range recs {
+		stamp := vector.V(stamps[i*d : (i+1)*d : (i+1)*d])
+		for k := range stamp {
+			stamp[k] = i*(k+1) + k
+		}
+		recs[i] = JournalRecord{Kind: journalRecv, Proc: i % 7, Peer: (i + 1) % 7, Seq: uint64(i + 1), Stamp: stamp}
+	}
+	return recs
+}
+
+// BenchmarkJournalAppendBatch commits b.N 16-component records in
+// 4096-record segments, the collector tree's spill path; ns/op is per
+// record, one fsync per segment included.
+func BenchmarkJournalAppendBatch(b *testing.B) {
+	const segment = 4096
+	j, _, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	recs := stampedRecords(segment, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += segment {
+		if _, err := j.AppendBatch(recs[:min(segment, b.N-done)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJournalReplay decodes a 4096-record journal image of
+// 16-component records in memory; ns/op is per record.
+func BenchmarkJournalReplay(b *testing.B) {
+	const records = 4096
+	img := []byte(journalMagic)
+	for _, rec := range stampedRecords(records, 16) {
+		var err error
+		if img, err = appendRecord(img, &rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(img)) / records)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += records {
+		recs, good, err := decodeJournal(img)
+		if err != nil || good != len(img) || len(recs) != records {
+			b.Fatalf("replayed %d records in %d of %d bytes: %v", len(recs), good, len(img), err)
+		}
+	}
+}
+
+// TestJournalEncodeZeroAlloc pins the journal's encode path: records are
+// encoded straight into the recycled group-commit buffer, so a warm
+// AppendBatch allocates per call (the commit's wake-up channel), never per
+// record. A reflection or per-record buffer slipping back in makes the
+// 4096-record count grow past the budget.
+func TestJournalEncodeZeroAlloc(t *testing.T) {
+	const budget = 2
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "alloc.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, n := range []int{64, 4096} {
+		recs := stampedRecords(n, 16)
+		// Warm up: both group-commit buffers grow to the segment's size.
+		for i := 0; i < 4; i++ {
+			if _, err := j.AppendBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := j.AppendBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget {
+			t.Fatalf("warm %d-record AppendBatch allocates %.1f objects per call, budget %d", n, allocs, budget)
+		}
+	}
+}
 
 // TestNodeHotPathAllocBudget pins the per-message allocation count of the
 // full distributed rendezvous path. The budget is deliberately loose — the

@@ -421,17 +421,17 @@ func (l *leafCollector) flushSegment() {
 }
 
 // ReadSpill restores the per-process logs a collector tree spilled under
-// dir: each shard file is replayed with the journal's torn-line recovery,
+// dir: each shard file is replayed with the journal's torn-tail recovery,
 // so a tree killed mid-segment restores the complete prefix of every
-// shard's verified stream.
+// shard's verified stream. It only reads; the shard files are left as they
+// were.
 func ReadSpill(dir string, leaves, n int) ([][]csp.Record, error) {
 	logs := make([][]csp.Record, n)
 	for leaf := 0; leaf < leaves; leaf++ {
-		jr, recs, err := OpenJournal(SpillPath(dir, leaf))
+		recs, err := readJournal(SpillPath(dir, leaf))
 		if err != nil {
 			return nil, err
 		}
-		_ = jr.Close()
 		for _, rec := range recs {
 			if rec.Proc < 0 || rec.Proc >= n {
 				return nil, fmt.Errorf("node: spill shard %d names process %d, out of range", leaf, rec.Proc)
@@ -444,8 +444,6 @@ func ReadSpill(dir string, leaves, n int) ([][]csp.Record, error) {
 				cr = csp.Record{Kind: csp.RecordRecv, Peer: rec.Peer, Stamp: rec.Stamp}
 			case journalInternal:
 				cr = csp.Record{Kind: csp.RecordInternal, Note: rec.Note}
-			case journalRestart:
-				continue
 			default:
 				return nil, fmt.Errorf("node: spill shard %d holds unknown record kind %q", leaf, rec.Kind)
 			}

@@ -215,9 +215,11 @@ func TestCollectorTreeLeafCrash(t *testing.T) {
 	}
 }
 
-// TestSpillTornSegmentRestore kills a spill file mid-record — the torn tail
-// a crash mid-write leaves — and requires restore to come back with exactly
-// the complete prefix, mirroring the journal's torn-line recovery.
+// TestSpillTornSegmentRestore kills a spill file inside its final record —
+// cut at every byte offset, the torn tail a crash mid-write leaves, and
+// flipped so its checksum fails — and requires restore to come back with
+// exactly the complete prefix, mirroring the journal's torn-tail recovery.
+// ReadSpill only reads: every shard file is byte-identical after it.
 func TestSpillTornSegmentRestore(t *testing.T) {
 	in := genSeed(t)
 	logs := oracleLogs(t, in)
@@ -232,44 +234,62 @@ func TestSpillTornSegmentRestore(t *testing.T) {
 	if _, err := tree.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	shards := make([][]byte, leaves)
+	for leaf := range shards {
+		if shards[leaf], err = os.ReadFile(SpillPath(dir, leaf)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	full, err := ReadSpill(dir, leaves, in.Topo.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Tear shard 0 inside its final data record. (The ReadSpill above
-	// appended a restart marker as the file's last line — the tear must cut
-	// past it, into the record before.)
-	path := SpillPath(dir, 0)
-	content, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for leaf, want := range shards {
+		if got, err := os.ReadFile(SpillPath(dir, leaf)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("shard %d changed under ReadSpill (%v)", leaf, err)
+		}
 	}
-	body := bytes.TrimSuffix(content, []byte("\n"))
-	markerStart := bytes.LastIndexByte(body, '\n') + 1
-	if err := os.Truncate(path, int64(markerStart-5)); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSpill(dir, leaves, in.Topo.N())
-	if err != nil {
-		t.Fatalf("restore after torn segment: %v", err)
-	}
-	fullN, restoredN := 0, 0
+	fullN := 0
 	for p := range full {
 		fullN += len(full[p])
-		restoredN += len(restored[p])
-		if len(restored[p]) > len(full[p]) {
-			t.Fatalf("process %d: restore grew from %d to %d records", p, len(full[p]), len(restored[p]))
+	}
+
+	// Tear shard 0 inside its final data record.
+	path := SpillPath(dir, 0)
+	recs, good, err := decodeJournal(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good != len(shards[0]) || len(recs) == 0 {
+		t.Fatalf("shard 0 of %d bytes decodes %d records in %d bytes", len(shards[0]), len(recs), good)
+	}
+	for i, img := range tornImages(shards[0], lastRecordStart(t, shards[0], recs[len(recs)-1])) {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for i := range restored[p] {
-			want, got := full[p][i], restored[p][i]
-			if got.Kind != want.Kind || got.Peer != want.Peer || !vector.Eq(got.Stamp, want.Stamp) {
-				t.Fatalf("process %d record %d: torn restore %+v is not a prefix of %+v", p, i, got, want)
+		restored, err := ReadSpill(dir, leaves, in.Topo.N())
+		if err != nil {
+			t.Fatalf("image %d: restore after torn segment: %v", i, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("image %d: torn shard changed under ReadSpill (%v)", i, err)
+		}
+		restoredN := 0
+		for p := range full {
+			restoredN += len(restored[p])
+			if len(restored[p]) > len(full[p]) {
+				t.Fatalf("image %d, process %d: restore grew from %d to %d records", i, p, len(full[p]), len(restored[p]))
+			}
+			for r := range restored[p] {
+				want, got := full[p][r], restored[p][r]
+				if got.Kind != want.Kind || got.Peer != want.Peer || !vector.Eq(got.Stamp, want.Stamp) {
+					t.Fatalf("image %d, process %d record %d: torn restore %+v is not a prefix of %+v", i, p, r, got, want)
+				}
 			}
 		}
-	}
-	if restoredN != fullN-1 {
-		t.Fatalf("torn restore holds %d records, want the %d-record complete prefix", restoredN, fullN-1)
+		if restoredN != fullN-1 {
+			t.Fatalf("image %d (%d of %d bytes): torn restore holds %d records, want the %d-record complete prefix", i, len(img), len(shards[0]), restoredN, fullN-1)
+		}
 	}
 }
 

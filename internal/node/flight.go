@@ -11,12 +11,13 @@ import (
 //
 // The flight recorder (obs.Flight) is a bounded in-memory ring; this file
 // is its durability story. A dump serializes the ring's surviving events —
-// already in the deterministic (stamp sum, proc, seq) order — as
-// journal-style JSONL records and lands them atomically: written and
-// fsynced to a temp file through the journal machinery, then renamed over
-// the dump path, so a reader never observes a torn dump and the newest
-// dump always wins. Dumps fire on the node's first failure, on a peer
-// loss, at end of run, and on demand (SIGQUIT, /debug/flight?dump=1).
+// already in the deterministic (stamp sum, proc, seq) order — as binary
+// journal records (kind = the event's phase, peer -1 for an internal
+// event) and lands them atomically: written and fsynced to a temp file
+// through the journal machinery, then renamed over the dump path, so a
+// reader never observes a torn dump and the newest dump always wins. Dumps
+// fire on the node's first failure, on a peer loss, at end of run, and on
+// demand (SIGQUIT, /debug/flight?dump=1).
 //
 // A kill -9 leaves no dump from the dying incarnation — nothing can — but
 // the journal does the remembering: Restore re-emits every committed
@@ -88,15 +89,11 @@ func WriteFlightDump(path string, events []obs.Event) error {
 }
 
 // ReadFlightDump reads a flight dump back into obs events, in the dump's
-// (deterministic) order. Reading shares the journal's torn-line tolerance,
-// though a published dump is always complete — only a temp file can tear.
+// (deterministic) order, without modifying the file. Reading shares the
+// journal's torn-tail tolerance, though a published dump is always
+// complete — only a temp file can tear.
 func ReadFlightDump(path string) ([]obs.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("node: open flight dump: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	recs, _, _, _, err := replayJournal(f)
+	recs, err := readJournal(path)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 package node
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
@@ -24,6 +24,35 @@ const (
 	journalRestart  = "restart"
 )
 
+// recordKinds is the closed table of record kinds: the journal's own, then
+// the obs phases a flight dump records (an internal event shares
+// "internal"). A record's kind byte is its index here, so the table only
+// grows at the end; byte 0 is no kind.
+var recordKinds = [...]string{
+	1: journalSend,
+	2: journalRecv,
+	3: journalInternal,
+	4: journalRestart,
+	5: obs.PhaseSyn.String(),
+	6: obs.PhaseMerge.String(),
+	7: obs.PhaseAck.String(),
+	8: obs.PhaseAdopt.String(),
+}
+
+// journalMagic opens every journal file: a name, a NUL no text file
+// carries, and the format version. OpenJournal refuses a non-empty file
+// that does not start with it, so a mistyped path is never truncated.
+const journalMagic = "SSJRNL\x00\x01"
+
+// errNotJournal refuses a file that does not start with journalMagic.
+var errNotJournal = errors.New("not a journal: the file does not start with the journal magic")
+
+// castagnoli is the CRC-32C table of the per-record checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// stampSlab is how many stamp components one replay allocation holds.
+const stampSlab = 4096
+
 // JournalRecord is one committed operation in the crash-recovery journal:
 // a rendezvous half (send = the sender's adopt, recv = the receiver's
 // merge) or an internal event. The write-ahead discipline — a receiver
@@ -33,20 +62,245 @@ const (
 // re-answered from the dedup cache) or not (replayed from scratch, the
 // peer's retransmission completing it deterministically).
 type JournalRecord struct {
-	Kind  string   `json:"kind"`
-	Proc  int      `json:"proc"`
-	Peer  int      `json:"peer,omitempty"`
-	Seq   uint64   `json:"seq,omitempty"`
-	Stamp vector.V `json:"stamp,omitempty"`
-	Note  string   `json:"note,omitempty"`
+	// Kind names the record: send, recv, internal or restart, or in a
+	// flight dump the obs phase (syn, merge, ack, adopt, internal).
+	Kind  string
+	Proc  int
+	Peer  int
+	Seq   uint64
+	Stamp vector.V
+	Note  string
 	// Node is the hosting node, recorded by flight dumps (which may be
 	// merged across nodes); the crash-recovery journal leaves it zero —
 	// a journal file is per-node by construction.
-	Node int `json:"node,omitempty"`
+	Node int
 }
 
-// Journal is an append-only JSONL file of committed operations, safe for
-// concurrent use by a node's process goroutines.
+// Record format. A journal file is journalMagic followed by framed records,
+//
+//	uvarint(len(payload)) ‖ payload ‖ CRC-32C(payload), little-endian
+//
+// where a payload is
+//
+//	kind byte ‖ zigzag proc ‖ zigzag peer ‖ zigzag node ‖ uvarint seq ‖
+//	uvarint len(stamp) ‖ uvarint components ‖ uvarint len(note) ‖ note
+//
+// with the stamp in the wire codec's dense varint form. Replay accepts only
+// the shortest encoding of every varint and nothing after the note, so a
+// record has exactly one encoding: re-encoding the records replay returns
+// reproduces the bytes it kept.
+
+// appendRecord appends rec, framed, to dst. On error dst is returned
+// unchanged.
+func appendRecord(dst []byte, rec *JournalRecord) ([]byte, error) {
+	kind := kindCode(rec.Kind)
+	if kind == 0 {
+		return dst, fmt.Errorf("node: journal record kind %q is not in the record table", rec.Kind)
+	}
+	start := len(dst)
+	dst = append(dst, kind)
+	dst = binary.AppendVarint(dst, int64(rec.Proc))
+	dst = binary.AppendVarint(dst, int64(rec.Peer))
+	dst = binary.AppendVarint(dst, int64(rec.Node))
+	dst = binary.AppendUvarint(dst, rec.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Stamp)))
+	for _, x := range rec.Stamp {
+		dst = binary.AppendUvarint(dst, uint64(x))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Note)))
+	dst = append(dst, rec.Note...)
+	return frameRecord(dst, start), nil
+}
+
+// frameRecord frames the payload occupying dst[start:]: the payload moves
+// right by the width of its length varint, the length goes in front, and
+// the checksum after.
+func frameRecord(dst []byte, start int) []byte {
+	n := len(dst) - start
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	dst = append(dst, hdr[:h]...)
+	copy(dst[start+h:], dst[start:start+n])
+	copy(dst[start:], hdr[:h])
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+h:], castagnoli))
+}
+
+// kindCode returns kind's byte in recordKinds, 0 when the table lacks it.
+func kindCode(kind string) byte {
+	for c := 1; c < len(recordKinds); c++ {
+		if recordKinds[c] == kind {
+			return byte(c)
+		}
+	}
+	return 0
+}
+
+// decodeJournal decodes a journal file image up to its first torn or
+// corrupt record. It returns every complete record in file order, restart
+// markers included, and the length of the complete-record prefix, magic
+// included. An image that is a strict prefix of the magic — a crash during
+// creation — decodes as a fresh journal of length 0; any other image that
+// does not start with the magic is errNotJournal.
+func decodeJournal(data []byte) ([]JournalRecord, int, error) {
+	if len(data) < len(journalMagic) {
+		if string(data) != journalMagic[:len(data)] {
+			return nil, 0, errNotJournal
+		}
+		return nil, 0, nil
+	}
+	if string(data[:len(journalMagic)]) != journalMagic {
+		return nil, 0, errNotJournal
+	}
+	recs, n := parseRecords(data[len(journalMagic):])
+	return recs, len(journalMagic) + n, nil
+}
+
+// parseRecords decodes framed records from b up to the first torn or
+// corrupt one, returning the records and the length of their prefix.
+// Stamps are carved from shared slabs, so a replay allocates per slab, not
+// per record.
+func parseRecords(b []byte) ([]JournalRecord, int) {
+	var recs []JournalRecord
+	var slab []int
+	good := 0
+	for good < len(b) {
+		rec, n, ok := parseRecord(b[good:], &slab)
+		if !ok {
+			break
+		}
+		recs = append(recs, rec)
+		good += n
+	}
+	return recs, good
+}
+
+// parseRecord decodes the frame at the start of b, returning its record and
+// length; ok is false for a torn, checksum-failing or malformed frame.
+func parseRecord(b []byte, slab *[]int) (rec JournalRecord, n int, ok bool) {
+	r := recordReader{b: b}
+	size := r.uvarint()
+	if r.bad || size > uint64(len(r.b)) || uint64(len(r.b))-size < 4 {
+		return JournalRecord{}, 0, false
+	}
+	payload := r.b[:size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(r.b[size:]) {
+		return JournalRecord{}, 0, false
+	}
+	n = len(b) - len(r.b) + int(size) + 4
+	r = recordReader{b: payload}
+	code := r.byte()
+	if r.bad || code == 0 || int(code) >= len(recordKinds) {
+		return JournalRecord{}, 0, false
+	}
+	rec.Kind = recordKinds[code]
+	rec.Proc = int(r.varint())
+	rec.Peer = int(r.varint())
+	rec.Node = int(r.varint())
+	rec.Seq = r.uvarint()
+	// Every component and note byte takes at least one payload byte, so a
+	// length past the payload's end is corrupt, never an allocation.
+	if d := r.uvarint(); d > 0 && d <= uint64(len(r.b)) {
+		rec.Stamp = carve(slab, int(d))
+		for i := range rec.Stamp {
+			rec.Stamp[i] = int(r.uvarint())
+		}
+	} else if d > 0 {
+		return JournalRecord{}, 0, false
+	}
+	if l := r.uvarint(); l > 0 && l <= uint64(len(r.b)) {
+		rec.Note = string(r.b[:l])
+		r.b = r.b[l:]
+	} else if l > 0 {
+		return JournalRecord{}, 0, false
+	}
+	if r.bad || len(r.b) != 0 {
+		return JournalRecord{}, 0, false
+	}
+	return rec, n, true
+}
+
+// carve cuts a d-component vector from *slab, starting a new slab when it
+// runs short. Each vector's capacity ends at its length, so an append to
+// one never overwrites its neighbour.
+func carve(slab *[]int, d int) vector.V {
+	s := *slab
+	if cap(s)-len(s) < d {
+		s = make([]int, 0, max(d, stampSlab))
+	}
+	*slab = s[:len(s)+d]
+	return vector.V(s[len(s) : len(s)+d : len(s)+d])
+}
+
+// recordReader walks a frame with sticky failure: a read past the end, or a
+// varint longer than the shortest encoding of its value, sets bad, and
+// every read after that returns zero.
+type recordReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *recordReader) byte() byte {
+	if r.bad || len(r.b) == 0 {
+		r.bad = true
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *recordReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	// A padded varint ends in a zero byte; only the shortest encoding
+	// re-encodes to the bytes it came from.
+	if r.bad || n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+// varint reads a zigzag-encoded value, the inverse of binary.AppendVarint.
+func (r *recordReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// dropRestarts splits the restart markers out of recs, in place, returning
+// the operation records and the marker count.
+func dropRestarts(recs []JournalRecord) ([]JournalRecord, int) {
+	ops, restarts := recs[:0], 0
+	for _, rec := range recs {
+		if rec.Kind == journalRestart {
+			restarts++
+			continue
+		}
+		ops = append(ops, rec)
+	}
+	return ops, restarts
+}
+
+// readJournal replays the journal at path without modifying it — the read
+// side of spill files and flight dumps — and returns its operation records.
+// A torn or corrupt tail is skipped exactly as OpenJournal would cut it.
+func readJournal(path string) ([]JournalRecord, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("node: read journal: %w", err)
+	}
+	recs, _, err := decodeJournal(data)
+	if err != nil {
+		return nil, fmt.Errorf("node: journal %s: %w", path, err)
+	}
+	ops, _ := dropRestarts(recs)
+	return ops, nil
+}
+
+// Journal is an append-only file of committed operations in the binary
+// record format above, safe for concurrent use by a node's process
+// goroutines. The collector tree's spill shards and flight dumps are
+// journals too.
 //
 // Commits are group-committed: concurrent Appends pool their records and a
 // single leader writes and fsyncs the whole batch, so one fsync covers every
@@ -59,9 +313,9 @@ type Journal struct {
 	f        *os.File
 	restarts int
 
-	// Group-commit state, guarded by mu. Records queue as complete
-	// newline-terminated JSONL lines in buf; a crash mid-batch therefore
-	// tears at most the batch's last line, which replay already truncates.
+	// Group-commit state, guarded by mu. Records are encoded straight into
+	// buf as complete frames; a crash mid-batch therefore tears at most the
+	// batch's last record, which replay cuts.
 	buf       []byte
 	spare     []byte        // recycled batch buffer
 	leader    bool          // a goroutine is mid write+fsync
@@ -101,116 +355,103 @@ func (j *Journal) Stats() JournalStats {
 }
 
 // OpenJournal opens (creating if absent) a journal and replays it: it
-// returns the committed operation records in file order, truncates a
-// partial trailing line (a crash mid-append leaves at most one), and — if
-// the file held any prior content — appends a restart marker so Restarts
-// counts this incarnation.
+// returns the committed operation records in file order, cuts a torn or
+// corrupt tail (a crash mid-append leaves at most one torn batch), and — if
+// the file held any prior record — appends a restart marker so Restarts
+// counts this incarnation. A non-empty file that does not start with the
+// journal magic is refused and left byte-identical; one that is a strict
+// prefix of the magic (a crash during creation) opens as a fresh journal.
 func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("node: open journal: %w", err)
 	}
-	recs, restarts, good, prior, err := replayJournal(f)
+	j, recs, err := openJournal(f)
 	if err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	// Drop the partial trailing line, if any, so appends start at a record
-	// boundary.
-	if err := f.Truncate(good); err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("node: truncate journal: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("node: seek journal: %w", err)
-	}
-	// Batch numbering starts at 1 so the zero value of committed means
-	// "nothing durable yet".
-	j := &Journal{f: f, restarts: restarts, batch: 1, done: make(chan struct{})}
-	if prior {
-		j.restarts++
-		if err := j.Append(JournalRecord{Kind: journalRestart}); err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
+		_ = f.Close() // the open failed before any record was appended
+		return nil, nil, fmt.Errorf("node: journal %s: %w", path, err)
 	}
 	return j, recs, nil
 }
 
-// replayJournal scans the file, returning the operation records, the
-// restart-marker count, the offset of the last complete record, and
-// whether the file held any prior content.
-func replayJournal(f *os.File) (recs []JournalRecord, restarts int, good int64, prior bool, err error) {
-	r := bufio.NewReader(f)
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr != nil {
-			// A trailing fragment without '\n' is an interrupted append:
-			// ignore it (it was never committed).
-			if rerr == io.EOF {
-				return recs, restarts, good, prior, nil
-			}
-			return nil, 0, 0, false, fmt.Errorf("node: read journal: %w", rerr)
-		}
-		var rec JournalRecord
-		if json.Unmarshal(line, &rec) != nil {
-			// A corrupt line means everything after it is untrustworthy;
-			// stop replay at the last good record.
-			return recs, restarts, good, prior, nil
-		}
-		good += int64(len(line))
-		prior = true
-		if rec.Kind == journalRestart {
-			restarts++
-			continue
-		}
-		recs = append(recs, rec)
+// openJournal replays f and readies it for appends.
+func openJournal(f *os.File) (*Journal, []JournalRecord, error) {
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("read: %w", err)
 	}
+	recs, good, err := decodeJournal(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Cut the torn tail, if any, so appends start at a record boundary. A
+	// fresh file gets its magic, made durable by the first commit's fsync.
+	if err := f.Truncate(int64(good)); err != nil {
+		return nil, nil, fmt.Errorf("truncate: %w", err)
+	}
+	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+		return nil, nil, fmt.Errorf("seek: %w", err)
+	}
+	if good == 0 {
+		if _, err := f.WriteString(journalMagic); err != nil {
+			return nil, nil, fmt.Errorf("write magic: %w", err)
+		}
+	}
+	ops, restarts := dropRestarts(recs)
+	// Batch numbering starts at 1 so the zero value of committed means
+	// "nothing durable yet".
+	j := &Journal{f: f, restarts: restarts, batch: 1, done: make(chan struct{})}
+	if len(recs) > 0 {
+		j.restarts++
+		if err := j.Append(JournalRecord{Kind: journalRestart}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return j, ops, nil
 }
 
 // Append commits one record. The record is durable when Append returns:
 // either this goroutine wrote and fsynced it as the batch leader, or it
 // waited for the leader whose batch carried it.
 func (j *Journal) Append(rec JournalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("node: journal encode: %w", err)
-	}
-	return j.commit(append(b, '\n'), 1)
+	_, err := j.commit([]JournalRecord{rec})
+	return err
 }
 
-// AppendBatch commits records as one segment: all lines in one Write, made
-// durable by the same group-commit machinery (one fsync covers the whole
-// segment — the collector tree's spill path). It returns the bytes
-// appended. A crash tears at most the segment's trailing line, which replay
-// truncates, so a restored spill file is always a complete record prefix.
+// AppendBatch commits records as one segment: encoded back to back into one
+// Write and made durable by the same group-commit machinery (one fsync
+// covers the whole segment — the collector tree's spill path). It returns
+// the bytes appended. A crash tears at most one record of the segment and
+// replay cuts everything from it on, so a restored spill file is always a
+// complete record prefix.
 func (j *Journal) AppendBatch(recs []JournalRecord) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	var buf []byte
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("node: journal encode: %w", err)
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	return len(buf), j.commit(buf, int64(len(recs)))
+	return j.commit(recs)
 }
 
-// commit makes one pre-marshaled run of complete JSONL lines durable,
-// counting it as count records.
-func (j *Journal) commit(b []byte, count int64) error {
+// commit encodes recs straight into the pending batch, counts them, and
+// returns once they are durable, with the bytes they took. A record that
+// fails to encode withdraws the whole call, so a segment commits all or
+// nothing.
+func (j *Journal) commit(recs []JournalRecord) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return j.err
+		return 0, j.err
 	}
-	j.appends += count
-	j.buf = append(j.buf, b...)
+	start := len(j.buf)
+	for i := range recs {
+		b, err := appendRecord(j.buf, &recs[i])
+		if err != nil {
+			j.buf = j.buf[:start]
+			return 0, err
+		}
+		j.buf = b
+	}
+	size := len(j.buf) - start
+	j.appends += int64(len(recs))
 	mine := j.batch
 	for j.committed < mine && j.err == nil {
 		if !j.leader {
@@ -258,7 +499,7 @@ func (j *Journal) commit(b []byte, count int64) error {
 	// A sticky error is returned even to appenders whose own batch committed
 	// just before the journal died: over-reporting failure only aborts the
 	// run early, never violates the durability contract.
-	return j.err
+	return size, j.err
 }
 
 // Restarts counts this journal's restart markers — how many times the node
@@ -304,7 +545,7 @@ func (n *Node) journalCommit(rec JournalRecord) error {
 // sequence counters, and the receive-side dedup cache (so a peer
 // retransmitting a rendezvous this node committed just before crashing is
 // re-ACKed instead of merged twice). It also re-emits the committed
-// operations' obs trace events, so a post-crash JSONL trace still carries
+// operations' obs trace events, so a post-crash obs trace still carries
 // the full per-process history the tsanalyze oracle needs. It returns the
 // number of committed operations per hosted process — the prefix of each
 // program a resuming caller must skip.

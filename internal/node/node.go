@@ -91,11 +91,11 @@ type Config struct {
 	// and on demand (SIGQUIT / the /debug/flight?dump=1 endpoint). When
 	// Obs is nil a minimal surface is created to host the ring.
 	FlightRecorder int
-	// FlightDump is the file the flight recorder dumps to — a journal-style
-	// JSONL of the ring's events in deterministic stamp order, written
-	// atomically (temp file, fsync, rename) so a reader never sees a torn
-	// dump. Empty keeps the ring in memory only (still served over
-	// /debug/flight).
+	// FlightDump is the file the flight recorder dumps to — the ring's
+	// events in deterministic stamp order as binary journal records (read
+	// back by ReadFlightDump), written atomically (temp file, fsync, rename)
+	// so a reader never sees a torn dump. Empty keeps the ring in memory
+	// only (still served over /debug/flight).
 	FlightDump string
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and

@@ -72,42 +72,60 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalTruncatedTailIgnored tears a journal's final record — cut at
+// every byte offset, the shape a crash mid-append leaves, and flipped so its
+// checksum fails — and requires replay to cut back to the complete-record
+// prefix. A file cut inside its magic, a crash during creation, must open
+// as a fresh journal.
 func TestJournalTruncatedTailIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.journal")
-	full := `{"kind":"recv","proc":0,"peer":1,"seq":1,"stamp":[1,0]}` + "\n"
-	partial := `{"kind":"send","proc":0,"pee` // crash mid-append: no newline
-	if err := os.WriteFile(path, []byte(full+partial), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, err := OpenJournal(path)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "node.journal")
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Kind != journalRecv {
-		t.Fatalf("replayed %+v, want the single complete record", recs)
-	}
-	// The fragment is truncated away, so the next append starts at a record
-	// boundary and survives a further replay.
-	if err := j.Append(JournalRecord{Kind: journalInternal, Proc: 0, Note: "after crash"}); err != nil {
-		t.Fatal(err)
+	last := JournalRecord{Kind: journalSend, Proc: 0, Peer: 1, Seq: 2, Stamp: []int{2, 1}}
+	for _, rec := range []JournalRecord{{Kind: journalRecv, Proc: 0, Peer: 1, Seq: 1, Stamp: []int{1, 0}}, last} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = OpenJournal(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].Note != "after crash" {
-		t.Fatalf("after truncate+append replayed %+v", recs)
+	checkTornTail(t, raw, lastRecordStart(t, raw, last), 1)
+
+	for cut := 0; cut < len(journalMagic); cut++ {
+		path := filepath.Join(dir, "created.journal")
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("file cut inside the magic at %d: %v", cut, err)
+		}
+		restarts := j.Restarts()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 || restarts != 0 {
+			t.Fatalf("file cut inside the magic at %d replayed %d records and %d restarts, want a fresh journal", cut, len(recs), restarts)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != journalMagic {
+			t.Fatalf("fresh journal holds %q (%v), want just the magic", got, err)
+		}
 	}
 }
 
 // TestJournalTornGroupBatchRecovery crashes a group-committed journal in
 // the worst place: a multi-record batch goes out in one write, and the
-// "crash" cuts the file mid-record inside that batch. Recovery must keep
-// exactly the complete-line prefix — every record before the tear — and the
-// journal must keep working from the restored boundary.
+// "crash" tears the batch's final record. Recovery must keep exactly the
+// complete-record prefix — every record before the tear — and the journal
+// must keep working from the restored boundary.
 func TestJournalTornGroupBatchRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.journal")
 	j, recs, err := OpenJournal(path)
@@ -150,51 +168,21 @@ func TestJournalTornGroupBatchRecovery(t *testing.T) {
 		t.Fatalf("%d fsyncs for %d concurrent appends: group commit never batched", st.Syncs, st.Appends)
 	}
 
-	// Tear the file mid-record: cut three bytes into the final line, the
-	// shape a power cut leaves when it lands inside a batch write.
+	// Tear the batch's final record at every byte offset, and separately
+	// flip a payload byte so its checksum fails: the shapes a power cut
+	// leaves when it lands inside a batch write.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[len(raw)-1] != '\n' {
-		t.Fatal("journal does not end at a record boundary")
-	}
-	lastStart := strings.LastIndexByte(string(raw[:len(raw)-1]), '\n') + 1
-	cut := lastStart + 3
-	complete := strings.Count(string(raw[:cut]), "\n")
-	if complete != total-1 {
-		t.Fatalf("cut leaves %d complete records, want %d", complete, total-1)
-	}
-	if err := os.Truncate(path, int64(cut)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery: the torn record is gone, everything before it survives.
-	j2, recs, err := OpenJournal(path)
+	all, good, err := decodeJournal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != complete {
-		t.Fatalf("replayed %d records after the tear, want %d", len(recs), complete)
+	if good != len(raw) || len(all) != total {
+		t.Fatalf("journal of %d bytes decodes %d records in %d bytes, want %d records end to end", len(raw), len(all), good, total)
 	}
-	if j2.Restarts() != 1 {
-		t.Fatalf("restarts = %d, want 1", j2.Restarts())
-	}
-	// The restored boundary is a real record boundary: a post-crash append
-	// must survive a further replay intact.
-	if err := j2.Append(JournalRecord{Kind: journalInternal, Proc: 0, Note: "after tear"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err = OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != complete+1 || recs[complete].Note != "after tear" {
-		t.Fatalf("after tear+append replayed %d records, tail %+v", len(recs), recs[len(recs)-1])
-	}
+	checkTornTail(t, raw, lastRecordStart(t, raw, all[total-1]), total-1)
 }
 
 // TestJournalRestoreResume journals a full run, then rebuilds a fresh node

@@ -279,7 +279,7 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 		{Node: 1, Proc: 1, Peer: -1, Seq: 1, Phase: obs.PhaseInternal, Stamp: vector.V{1, 1}, Note: "checkpoint"},
 		{Node: 0, Proc: 0, Peer: 1, Seq: 1, Phase: obs.PhaseSyn, Stamp: vector.V{2, 1}},
 	}
-	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	path := filepath.Join(t.TempDir(), "node.flight")
 	if err := WriteFlightDump(path, events); err != nil {
 		t.Fatal(err)
 	}
