@@ -194,7 +194,7 @@ func (v *ShardVerifier) Ingest(proc int, rec csp.Record) error {
 	return v.err
 }
 
-// Summary rolls the shard up into the wire form the leaf sends its root.
+// Summary rolls the shard up into the summary the leaf reports to its root.
 func (v *ShardVerifier) Summary() *wire.ShardSummary {
 	s := &wire.ShardSummary{
 		Leaf:      v.leaf,

@@ -10,17 +10,16 @@
 //	        monotonicity, star-root density — internal/check.ShardVerifier),
 //	        spill verified segments to an fsynced journal file, keep only
 //	        O(shard) state
-//	leaf ──SUMMARY frame──▶ root: judge cross-shard consistency from the
-//	        per-group multiset fingerprints, emit the VERDICT
+//	leaf ──wire.ShardSummary──▶ root: judge cross-shard consistency from
+//	        the per-group multiset fingerprints (check.CombineSummaries)
 //
-// The root↔leaf control protocol runs over real wire frames (SHARD down,
-// SUMMARY up, VERDICT down), so the tree's layers speak the same codec the
-// data plane does and a leaf can later live on another machine unchanged.
+// Root and leaves are goroutines of one process: a leaf reports by storing
+// its summary when its stream ends, and the root reads it once the leaf
+// goroutine has exited.
 package node
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -35,8 +34,7 @@ import (
 // TreeConfig shapes a collector tree.
 type TreeConfig struct {
 	// Leaves is the number of leaf collectors (default 1). Processes are
-	// assigned by the modulo rule proc % Leaves — the same rule the SHARD
-	// frame announces.
+	// assigned by the modulo rule proc % Leaves.
 	Leaves int
 	// SpillDir, when non-empty, is the directory verified segments are
 	// spilled to, one fsynced journal file per shard (shard-<leaf>.spill).
@@ -104,31 +102,20 @@ type procRec struct {
 // once, after every Ingest has returned.
 type CollectorTree struct {
 	topo   check.Topology
-	cfg    TreeConfig
 	chans  []chan procRec
 	leaves []*leafCollector
 	wg     sync.WaitGroup
 
-	// rollup accumulates the leaves' shard-registry snapshots (METRICS
-	// frames preceding each SUMMARY); Finish is its only writer.
+	// rollup accumulates the healthy leaves' shard registries; Finish is
+	// its only writer.
 	rollup *obs.Registry
 }
 
 // leafCollector owns one shard: a verifier, a segment buffer, and a spill
 // journal. Its run loop is the only goroutine touching the fields below the
-// channel.
+// channel until it exits; Finish reads them after that.
 type leafCollector struct {
-	id   int
-	ch   chan procRec
-	dec  *wire.Decoder // control frames from the root (SHARD, VERDICT)
-	enc  *wire.Encoder // control frames to the root (SUMMARY)
-	down *io.PipeReader
-	up   *io.PipeWriter
-
-	// The root's ends of the same pipes.
-	rootEnc  *wire.Encoder
-	rootDec  *wire.Decoder
-	rootDown *io.PipeWriter
+	ch chan procRec
 
 	ver      *check.ShardVerifier
 	jr       *Journal
@@ -137,9 +124,9 @@ type leafCollector struct {
 	keepLogs bool
 	logs     map[int][]csp.Record
 
-	// The leaf's own shard registry, shipped to the root on a METRICS
-	// frame ahead of the SUMMARY; the resolved counters avoid a map
-	// lookup per record.
+	// The leaf's own shard registry, merged into the root's rollup unless
+	// the leaf crashed; the resolved counters avoid a map lookup per
+	// record.
 	reg         *obs.Registry
 	recRecords  *obs.Counter
 	recSegments *obs.Counter
@@ -153,11 +140,14 @@ type leafCollector struct {
 
 	crashAfter int64
 	crashed    bool
+
+	// sum is the leaf's report to the root, set when its stream ends; a
+	// crashed leaf leaves it nil.
+	sum *wire.ShardSummary
 }
 
-// NewCollectorTree builds the tree and starts its leaf goroutines. Each
-// leaf's first act is decoding the root's SHARD frame — its assignment —
-// and its last is decoding the root's VERDICT.
+// NewCollectorTree builds the tree, opening every leaf's spill journal,
+// and starts its leaf goroutines.
 func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, error) {
 	if cfg.Leaves <= 0 {
 		cfg.Leaves = 1
@@ -170,11 +160,9 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 			return nil, fmt.Errorf("node: collector spill dir: %w", err)
 		}
 	}
-	t := &CollectorTree{topo: topo, cfg: cfg, rollup: obs.NewRegistry()}
-	d := topo.D()
+	t := &CollectorTree{topo: topo, rollup: obs.NewRegistry()}
 	for i := 0; i < cfg.Leaves; i++ {
 		l := &leafCollector{
-			id:       i,
 			ch:       make(chan procRec, 1024),
 			ver:      check.NewShardVerifier(topo, i),
 			segCap:   cfg.SegmentRecords,
@@ -193,53 +181,36 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 		if cfg.SpillDir != "" {
 			jr, prior, err := OpenJournal(SpillPath(cfg.SpillDir, i))
 			if err != nil {
-				t.abort()
+				t.closeSpills()
 				return nil, err
 			}
 			if len(prior) > 0 {
 				_ = jr.Close()
-				t.abort()
+				t.closeSpills()
 				return nil, fmt.Errorf("node: spill file %s already holds %d records", SpillPath(cfg.SpillDir, i), len(prior))
 			}
 			l.jr = jr
 		}
-		// The control plane: root→leaf and leaf→root pipes speaking wire
-		// frames.
-		downR, downW := io.Pipe()
-		upR, upW := io.Pipe()
-		l.down, l.up = downR, upW
-		l.dec = wire.NewDecoder(downR, d)
-		l.enc = wire.NewEncoder(upW, d)
-		rootEnc := wire.NewEncoder(downW, d)
-		rootDec := wire.NewDecoder(upR, d)
 		t.chans = append(t.chans, l.ch)
 		t.leaves = append(t.leaves, l)
+	}
+	for _, l := range t.leaves {
 		t.wg.Add(1)
-		go func(l *leafCollector) {
+		go func() {
 			defer t.wg.Done()
 			l.run()
-		}(l)
-		if err := rootEnc.Encode(&wire.Frame{Kind: wire.KindShard, Leaf: i, Leaves: cfg.Leaves}); err != nil {
-			t.abort()
-			return nil, fmt.Errorf("node: shard assignment to leaf %d: %w", i, err)
-		}
-		l.rootEnc, l.rootDec, l.rootDown = rootEnc, rootDec, downW
+		}()
 	}
 	return t, nil
 }
 
-// abort tears down a half-built tree.
-func (t *CollectorTree) abort() {
-	for _, ch := range t.chans {
-		close(ch)
-	}
+// closeSpills closes every leaf's spill journal.
+func (t *CollectorTree) closeSpills() {
 	for _, l := range t.leaves {
-		_ = l.down.Close()
 		if l.jr != nil {
 			_ = l.jr.Close()
 		}
 	}
-	t.wg.Wait()
 }
 
 // SpillPath is shard leaf's spill file under dir.
@@ -256,64 +227,44 @@ func (t *CollectorTree) Ingest(proc int, rec csp.Record) error {
 	return nil
 }
 
-// Finish closes the stream, rolls the shard summaries up to the root, and
-// returns the verdict. No Ingest may be in flight or follow.
+// Finish closes the stream, waits for the leaves, rolls their summaries
+// up to the root, and returns the verdict. No Ingest may be in flight or
+// follow.
 func (t *CollectorTree) Finish() (*TreeVerdict, error) {
 	for _, ch := range t.chans {
 		close(ch)
 	}
+	t.wg.Wait()
+	t.closeSpills()
+	tv := &TreeVerdict{}
 	sums := make([]*wire.ShardSummary, len(t.leaves))
 	for i, l := range t.leaves {
-		// A healthy leaf sends its shard-registry METRICS, then its
-		// SUMMARY; a crashed leaf sends neither (its pipe just closes) and
-		// the root judges it missing.
-		for {
-			f, err := l.rootDec.Decode()
-			if err != nil {
-				break
-			}
-			if f.Kind == wire.KindMetrics && f.Metrics != nil {
-				_ = t.rollup.Merge(SnapshotFromMetrics(f.Metrics))
-				continue
-			}
-			if f.Kind == wire.KindSummary && f.Summary != nil && f.Summary.Leaf == i {
-				sums[i] = f.Summary
-			}
-			break
-		}
-	}
-	verdict := check.CombineSummaries(t.topo, len(t.leaves), sums)
-	tv := &TreeVerdict{
-		OK:       verdict.OK,
-		Shards:   verdict.Shards,
-		Messages: int64(verdict.Messages),
-		Records:  int64(verdict.Records),
-		Problems: verdict.Problems,
-	}
-	for i, l := range t.leaves {
-		if err := l.rootEnc.Encode(&wire.Frame{Kind: wire.KindVerdict, Verdict: verdict}); err != nil {
-			// A crashed leaf's pipe is closed; the verdict broadcast is
-			// best-effort there.
-			_ = i
-		}
-		_ = l.rootDown.Close()
-	}
-	t.wg.Wait()
-	for _, l := range t.leaves {
 		tv.SegmentsSpilled += l.segments
 		tv.SpillBytes += l.spillBytes
 		if l.maxResident > tv.MaxResident {
 			tv.MaxResident = l.maxResident
 		}
-		if l.jr != nil {
-			_ = l.jr.Close()
+		// A crashed leaf has no summary, so the root judges it missing,
+		// and its registry stays out of the rollup.
+		if l.sum == nil {
+			continue
+		}
+		sums[i] = l.sum
+		if err := t.rollup.Merge(l.reg.Snapshot()); err != nil {
+			return nil, err
 		}
 	}
+	verdict := check.CombineSummaries(t.topo, len(t.leaves), sums)
+	tv.OK = verdict.OK
+	tv.Shards = verdict.Shards
+	tv.Messages = int64(verdict.Messages)
+	tv.Records = int64(verdict.Records)
+	tv.Problems = verdict.Problems
 	return tv, nil
 }
 
-// Rollup snapshots the merged shard registries the leaves shipped up.
-// Valid after Finish; counters are exactly the sums over the healthy
+// Rollup snapshots the merged shard registries of the leaves that
+// reported. Valid after Finish; counters are exactly the sums over those
 // leaves' own registries (Registry.Merge adds counters).
 func (t *CollectorTree) Rollup() obs.Snapshot { return t.rollup.Snapshot() }
 
@@ -331,13 +282,9 @@ func (t *CollectorTree) Logs() [][]csp.Record {
 	return logs
 }
 
-// run is a leaf's life: assignment, stream, summary, verdict.
+// run is a leaf's life: drain the stream, flush the last segment, and
+// store the summary for the root.
 func (l *leafCollector) run() {
-	defer func() { _ = l.up.Close() }()
-	defer func() { _ = l.down.Close() }()
-	if f, err := l.dec.Decode(); err != nil || f.Kind != wire.KindShard || f.Leaf != l.id {
-		l.ioErr = fmt.Errorf("node: leaf %d: bad shard assignment (%v)", l.id, err)
-	}
 	for pr := range l.ch {
 		if l.crashed {
 			continue // drain so Ingest never blocks on a dead shard
@@ -348,23 +295,13 @@ func (l *leafCollector) run() {
 		return // simulated mid-stream death: no summary ever reaches the root
 	}
 	l.flushSegment()
-	// The shard registry rides up ahead of the summary, so the root can
-	// fold every healthy leaf's counters into the cluster rollup.
-	mf := &wire.Frame{Kind: wire.KindMetrics, Metrics: MetricsFromSnapshot(l.id, l.reg.Snapshot())}
-	if err := l.enc.Encode(mf); err != nil {
-		return
-	}
 	sum := l.ver.Summary()
 	sum.Segments = uint64(l.segments)
 	sum.Spilled = uint64(l.spillBytes)
 	if sum.Err == "" && l.ioErr != nil {
 		sum.Err = l.ioErr.Error()
 	}
-	if err := l.enc.Encode(&wire.Frame{Kind: wire.KindSummary, Summary: sum}); err != nil {
-		return
-	}
-	// Await the verdict so the shutdown is a clean two-way close.
-	_, _ = l.dec.Decode()
+	l.sum = sum
 }
 
 // ingest verifies, retains, and spills one record.

@@ -13,6 +13,7 @@ import (
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/obs"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 )
@@ -172,8 +173,8 @@ corrupt:
 }
 
 // TestCollectorTreeLeafCrash kills one leaf mid-stream: Ingest must not
-// block, the root must refuse the run, and the verdict must name the
-// missing shard.
+// block, the root must refuse the run, the verdict must name the missing
+// shard, and the rollup must count only the healthy leaves' records.
 func TestCollectorTreeLeafCrash(t *testing.T) {
 	in := genSeed(t)
 	logs := oracleLogs(t, in)
@@ -212,6 +213,17 @@ func TestCollectorTreeLeafCrash(t *testing.T) {
 	}
 	if !hit {
 		t.Fatalf("no problem names the crashed shard: %v", v.Problems)
+	}
+	// The crashed leaf counted records before it died; only the healthy
+	// leaves' registries may reach the rollup.
+	healthy := 0
+	for p, log := range logs {
+		if p%leaves != 2 {
+			healthy += len(log)
+		}
+	}
+	if got := tree.Rollup().Counters[obs.MetricShardRecords]; got != int64(healthy) {
+		t.Fatalf("rollup %s = %d, want %d (the healthy leaves' records)", obs.MetricShardRecords, got, healthy)
 	}
 }
 

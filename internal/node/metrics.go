@@ -10,13 +10,13 @@ import (
 // Cluster metrics rollup.
 //
 // A METRICS frame is a registry snapshot on the wire: reporting nodes ship
-// one ahead of their report's BYE (report.go), collector-tree leaves ship
-// one ahead of their SUMMARY (collector.go), and the collecting root merges
-// them all — counters and gauges add, histograms merge bucket-wise
-// (obs.Registry.Merge is commutative and associative, so arrival order
-// cannot change the rollup). The merged view lands in the root's own live
-// registry, so its /metrics endpoint serves cluster totals, and in
-// RunInfo.Rollup for programmatic use.
+// one ahead of their report's BYE (report.go), and the collecting root
+// merges them, together with the collector tree's leaf registries
+// (collector.go, in memory) — counters and gauges add, histograms merge
+// bucket-wise (obs.Registry.Merge is commutative and associative, so
+// arrival order cannot change the rollup). The merged view lands in the
+// root's own live registry, so its /metrics endpoint serves cluster totals,
+// and in RunInfo.Rollup for programmatic use.
 
 // MetricsFromSnapshot renders a registry snapshot as the METRICS frame
 // payload, instrument names sorted — the codec enforces sortedness, which

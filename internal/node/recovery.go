@@ -116,7 +116,9 @@ func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
 	if deliver {
 		e.enq = f.Seq
 	} else if f.Seq == e.ackSeq && e.stamp != nil {
-		reack = &wire.Frame{Kind: wire.KindAck, From: e.ackFrom, To: f.From, Seq: e.ackSeq, Vec: e.stamp}
+		// A clone: the re-ACK is sent from another goroutine, and
+		// noteMerged overwrites the cached stamp in place.
+		reack = &wire.Frame{Kind: wire.KindAck, From: e.ackFrom, To: f.From, Seq: e.ackSeq, Vec: e.stamp.Clone()}
 	}
 	n.mu.Unlock()
 	if !deliver {
@@ -125,13 +127,18 @@ func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
 	return reack, deliver
 }
 
-// noteMerged caches a committed merge for re-ACKing duplicates.
+// noteMerged caches a committed merge for re-ACKing duplicates. The cache
+// owns its vector and, once warm, is overwritten in place.
 func (n *Node) noteMerged(from int, seq uint64, by int, stamp vector.V) {
 	n.mu.Lock()
 	e := &n.dedup[from]
 	e.ackSeq = seq
 	e.ackFrom = by
-	e.stamp = stamp.Clone()
+	if len(e.stamp) == len(stamp) {
+		copy(e.stamp, stamp)
+	} else {
+		e.stamp = stamp.Clone()
+	}
 	if seq > e.enq {
 		e.enq = seq
 	}

@@ -319,6 +319,40 @@ func TestRestoreRejectsForeignProcess(t *testing.T) {
 	}
 }
 
+// TestDedupCacheReusesStamp pins the receiver's merge cache: once warm, a
+// committed merge from a remote sender is copied into the cached vector
+// without allocating, and a re-ACK built from the cache owns its vector, so
+// a later merge from the same sender cannot change a re-ACK that is still
+// waiting to be sent.
+func TestDedupCacheReusesStamp(t *testing.T) {
+	dec := decomp.Best(graph.Path(2))
+	l := NewLoop(2)
+	n, err := New(Config{
+		Node: 1, Placement: []int{0, 1}, Dec: dec,
+		Recovery: &RecoveryConfig{OnPeerLoss: PeerLossWait},
+	}, l.Transport(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	first := vector.New(dec.D())
+	first[0] = 1
+	n.noteMerged(0, 1, 1, first)
+	reack, deliver := n.dedupCheck(&wire.Frame{Kind: wire.KindSyn, From: 0, To: 1, Seq: 1, Vec: first})
+	if deliver || reack == nil {
+		t.Fatalf("retransmitted SYN: deliver=%v reack=%v, want a re-ACK from the cache", deliver, reack)
+	}
+	second := first.Clone()
+	second[0] = 2
+	n.noteMerged(0, 2, 1, second)
+	if !vector.Eq(reack.Vec, first) {
+		t.Fatalf("re-ACK vector changed to %v by a later merge, want %v", reack.Vec, first)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.noteMerged(0, 3, 1, second) }); allocs != 0 {
+		t.Fatalf("warm noteMerged allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestLateAckAndUnexpectedKindsCounted drives node 0 against a hand-rolled
 // wire peer that misbehaves before cooperating: an unsolicited ACK no sender
 // is parked for and an INTERNAL frame on the data stream. Both must be

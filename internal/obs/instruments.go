@@ -76,8 +76,8 @@ const (
 	// MetricShardRecords, MetricShardSegments, and MetricShardSpillBytes
 	// are a collector-tree leaf's shard counters: records ingested,
 	// segments spilled, and spill bytes written. Each leaf counts into its
-	// own registry and ships the snapshot to the root on a METRICS frame,
-	// so the root's rollup totals are exactly the leaf sums.
+	// own registry and the root merges the registries of the leaves that
+	// reported, so the root's rollup totals are exactly those leaves' sums.
 	MetricShardRecords    = "shard_records_total"
 	MetricShardSegments   = "shard_segments_total"
 	MetricShardSpillBytes = "shard_spill_bytes_total"

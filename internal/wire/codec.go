@@ -37,18 +37,7 @@ type Frame struct {
 	Proc int
 	Note string
 
-	// SHARD fields. Leaf is the leaf collector's index in a tree of Leaves
-	// leaf collectors; Procs (shared with HELLO) carries an explicit
-	// partition, or stays empty for the implicit proc % Leaves == Leaf rule.
-	Leaf, Leaves int
-
-	// SUMMARY payload (leaf → root roll-up).
-	Summary *ShardSummary
-
-	// VERDICT payload (root → leaves).
-	Verdict *Verdict
-
-	// METRICS payload (node/leaf → root).
+	// METRICS payload (node → root).
 	Metrics *Metrics
 }
 
@@ -70,9 +59,11 @@ type GroupSummary struct {
 	RootSeq int64
 }
 
-// ShardSummary is the whole roll-up a leaf collector sends its root: counts,
-// spill accounting, the per-group fingerprints, and the first verification
-// error, if any. It deliberately contains no per-record state.
+// ShardSummary is the whole roll-up a leaf collector reports to its root:
+// counts, spill accounting, the per-group fingerprints, and the first
+// verification error, if any. It deliberately contains no per-record state.
+// No frame carries it: check.ShardVerifier produces it, and internal/node's
+// collector tree hands it from leaf to root in memory.
 type ShardSummary struct {
 	Leaf      int
 	Procs     uint64 // processes that produced at least one record
@@ -85,7 +76,8 @@ type ShardSummary struct {
 	Groups    []GroupSummary
 }
 
-// Verdict is the root's final judgment of a collected run.
+// Verdict is the root's final judgment of a collected run, as
+// check.CombineSummaries computes it from the shard summaries.
 type Verdict struct {
 	OK       bool
 	Shards   int    // summaries received
@@ -161,7 +153,7 @@ func (s Stats) Total() (frames, bytes int) {
 
 // Kinds lists every frame kind, for iterating a Stats deterministically.
 func Kinds() []Kind {
-	return []Kind{KindHello, KindSyn, KindAck, KindInternal, KindBye, KindShard, KindSummary, KindVerdict, KindMetrics}
+	return []Kind{KindHello, KindSyn, KindAck, KindInternal, KindBye, KindMetrics}
 }
 
 // Encoder writes frames to one stream, maintaining the per-pair delta
@@ -282,70 +274,6 @@ func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
 		dst = append(dst, f.Note...)
 	case KindBye:
 		// No payload beyond the kind byte.
-	case KindShard:
-		if len(f.Procs) > MaxProcs {
-			return nil, fmt.Errorf("wire: shard of %d explicit processes exceeds limit %d (use the modulo rule)", len(f.Procs), MaxProcs)
-		}
-		dst = appendUvarint(dst, uint64(f.Leaf))
-		dst = appendUvarint(dst, uint64(f.Leaves))
-		dst = appendUvarint(dst, uint64(len(f.Procs)))
-		for _, p := range f.Procs {
-			dst = appendUvarint(dst, uint64(p))
-		}
-	case KindSummary:
-		s := f.Summary
-		if s == nil {
-			return nil, fmt.Errorf("wire: SUMMARY frame without a summary")
-		}
-		if len(s.Err) > MaxNote {
-			return nil, fmt.Errorf("wire: summary error of %d bytes exceeds limit %d", len(s.Err), MaxNote)
-		}
-		if len(s.Groups) > MaxGroups {
-			return nil, fmt.Errorf("wire: summary of %d groups exceeds limit %d", len(s.Groups), MaxGroups)
-		}
-		dst = appendUvarint(dst, uint64(s.Leaf))
-		dst = appendUvarint(dst, s.Procs)
-		dst = appendUvarint(dst, s.Sends)
-		dst = appendUvarint(dst, s.Recvs)
-		dst = appendUvarint(dst, s.Internals)
-		dst = appendUvarint(dst, s.Segments)
-		dst = appendUvarint(dst, s.Spilled)
-		dst = appendUvarint(dst, uint64(len(s.Err)))
-		dst = append(dst, s.Err...)
-		dst = appendUvarint(dst, uint64(len(s.Groups)))
-		for _, g := range s.Groups {
-			dst = appendUvarint(dst, uint64(g.Group))
-			dst = appendUvarint(dst, g.SendCount)
-			dst = appendUvarint(dst, g.SendXor)
-			dst = appendUvarint(dst, g.RecvCount)
-			dst = appendUvarint(dst, g.RecvXor)
-			// RootSeq shifted by one so -1 (no root here) encodes as 0.
-			dst = appendUvarint(dst, uint64(g.RootSeq+1))
-		}
-	case KindVerdict:
-		v := f.Verdict
-		if v == nil {
-			return nil, fmt.Errorf("wire: VERDICT frame without a verdict")
-		}
-		if len(v.Problems) > MaxProblems {
-			return nil, fmt.Errorf("wire: verdict of %d problems exceeds limit %d", len(v.Problems), MaxProblems)
-		}
-		ok := byte(0)
-		if v.OK {
-			ok = 1
-		}
-		dst = append(dst, ok)
-		dst = appendUvarint(dst, uint64(v.Shards))
-		dst = appendUvarint(dst, v.Messages)
-		dst = appendUvarint(dst, v.Records)
-		dst = appendUvarint(dst, uint64(len(v.Problems)))
-		for _, p := range v.Problems {
-			if len(p) > MaxNote {
-				return nil, fmt.Errorf("wire: verdict problem of %d bytes exceeds limit %d", len(p), MaxNote)
-			}
-			dst = appendUvarint(dst, uint64(len(p)))
-			dst = append(dst, p...)
-		}
 	case KindMetrics:
 		m := f.Metrics
 		if m == nil {
@@ -571,6 +499,20 @@ func (r *reader) intField(name string, limit uint64) (int, error) {
 	return int(x), nil
 }
 
+// count reads a list length of at most limit entries. Every entry takes at
+// least one payload byte, so a count beyond the bytes left is rejected
+// before the caller allocates for it.
+func (r *reader) count(name string, limit uint64) (int, error) {
+	n, err := r.intField(name, limit)
+	if err != nil {
+		return 0, err
+	}
+	if n > len(r.b)-r.off {
+		return 0, fmt.Errorf("wire: %s %d overruns frame", name, n)
+	}
+	return n, nil
+}
+
 // str reads a length-prefixed string of at most limit bytes.
 func (r *reader) str(name string, limit uint64) (string, error) {
 	n, err := r.intField(name+" length", limit)
@@ -615,7 +557,7 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		if f.Epoch, err = r.intField("epoch", 1<<31); err != nil {
 			return nil, err
 		}
-		count, err := r.intField("proc count", MaxProcs)
+		count, err := r.count("proc count", MaxProcs)
 		if err != nil {
 			return nil, err
 		}
@@ -653,90 +595,6 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		r.off += n
 	case KindBye:
 		// No payload.
-	case KindShard:
-		if f.Leaf, err = r.intField("leaf", 1<<31); err != nil {
-			return nil, err
-		}
-		if f.Leaves, err = r.intField("leaves", 1<<31); err != nil {
-			return nil, err
-		}
-		count, err := r.intField("proc count", MaxProcs)
-		if err != nil {
-			return nil, err
-		}
-		if count > 0 {
-			f.Procs = make([]int, count)
-			for i := range f.Procs {
-				if f.Procs[i], err = r.intField("proc", 1<<31); err != nil {
-					return nil, err
-				}
-			}
-		}
-	case KindSummary:
-		s := &ShardSummary{}
-		if s.Leaf, err = r.intField("leaf", 1<<31); err != nil {
-			return nil, err
-		}
-		for _, dst := range []*uint64{&s.Procs, &s.Sends, &s.Recvs, &s.Internals, &s.Segments, &s.Spilled} {
-			if *dst, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-		}
-		if s.Err, err = r.str("summary error", MaxNote); err != nil {
-			return nil, err
-		}
-		count, err := r.intField("group count", MaxGroups)
-		if err != nil {
-			return nil, err
-		}
-		if count > 0 {
-			s.Groups = make([]GroupSummary, count)
-			for i := range s.Groups {
-				g := &s.Groups[i]
-				if g.Group, err = r.intField("group", 1<<31); err != nil {
-					return nil, err
-				}
-				for _, dst := range []*uint64{&g.SendCount, &g.SendXor, &g.RecvCount, &g.RecvXor} {
-					if *dst, err = r.uvarint(); err != nil {
-						return nil, err
-					}
-				}
-				seq, err := r.intField("root seq", 1<<62)
-				if err != nil {
-					return nil, err
-				}
-				g.RootSeq = int64(seq) - 1
-			}
-		}
-		f.Summary = s
-	case KindVerdict:
-		v := &Verdict{}
-		ok, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		v.OK = ok != 0
-		if v.Shards, err = r.intField("shards", 1<<31); err != nil {
-			return nil, err
-		}
-		if v.Messages, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if v.Records, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		count, err := r.intField("problem count", MaxProblems)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < count; i++ {
-			p, err := r.str("problem", MaxNote)
-			if err != nil {
-				return nil, err
-			}
-			v.Problems = append(v.Problems, p)
-		}
-		f.Verdict = v
 	case KindMetrics:
 		m := &Metrics{}
 		if m.Node, err = r.intField("node", 1<<31); err != nil {
@@ -748,7 +606,7 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		if m.Gauges, err = readMetricValues(r, "gauge"); err != nil {
 			return nil, err
 		}
-		count, err := r.intField("histogram count", MaxMetrics)
+		count, err := r.count("histogram count", MaxMetrics)
 		if err != nil {
 			return nil, err
 		}
@@ -760,7 +618,7 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 			if i > 0 && h.Name <= m.Histograms[i-1].Name {
 				return nil, fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
 			}
-			edges, err := r.intField("edge count", MaxEdges)
+			edges, err := r.count("edge count", MaxEdges)
 			if err != nil {
 				return nil, err
 			}
@@ -808,7 +666,7 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 
 // readMetricValues decodes one sorted name/value list of a METRICS frame.
 func readMetricValues(r *reader, what string) ([]MetricValue, error) {
-	count, err := r.intField(what+" count", MaxMetrics)
+	count, err := r.count(what+" count", MaxMetrics)
 	if err != nil {
 		return nil, err
 	}

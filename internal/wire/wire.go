@@ -23,19 +23,8 @@
 //	          its per-process logs to the collector
 //	BYE       clean end of stream; an EOF after BYE is a graceful close,
 //	          an EOF without one is a failure
-//	SHARD     collector tree, root → leaf: the leaf's index, the tree width,
-//	          and the partition of processes the leaf owns (an empty list
-//	          means the modulo rule proc % leaves == leaf, the only form
-//	          that stays frame-sized at millions of processes)
-//	SUMMARY   collector tree, leaf → root: the shard's verified roll-up —
-//	          record counts, spill accounting, per-group send/recv
-//	          multiset fingerprints and the star root's final sequence
-//	          number — everything the root needs to judge the run without
-//	          ever seeing the shard's records
-//	VERDICT   collector tree, root → leaves: the final verdict (ok flag,
-//	          totals, and the problems found, if any)
-//	METRICS   a metrics-registry snapshot riding the report/collector path,
-//	          leaf/node → root: named counters, gauges, and histograms
+//	METRICS   a metrics-registry snapshot riding the report path, node →
+//	          collecting root: named counters, gauges, and histograms
 //	          (sorted by name), which the root merges into one cluster
 //	          rollup — counters and gauges add, histograms merge bucket-wise
 //
@@ -72,9 +61,6 @@ const (
 	KindAck
 	KindInternal
 	KindBye
-	KindShard
-	KindSummary
-	KindVerdict
 	KindMetrics
 
 	// KindMax is one past the highest kind — the size of per-kind arrays.
@@ -94,12 +80,6 @@ func (k Kind) String() string {
 		return "INTERNAL"
 	case KindBye:
 		return "BYE"
-	case KindShard:
-		return "SHARD"
-	case KindSummary:
-		return "SUMMARY"
-	case KindVerdict:
-		return "VERDICT"
 	case KindMetrics:
 		return "METRICS"
 	default:
@@ -122,12 +102,8 @@ const (
 	MaxFrame = 1 << 20
 	// MaxNote bounds an INTERNAL note in bytes.
 	MaxNote = 1 << 16
-	// MaxProcs bounds the process list of a HELLO or SHARD.
+	// MaxProcs bounds the process list of a HELLO.
 	MaxProcs = 1 << 16
-	// MaxGroups bounds the group-summary list of a SUMMARY.
-	MaxGroups = 1 << 20
-	// MaxProblems bounds the problem list of a VERDICT.
-	MaxProblems = 1 << 10
 	// MaxMetrics bounds each instrument list of a METRICS frame.
 	MaxMetrics = 1 << 16
 	// MaxEdges bounds a METRICS histogram's bucket-edge list.

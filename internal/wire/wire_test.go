@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"syncstamp/internal/decomp"
@@ -182,6 +184,53 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeBoundsAllocation feeds frames of a few bytes whose list counts
+// claim far more entries than the payload holds. Each must fail, and must
+// fail before the decoder allocates for the claimed count: every entry
+// takes at least one byte, so a count beyond the bytes left is refused.
+// Kind byte 7 was the collector tree's SUMMARY, whose group count once
+// cost about 50 MB before failing; it is no frame kind now.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	frame := func(payload ...byte) []byte {
+		return append(appendUvarint(nil, uint64(len(payload))), payload...)
+	}
+	cases := []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"HELLO claiming MaxProcs processes",
+			frame(appendUvarint([]byte{byte(KindHello), RoleData, 0, 0, 0}, MaxProcs)...), "proc count"},
+		{"METRICS histogram claiming MaxEdges edges",
+			frame(appendUvarint([]byte{byte(KindMetrics), 0, 0, 0, 1, 1, 'h'}, MaxEdges)...), "edge count"},
+		{"kind 7 claiming 1<<20 groups",
+			frame(appendUvarint([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<20)...), "unknown frame kind"},
+	}
+	const runs = 10
+	for _, c := range cases {
+		decs := make([]*Decoder, runs)
+		for i := range decs {
+			decs[i] = NewDecoder(bytes.NewReader(c.in), 3)
+		}
+		errs := make([]error, runs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, dec := range decs {
+			_, errs[i] = dec.Decode()
+		}
+		runtime.ReadMemStats(&after)
+		for _, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (%d bytes): err = %v, want one naming %q", c.name, len(c.in), err, c.want)
+				break
+			}
+		}
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+			t.Errorf("%s (%d bytes): Decode allocated %d B before failing, want < 4 KiB", c.name, len(c.in), per)
+		}
+	}
+}
+
 func TestDecodeTruncatedMidFrame(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, 2)
@@ -246,55 +295,5 @@ func TestCountTraceRejectsUncoveredChannel(t *testing.T) {
 	tr.MustAppend(trace.Message(0, 2)) // not an edge of the path
 	if _, err := CountTrace(tr, dec); err == nil {
 		t.Fatal("uncovered channel accepted")
-	}
-}
-
-// TestCollectorFrameRoundTrip exercises the collector-tree control frames:
-// shard assignment (explicit and modulo form), the leaf summary roll-up with
-// its per-group fingerprints, and the root verdict.
-func TestCollectorFrameRoundTrip(t *testing.T) {
-	frames := []*Frame{
-		{Kind: KindShard, Leaf: 2, Leaves: 4, Procs: []int{2, 6, 10}},
-		{Kind: KindShard, Leaf: 3, Leaves: 8},
-		{Kind: KindSummary, Summary: &ShardSummary{
-			Leaf: 2, Procs: 3, Sends: 120, Recvs: 80, Internals: 7,
-			Segments: 5, Spilled: 40960,
-			Groups: []GroupSummary{
-				{Group: 0, SendCount: 60, SendXor: 0xfeedface, RecvCount: 60, RecvXor: 0xfeedface, RootSeq: 60},
-				{Group: 3, SendCount: 60, SendXor: 1, RecvCount: 20, RecvXor: 9, RootSeq: -1},
-			},
-		}},
-		{Kind: KindSummary, Summary: &ShardSummary{Leaf: 0, Err: "stamp regression at process 7"}},
-		{Kind: KindVerdict, Verdict: &Verdict{OK: true, Shards: 4, Messages: 140, Records: 287}},
-		{Kind: KindVerdict, Verdict: &Verdict{Shards: 3, Problems: []string{"shard 2 missing", "group 0: 60 sends vs 59 recvs"}}},
-	}
-	got := pipeRoundTrip(t, 3, frames)
-	if len(got) != len(frames) {
-		t.Fatalf("decoded %d frames, want %d", len(got), len(frames))
-	}
-	for i := range frames {
-		if !reflect.DeepEqual(frames[i], got[i]) {
-			t.Errorf("frame %d: got %+v, want %+v", i, got[i], frames[i])
-		}
-	}
-}
-
-// TestSummaryLimits checks that the decoder limits reject adversarial
-// collector frames instead of allocating.
-func TestSummaryLimits(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, 3)
-	long := make([]byte, MaxNote+1)
-	if err := enc.Encode(&Frame{Kind: KindSummary, Summary: &ShardSummary{Err: string(long)}}); err == nil {
-		t.Fatal("oversized summary error encoded without error")
-	}
-	if err := enc.Encode(&Frame{Kind: KindVerdict, Verdict: &Verdict{Problems: make([]string, MaxProblems+1)}}); err == nil {
-		t.Fatal("oversized problem list encoded without error")
-	}
-	if err := enc.Encode(&Frame{Kind: KindSummary}); err == nil {
-		t.Fatal("SUMMARY without a payload encoded without error")
-	}
-	if err := enc.Encode(&Frame{Kind: KindVerdict}); err == nil {
-		t.Fatal("VERDICT without a payload encoded without error")
 	}
 }
