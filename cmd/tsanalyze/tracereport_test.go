@@ -54,7 +54,7 @@ func writeObsTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, meta, o.Tracer.Events()); err != nil {
+	if err := obs.WriteJSONL(&buf, meta, o.Recorder.Events()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.jsonl")

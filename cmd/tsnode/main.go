@@ -22,12 +22,13 @@
 // and net/http/pprof for the duration of the run; -obs-trace writes the
 // node's structured JSONL event trace after the run, ready for "tsanalyze
 // trace-report" and "tsanalyze critical-path". The flight recorder (-flight,
-// on by default) keeps a bounded ring of recent events and dumps it to
-// -flight-dump on failure, peer loss, SIGQUIT, and end of run — the causal
-// post-mortem for runs that died too hard to write a trace. On the collector
-// node, /metrics serves the cluster rollup after a collect: every reporting
-// node's registry (and every collector-tree leaf's shard registry) merged
-// into one view.
+// on by default) keeps a bounded ring of each hosted process's recent
+// events and dumps them to -flight-dump on failure, peer loss, SIGQUIT, and
+// end of run — the causal post-mortem for runs that died too hard to write
+// a trace. With -obs-trace the one recorder keeps every event instead, and
+// the dumps hold the whole run. On the collector node, /metrics serves the
+// cluster rollup after a collect: every reporting node's registry (and
+// every collector-tree leaf's shard registry) merged into one view.
 //
 // Chaos and recovery: -fault-plan wraps the transport with the deterministic
 // internal/fault injector (same plan + seed → same faults), and
@@ -94,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reconnectWindow := fs.Duration("reconnect-window", 10*time.Second, "how long a lost peer may stay unreachable before -on-peer-loss applies")
 	retransmitMin := fs.Duration("retransmit-min", tssync.DefaultRTOMin, "floor of the adaptive SYN retransmission timeout")
 	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
-	flight := fs.Int("flight", 4096, "flight recorder capacity in events (0 disables the ring)")
+	flight := fs.Int("flight", 4096, "flight recorder capacity in events, split evenly into one ring per hosted process (0 disables it)")
 	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (binary journal records) on failure, peer loss, SIGQUIT, and end of run")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -159,9 +160,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tcp.SetPeers(addrs)
 
+	// Only a trace export keeps every event; -obs-addr alone serves the
+	// flight recorder's rings, which node.New adds.
 	var o *obs.Obs
 	if *obsAddr != "" || *obsTrace != "" {
-		o = obs.New()
+		o = &obs.Obs{Metrics: obs.NewRegistry(), Clock: obs.Wall()}
+		if *obsTrace != "" {
+			o.Recorder = obs.NewRecorder(0)
+		}
 		tcp.Retries = o.Registry().Counter(obs.MetricDialRetries)
 	}
 
@@ -225,17 +231,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec.Journal = j
 		journalRecs = recs
 	}
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, o)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			_ = srv.Close() // best-effort teardown on exit
-		}()
-		fmt.Fprintf(stdout, "tsnode: observability on http://%s\n", srv.Addr())
-	}
-
 	n, err := node.New(node.Config{
 		Node:              *nodeIdx,
 		Placement:         placement,
@@ -252,6 +247,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer n.Close()
 	nd = n
+
+	// Served only now that node.New has finished filling in o. New does not
+	// dial: the HELLO handshake runs in Run, and the endpoints answer
+	// throughout it.
+	if *obsAddr != "" {
+		srv, err := obs.Serve(*obsAddr, o)
+		if err != nil {
+			return fail(err)
+		}
+		defer func() {
+			_ = srv.Close() // best-effort teardown on exit
+		}()
+		fmt.Fprintf(stdout, "tsnode: observability on http://%s\n", srv.Addr())
+	}
 
 	// SIGQUIT takes a flight dump on demand — the classic "what is this
 	// stuck process doing" probe — without killing the run. Only installed
@@ -369,7 +378,7 @@ func writeTrace(path string, nodeIdx int, dec *decomp.Decomposition, o *obs.Obs,
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteJSONL(f, meta, o.Tracer.Events()); err != nil {
+	if err := obs.WriteJSONL(f, meta, o.Recorder.Events()); err != nil {
 		_ = f.Close() // the write error is the one to report
 		return err
 	}

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 )
 
 func TestParseProgram(t *testing.T) {
@@ -85,46 +87,108 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestRunInProcessCluster drives the full tsnode flow — flags, TCP mesh,
-// report, collect, verify — with three nodes inside one test process.
-func TestRunInProcessCluster(t *testing.T) {
-	addrs := freeAddrs(t, 3)
-	addrList := strings.Join(addrs, ",")
-	program := "0: recvfrom 2, send 1; 1: recvfrom 0, recvfrom 2; 2: send 0, send 1, internal done"
-	common := []string{
-		"-addrs", addrList,
+// inProcessCluster is three tsnode runs inside one test process, on a
+// triangle with one process per node; node 0 collects and verifies.
+type inProcessCluster struct {
+	outs, errs [3]bytes.Buffer
+	codes      [3]int
+	done       [3]chan struct{} // closed when node i's run returns
+	common     []string
+}
+
+func newInProcessCluster(t *testing.T) *inProcessCluster {
+	return &inProcessCluster{common: []string{
+		"-addrs", strings.Join(freeAddrs(t, 3), ","),
 		"-topology", "triangle",
 		"-placement", "0,1,2",
-		"-program", program,
-	}
+		"-program", "0: recvfrom 2, send 1; 1: recvfrom 0, recvfrom 2; 2: send 0, send 1, internal done",
+	}}
+}
 
-	outs := make([]bytes.Buffer, 3)
-	errs := make([]bytes.Buffer, 3)
-	codes := make([]int, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			args := append([]string{"-node", fmt.Sprint(i)}, common...)
-			if i == 0 {
-				args = append(args, "-collect", "-verify")
-			}
-			codes[i] = run(args, &outs[i], &errs[i])
-		}(i)
+// start launches node i's run with extra flags appended.
+func (c *inProcessCluster) start(i int, extra ...string) {
+	args := append([]string{"-node", fmt.Sprint(i)}, c.common...)
+	if i == 0 {
+		args = append(args, "-collect", "-verify")
 	}
-	wg.Wait()
-	for i := 0; i < 3; i++ {
-		if codes[i] != 0 {
-			t.Fatalf("node %d exited %d: %s", i, codes[i], errs[i].String())
+	args = append(args, extra...)
+	c.done[i] = make(chan struct{})
+	go func() {
+		defer close(c.done[i])
+		c.codes[i] = run(args, &c.outs[i], &c.errs[i])
+	}()
+}
+
+// check waits for every node and checks the collector verified the run.
+func (c *inProcessCluster) check(t *testing.T) {
+	t.Helper()
+	for i := range c.codes {
+		<-c.done[i]
+		if c.codes[i] != 0 {
+			t.Fatalf("node %d exited %d: %s", i, c.codes[i], c.errs[i].String())
 		}
 	}
-	got := outs[0].String()
+	got := c.outs[0].String()
 	if !strings.Contains(got, "reconstructed computation: 3 messages, 1 internal events") {
 		t.Fatalf("collector output missing reconstruction summary:\n%s", got)
 	}
 	if !strings.Contains(got, "verified: distributed stamps match the sequential replay") {
 		t.Fatalf("collector output missing verification line:\n%s", got)
+	}
+}
+
+// TestRunInProcessCluster drives the full tsnode flow — flags, TCP mesh,
+// report, collect, verify — with three nodes inside one test process.
+func TestRunInProcessCluster(t *testing.T) {
+	c := newInProcessCluster(t)
+	for i := 0; i < 3; i++ {
+		c.start(i)
+	}
+	c.check(t)
+}
+
+// TestRunInProcessClusterServesFlight polls node 0's /debug/flight for the
+// whole run. The endpoint reads the recorder node.New installs, so under
+// the race detector this catches an endpoint served before node.New
+// finished. The peers start only once the endpoint has answered, so that
+// answer comes while node 0 is still alone, in its handshake.
+func TestRunInProcessClusterServesFlight(t *testing.T) {
+	c := newInProcessCluster(t)
+	url := "http://" + freeAddrs(t, 1)[0]
+	c.start(0, "-obs-addr", strings.TrimPrefix(url, "http://"))
+	served := 0
+	get := func() {
+		resp, err := http.Get(url + "/debug/flight")
+		if err != nil {
+			return // not listening yet, or already closed
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			served++
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); served == 0; time.Sleep(time.Millisecond) {
+		select {
+		case <-c.done[0]:
+			t.Fatalf("node 0 exited %d before serving /debug/flight: %s", c.codes[0], c.errs[0].String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never served /debug/flight")
+		}
+		get()
+	}
+	c.start(1)
+	c.start(2)
+	for {
+		select {
+		case <-c.done[0]:
+			c.check(t)
+			return
+		default:
+			get()
+		}
 	}
 }
 

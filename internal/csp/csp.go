@@ -220,8 +220,8 @@ func (p *Process) Internal(note any) {
 	p.log = append(p.log, Record{Kind: RecordInternal, Note: note})
 	p.sys.ins.InternalEvents.Add(1)
 	// The note rendering allocates, so it only happens when a recorder is on.
-	if o := p.sys.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
-		o.Internal(-1, p.id, p.clock.Current(), fmt.Sprint(note))
+	if p.sys.obsv.Recording() {
+		p.sys.obsv.Internal(-1, p.id, p.clock.Current(), fmt.Sprint(note))
 	}
 }
 
@@ -458,7 +458,7 @@ func Run(dec *decomp.Decomposition, programs []func(*Process) error, timeout tim
 }
 
 // RunObs is Run with an observability surface attached: the run's rendezvous
-// phases and internal events flow into o's tracer and its metrics into o's
+// phases and internal events flow into o's recorder and its metrics into o's
 // registry. A nil o is exactly Run.
 func RunObs(dec *decomp.Decomposition, programs []func(*Process) error, timeout time.Duration, o *obs.Obs) (*Result, error) {
 	sys := NewSystem(dec)

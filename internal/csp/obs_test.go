@@ -57,7 +57,7 @@ func TestRunObsDeterministicJSONL(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := obs.WriteJSONL(&buf, meta, o.Tracer.Events()); err != nil {
+		if err := obs.WriteJSONL(&buf, meta, o.Recorder.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -95,7 +95,7 @@ func TestRunObsMetricsAndOracle(t *testing.T) {
 		t.Errorf("per-proc counter = %d, want 3", got)
 	}
 
-	events := o.Tracer.Events()
+	events := o.Recorder.Events()
 	rebuilt, err := Reconstruct(dec, LogsFromEvents(dec.N(), events))
 	if err != nil {
 		t.Fatalf("reconstructing from trace events: %v", err)

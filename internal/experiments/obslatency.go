@@ -144,7 +144,7 @@ func runObsCluster(tr *trace.Trace, dec *decomp.Decomposition) ([]obs.Event, wir
 	var events []obs.Event
 	var total wire.Stats
 	for i, o := range oses {
-		events = append(events, o.Tracer.Events()...)
+		events = append(events, o.Recorder.Events()...)
 		total.Merge(frames[i])
 	}
 	obs.SortEvents(events)

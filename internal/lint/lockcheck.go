@@ -8,7 +8,7 @@ import (
 // lockedPaths lists the packages whose mutex discipline lockcheck audits for
 // Lock/Unlock pairing: csp and node host the concurrent rendezvous runtimes,
 // monitor is documented as safe for concurrent readers, and obs's registry
-// and tracer are shared by every process goroutine of a run. fault's
+// and recorder are shared by every process goroutine of a run. fault's
 // injector serializes per-link state under the same discipline. load's
 // workers rendezvous through per-client and per-server mutexes at driver
 // scale, where an unpaired Lock stalls every subsequent request on that

@@ -17,10 +17,10 @@ import (
 //
 // The synchronizer changes when frames move, never what the stamps say:
 // under every schedule the collected trace must equal the synchronous
-// oracle's. That is also why none of the state here reaches the tracer or
-// the flight recorder — retransmission timing is wall-clock nondeterminism,
-// and the exported event streams are contractually byte-identical across
-// runs. The synchronizer surfaces through metrics and RunInfo only.
+// oracle's. That is also why none of the state here reaches the obs
+// recorder — retransmission timing is wall-clock nondeterminism, and the
+// exported event streams are contractually byte-identical across runs. The
+// synchronizer surfaces through metrics and RunInfo only.
 
 // RTTStats is RunInfo's per-peer view of the RTT estimator and the health
 // monitor. P50NS/P99NS are quantile upper bounds from the peer's RTT

@@ -9,53 +9,45 @@ import (
 
 // Flight-recorder dumps.
 //
-// The flight recorder (obs.Flight) is a bounded in-memory ring; this file
-// is its durability story. A dump serializes the ring's surviving events —
-// already in the deterministic (stamp sum, proc, seq) order — as binary
-// journal records (kind = the event's phase, peer -1 for an internal
-// event) and lands them atomically: written and fsynced to a temp file
-// through the journal machinery, then renamed over the dump path, so a
-// reader never observes a torn dump and the newest dump always wins. Dumps
-// fire on the node's first failure, on a peer loss, at end of run, and on
-// demand (SIGQUIT, /debug/flight?dump=1).
+// The flight recorder is the node's obs.Recorder: with Config.FlightRecorder
+// alone, one bounded ring per hosted process. This file is its durability
+// story. A dump serializes the held events in the deterministic flight
+// order (obs.SortFlight: stamp sum, proc, seq) as binary journal records
+// (kind = the event's phase, peer -1 for an internal event) and lands them
+// atomically: written and fsynced to a temp file through the journal
+// machinery, then renamed over the dump path, so a reader never observes a
+// torn dump and the newest dump always wins. Dumps fire on the node's first
+// failure, on a peer loss, at end of run, and on demand (SIGQUIT,
+// /debug/flight?dump=1).
 //
 // A kill -9 leaves no dump from the dying incarnation — nothing can — but
 // the journal does the remembering: Restore re-emits every committed
-// operation through the obs hooks, so a restarted node's ring carries the
-// full committed history and its end-of-run dump is a complete causal
+// operation through the obs hooks, so a restarted node's rings carry the
+// committed history (up to their size) and its end-of-run dump is a causal
 // post-mortem of the run, oracle-checkable via csp.LogsFromEvents.
 
-// DumpFlight writes the flight recorder's current ring to Config.FlightDump
-// and reports whether a dump was written. It is a no-op (false) when the
-// recorder is disabled, the dump path is empty, or the ring is still empty;
-// concurrent dumps serialize and each overwrites the last. Errors are
+// DumpFlight writes the recorder's held events to Config.FlightDump and
+// reports whether a dump was written. It is a no-op (false) when the
+// flight recorder is off, the dump path is empty, or nothing was recorded
+// yet; concurrent dumps serialize and each overwrites the last. Errors are
 // swallowed: a dump is a best-effort post-mortem taken on failure paths
 // that must not themselves fail.
 func (n *Node) DumpFlight() bool {
-	fl := n.flight()
-	if fl == nil || n.cfg.FlightDump == "" {
+	if n.cfg.FlightRecorder <= 0 || n.cfg.FlightDump == "" {
 		return false
 	}
-	events := fl.Events()
+	events := n.cfg.Obs.Recorder.Events()
 	if len(events) == 0 {
 		return false
 	}
+	obs.SortFlight(events)
 	n.dumpMu.Lock()
 	defer n.dumpMu.Unlock()
 	return WriteFlightDump(n.cfg.FlightDump, events) == nil
 }
 
-// flight returns the node's flight recorder, nil when disabled.
-func (n *Node) flight() *obs.Flight {
-	if n.obsv == nil {
-		return nil
-	}
-	return n.obsv.Flight
-}
-
-// WriteFlightDump writes events (in the order given; callers holding a ring
-// dump already have obs.SortFlight order) to path atomically: temp file,
-// one fsynced batch, rename.
+// WriteFlightDump writes events, in the order given, to path atomically:
+// temp file, one fsynced batch, rename.
 func WriteFlightDump(path string, events []obs.Event) error {
 	recs := make([]JournalRecord, 0, len(events))
 	for _, e := range events {

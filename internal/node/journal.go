@@ -576,7 +576,7 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 			if rec.Seq > st.seq {
 				st.seq = rec.Seq
 			}
-			n.obsv.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseAdopt, rec.Stamp)
+			n.cfg.Obs.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseAdopt, rec.Stamp)
 		case journalRecv:
 			if err := st.clock.Adopt(rec.Stamp, rec.Peer); err != nil {
 				return nil, fmt.Errorf("node %d: journal replay, process %d recv from %d: %w", n.cfg.Node, p, rec.Peer, err)
@@ -585,11 +585,11 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 			if rec.Peer >= 0 && rec.Peer < len(n.cfg.Placement) && n.cfg.Placement[rec.Peer] != n.cfg.Node {
 				n.noteMerged(rec.Peer, rec.Seq, p, rec.Stamp)
 			}
-			n.obsv.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseMerge, rec.Stamp)
+			n.cfg.Obs.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseMerge, rec.Stamp)
 		case journalInternal:
 			st.log = append(st.log, csp.Record{Kind: csp.RecordInternal, Note: rec.Note})
-			if o := n.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
-				o.Internal(n.cfg.Node, p, st.clock.Current(), rec.Note)
+			if n.cfg.Obs.Recording() {
+				n.cfg.Obs.Internal(n.cfg.Node, p, st.clock.Current(), rec.Note)
 			}
 		default:
 			return nil, fmt.Errorf("node %d: journal holds unknown record kind %q", n.cfg.Node, rec.Kind)

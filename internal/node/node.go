@@ -84,12 +84,13 @@ type Config struct {
 	// rendezvous hot paths then cost nothing extra.
 	Obs *obs.Obs
 	// FlightRecorder, when positive, turns on the always-on flight
-	// recorder: a fixed ring of that many recent rendezvous/internal
-	// events, recorded on the same obs hooks the tracer uses but bounded,
-	// so it is cheap enough to leave on in production. The ring is dumped
-	// to FlightDump on the first failure, on a peer loss, at end of run,
-	// and on demand (SIGQUIT / the /debug/flight?dump=1 endpoint). When
-	// Obs is nil a minimal surface is created to host the ring.
+	// recorder: a budget of that many recent rendezvous/internal events,
+	// split evenly into one ring per hosted process, so it is cheap enough
+	// to leave on in production. The events are dumped to FlightDump on the
+	// first failure, on a peer loss, at end of run, and on demand (SIGQUIT
+	// / the /debug/flight?dump=1 endpoint). When Obs is nil a minimal
+	// surface is created to host the rings; when Obs already has a
+	// recorder, that recorder is the one dumped.
 	FlightRecorder int
 	// FlightDump is the file the flight recorder dumps to — the ring's
 	// events in deterministic stamp order as binary journal records (read
@@ -287,10 +288,10 @@ type Node struct {
 	readersWG sync.WaitGroup
 	startOnce sync.Once
 
-	// Observability: the surface, its resolved instruments, the per-kind
-	// wire-traffic counters, and the dropped-frame count (kept even with
-	// obs disabled, so RunInfo can always report it).
-	obsv       *obs.Obs
+	// Observability (the surface itself is cfg.Obs): its resolved
+	// instruments, the per-kind wire-traffic counters, and the
+	// dropped-frame count (kept even with obs disabled, so RunInfo can
+	// always report it).
 	ins        obs.Instruments
 	wireFrames [wire.KindMax]*obs.Counter
 	wireBytes  [wire.KindMax]*obs.Counter
@@ -376,17 +377,17 @@ func New(cfg Config, tr Transport) (*Node, error) {
 			n.mailboxes[p] = make(chan inbound, cfg.Dec.N())
 		}
 	}
-	n.obsv = cfg.Obs
 	if cfg.FlightRecorder > 0 {
-		if n.obsv == nil {
-			// A minimal surface: no metrics, no tracer — just the ring.
-			n.obsv = &obs.Obs{}
-			n.cfg.Obs = n.obsv
+		if n.cfg.Obs == nil {
+			n.cfg.Obs = &obs.Obs{} // just the rings: no metrics, no clock reads
 		}
-		if n.obsv.Flight == nil {
-			n.obsv.Flight = obs.NewFlight(cfg.FlightRecorder)
+		if n.cfg.Obs.Recorder == nil {
+			// Allocated now rather than on each process's first event, so
+			// the rings are part of the node's set-up, not of its run.
+			ring := max(1, cfg.FlightRecorder/max(1, len(n.local)))
+			n.cfg.Obs.Recorder = obs.NewRecorder(ring, n.local...)
 		}
-		n.obsv.Flight.SetDumpHook(func() { n.DumpFlight() })
+		n.cfg.Obs.Recorder.SetDumpHook(func() { n.DumpFlight() })
 	}
 	n.ins = obs.NewInstruments(n.cfg.Obs.Registry(), cfg.Dec.N())
 	if r := n.cfg.Obs.Registry(); r != nil {

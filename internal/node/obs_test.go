@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"syncstamp/internal/decomp"
@@ -74,7 +75,7 @@ func exportClusterJSONL(t *testing.T) [][]byte {
 			meta.Frames = FrameMap(info.Frames)
 			meta.Overhead = &info.Overhead
 			var buf bytes.Buffer
-			if err := obs.WriteJSONL(&buf, meta, oses[i].Tracer.Events()); err != nil {
+			if err := obs.WriteJSONL(&buf, meta, oses[i].Recorder.Events()); err != nil {
 				errs[i] = err
 				return
 			}
@@ -164,12 +165,12 @@ func TestNodeObsDisabledHookAllocs(t *testing.T) {
 	defer n.Close()
 	stamp := vector.V{1}
 	allocs := testing.AllocsPerRun(200, func() {
-		n.obsv.Rendezvous(n.cfg.Node, 0, 1, obs.PhaseSyn, stamp)
-		t0 := n.obsv.Now()
-		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
+		n.cfg.Obs.Rendezvous(n.cfg.Node, 0, 1, obs.PhaseSyn, stamp)
+		t0 := n.cfg.Obs.Now()
+		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 		n.ins.SynAckNS.Observe(0)
 		n.ins.RecvBlockNS.Observe(0)
-		n.obsv.Rendezvous(n.cfg.Node, 0, 1, obs.PhaseAdopt, stamp)
+		n.cfg.Obs.Rendezvous(n.cfg.Node, 0, 1, obs.PhaseAdopt, stamp)
 		n.ins.Rendezvous.Add(1)
 		n.ins.Proc(0).Add(1)
 		n.ins.InternalEvents.Add(1)
@@ -178,5 +179,51 @@ func TestNodeObsDisabledHookAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs hooks allocated %v times per run, want 0", allocs)
+	}
+}
+
+// countingClock is an obs.Clock that counts its reads.
+type countingClock struct{ reads atomic.Int64 }
+
+func (c *countingClock) Now() int64 { return c.reads.Add(1) }
+
+// TestFlightOnlyObsReadsNoClock: a node whose Obs has a clock but no
+// registry, with the flight recorder on, records every rendezvous yet never
+// reads the clock — the latencies it would time have no histogram to go to.
+func TestFlightOnlyObsReadsNoClock(t *testing.T) {
+	leakCheck(t)
+	const rounds = 5
+	dec := decomp.Approximate(graph.Path(2))
+	transports := loopTransports(2)
+	var clock countingClock
+	oses := []*obs.Obs{{Clock: &clock}, {Clock: &clock}}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			n, err := New(Config{Node: i, Placement: []int{0, 1}, Dec: dec, Obs: oses[i], FlightRecorder: 64}, transports[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer n.Close()
+			_, errs[i] = n.Run(pingPong(rounds))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		// Each process sends and receives rounds times: SYN and ADOPT per
+		// send, MERGE and ACK per receive.
+		if got := oses[i].Recorder.Recorded(); got != 4*rounds {
+			t.Errorf("node %d recorded %d events, want %d", i, got, 4*rounds)
+		}
+	}
+	if got := clock.reads.Load(); got != 0 {
+		t.Fatalf("clock read %d times over %d sends, want 0", got, 2*rounds)
 	}
 }

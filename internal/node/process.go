@@ -88,8 +88,8 @@ func (p *Process) Send(q int) (vector.V, error) {
 	defer timer.Stop()
 
 	pre := p.clock.Current()
-	n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
-	t0 := n.obsv.Now()
+	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
+	t0 := n.cfg.Obs.Now()
 	seq := p.nextSeq()
 	var ack chan vector.V
 	var syn *wire.Frame
@@ -104,7 +104,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 			n.fail(err)
 			return nil, err
 		}
-		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
+		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 		ack = in.reply
 	} else {
 		ack = n.registerWaiter(p.id, seq)
@@ -122,14 +122,14 @@ func (p *Process) Send(q int) (vector.V, error) {
 			// Recovery mode: the link may be down mid-reconnect; the
 			// retransmissions below cover the lost first transmission.
 		}
-		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
+		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 	}
 
-	t1 := n.obsv.Now()
+	t1 := n.cfg.Obs.Now()
 	for {
 		select {
 		case stamp := <-ack:
-			n.ins.SynAckNS.Observe(n.obsv.Now() - t1)
+			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
 			if peer != nil {
 				// Feed the estimator. Karn's rule and the Eifel-style spurious
 				// check live in OnAck; an accepted sample is the full
@@ -152,7 +152,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 			if err := n.journalCommit(JournalRecord{Kind: journalSend, Proc: p.id, Peer: q, Seq: seq, Stamp: stamp}); err != nil {
 				return nil, err
 			}
-			n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseAdopt, stamp)
+			n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseAdopt, stamp)
 			n.ins.Rendezvous.Add(1)
 			n.ins.Proc(p.id).Add(1)
 			if n.ins.CausalTicks != nil {
@@ -210,13 +210,13 @@ func (p *Process) Recv() (Message, error) {
 		copy(p.stash, p.stash[1:])
 		p.stash = p.stash[:len(p.stash)-1]
 	} else {
-		t0 := p.n.obsv.Now()
+		t0 := p.n.cfg.Obs.Now()
 		select {
 		case in = <-p.n.mailboxes[p.id]:
 		case <-p.n.stop:
 			return Message{}, ErrStopped
 		}
-		p.n.ins.RecvBlockNS.Observe(p.n.obsv.Now() - t0)
+		p.n.ins.RecvBlockNS.Observe(p.n.cfg.Obs.Now() - t0)
 	}
 	return p.complete(in)
 }
@@ -243,7 +243,7 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 		}
 		exclC = p.n.exclusionCh()
 	}
-	t0 := p.n.obsv.Now()
+	t0 := p.n.cfg.Obs.Now()
 	for {
 		var in inbound
 		select {
@@ -258,7 +258,7 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 			continue
 		}
 		if in.from == from {
-			p.n.ins.RecvBlockNS.Observe(p.n.obsv.Now() - t0)
+			p.n.ins.RecvBlockNS.Observe(p.n.cfg.Obs.Now() - t0)
 			return p.complete(in)
 		}
 		p.stash = append(p.stash, in)
@@ -275,7 +275,7 @@ func (p *Process) complete(in inbound) (Message, error) {
 		p.n.fail(err)
 		return Message{}, err
 	}
-	p.n.obsv.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseMerge, stamp)
+	p.n.cfg.Obs.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseMerge, stamp)
 	// Write-ahead: the merge is journaled (and fsynced) before any ACK can
 	// leave the node, so a crash after this point re-ACKs from the restored
 	// dedup cache instead of merging twice.
@@ -305,7 +305,7 @@ func (p *Process) complete(in inbound) (Message, error) {
 			// will be answered from the dedup cache once the session resumes.
 		}
 	}
-	p.n.obsv.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseAck, stamp)
+	p.n.cfg.Obs.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseAck, stamp)
 	p.n.ins.Rendezvous.Add(1)
 	p.n.ins.Proc(p.id).Add(1)
 	p.log = append(p.log, csp.Record{Kind: csp.RecordRecv, Peer: in.from, Stamp: stamp})
@@ -323,7 +323,7 @@ func (p *Process) Internal(note string) {
 	p.n.ins.InternalEvents.Add(1)
 	// Guarded so the clock snapshot (a clone) only happens when a recorder
 	// is on.
-	if o := p.n.obsv; o != nil && (o.Tracer != nil || o.Flight != nil) {
-		o.Internal(p.n.cfg.Node, p.id, p.clock.Current(), note)
+	if p.n.cfg.Obs.Recording() {
+		p.n.cfg.Obs.Internal(p.n.cfg.Node, p.id, p.clock.Current(), note)
 	}
 }

@@ -12,7 +12,7 @@ import (
 //
 //	/metrics        JSON snapshot of the metrics registry (expvar-style)
 //	/healthz        liveness probe
-//	/debug/flight   the flight recorder's ring, stamp-sorted JSON; ?dump=1
+//	/debug/flight   the recorder's held events, stamp-sorted JSON; ?dump=1
 //	                additionally triggers the runtime's dump-to-disk hook
 //	/debug/pprof/*  the standard pprof profiles
 //
@@ -21,16 +21,10 @@ import (
 func Handler(o *Obs) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var snap Snapshot
-		if o != nil {
-			snap = o.Metrics.Snapshot()
-		} else {
-			snap = (*Registry)(nil).Snapshot()
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(snap); err != nil {
+		if err := enc.Encode(o.Registry().Snapshot()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -39,21 +33,18 @@ func Handler(o *Obs) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		var fl *Flight
-		if o != nil {
-			fl = o.Flight
-		}
-		if fl == nil {
+		if !o.Recording() {
 			http.Error(w, "flight recorder disabled", http.StatusNotFound)
 			return
 		}
 		dumped := false
 		if r.URL.Query().Get("dump") == "1" {
-			dumped = fl.RequestDump()
+			dumped = o.Recorder.RequestDump()
 		}
-		events := fl.Events()
+		events := o.Recorder.Events()
+		SortFlight(events)
 		out := flightJSON{
-			Recorded: fl.Recorded(),
+			Recorded: o.Recorder.Recorded(),
 			Held:     len(events),
 			Dumped:   dumped,
 			Events:   make([]evJSON, 0, len(events)),
@@ -81,8 +72,8 @@ func Handler(o *Obs) http.Handler {
 	return mux
 }
 
-// flightJSON is the /debug/flight response shape: the ring's accounting
-// plus its surviving events in the deterministic flight-dump order, each in
+// flightJSON is the /debug/flight response shape: the recorder's accounting
+// plus its held events in the deterministic flight-dump order, each in
 // the same record shape JSONL uses.
 type flightJSON struct {
 	Recorded uint64   `json:"recorded"`

@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the two runtimes: a metrics
 // registry (counters, gauges, bounded histograms) and a structured event
-// tracer that both internal/csp and internal/node feed, plus the exporters —
-// a deterministic JSONL sink, a Chrome trace_event file, and the /metrics,
-// /healthz, and pprof HTTP endpoints cmd/tsnode serves.
+// recorder that both internal/csp and internal/node feed, plus the
+// exporters — a deterministic JSONL sink, a Chrome trace_event file, the
+// flight dump order, and the /metrics, /healthz, /debug/flight and pprof
+// HTTP endpoints cmd/tsnode serves.
 //
 // The design dogfoods the paper: every trace event carries the event's
 // vector stamp, and cross-process ordering in the exported views is derived
@@ -25,7 +26,7 @@
 //
 // # Cost when disabled
 //
-// A nil *Obs (and nil *Counter, *Gauge, *Histogram, *Tracer) is the
+// A nil *Obs (and nil *Counter, *Gauge, *Histogram, *Recorder) is the
 // disabled state: every method is a no-op that performs zero allocations,
 // so the runtimes call the hooks unconditionally on their hot paths.
 package obs
@@ -69,24 +70,23 @@ func (m *Manual) Set(t int64) { m.t.Store(t) }
 // Advance moves the clock forward by d ticks and returns the new time.
 func (m *Manual) Advance(d int64) int64 { return m.t.Add(d) }
 
-// Obs bundles one run's observability surface: metrics, tracing, and the
-// clock latency measurements are taken on. A nil *Obs is fully disabled.
+// Obs bundles one run's observability surface: metrics, the event
+// recorder, and the clock latency measurements are taken on. A nil *Obs is
+// fully disabled.
 type Obs struct {
-	// Metrics is the run's registry; nil disables metrics.
+	// Metrics is the run's registry; nil disables metrics, and with them
+	// every clock read.
 	Metrics *Registry
-	// Tracer records structured events; nil disables tracing.
-	Tracer *Tracer
-	// Flight is the always-on ring of recent events, dumped on crash,
-	// peer loss, or an explicit trigger; nil disables it.
-	Flight *Flight
+	// Recorder keeps the run's structured events; nil disables recording.
+	Recorder *Recorder
 	// Clock times latency observations. Nil falls back to Wall.
 	Clock Clock
 }
 
-// New returns an enabled Obs with a fresh registry, a fresh tracer, and the
-// wall clock.
+// New returns an enabled Obs with a fresh registry, a recorder that keeps
+// every event, and the wall clock.
 func New() *Obs {
-	return &Obs{Metrics: NewRegistry(), Tracer: NewTracer(), Clock: Wall()}
+	return &Obs{Metrics: NewRegistry(), Recorder: NewRecorder(0), Clock: Wall()}
 }
 
 // Registry returns the metrics registry; nil when disabled, which the
@@ -98,9 +98,14 @@ func (o *Obs) Registry() *Registry {
 	return o.Metrics
 }
 
-// Now reads the clock; 0 when disabled.
+// Recording reports whether events are recorded. Callers check it before
+// building an event's inputs that cost something, such as a clock snapshot.
+func (o *Obs) Recording() bool { return o != nil && o.Recorder != nil }
+
+// Now reads the clock; 0 when there is no registry, since the latency it
+// would time has nowhere to go.
 func (o *Obs) Now() int64 {
-	if o == nil {
+	if o == nil || o.Metrics == nil {
 		return 0
 	}
 	if o.Clock == nil {
@@ -114,20 +119,14 @@ func (o *Obs) Now() int64 {
 // PhaseSyn, the agreed stamp for PhaseMerge/PhaseAck/PhaseAdopt). node is
 // the hosting node, or -1 for the in-process runtime.
 func (o *Obs) Rendezvous(node, proc, peer int, ph Phase, stamp vector.V) {
-	if o == nil || (o.Tracer == nil && o.Flight == nil) {
-		return
+	if o.Recording() {
+		o.Recorder.Record(Event{Node: node, Proc: proc, Peer: peer, Phase: ph, Stamp: stamp})
 	}
-	e := Event{Node: node, Proc: proc, Peer: peer, Phase: ph, Stamp: stamp}
-	o.Tracer.Emit(e)
-	o.Flight.Record(e)
 }
 
 // Internal records an internal event with the process's current vector.
 func (o *Obs) Internal(node, proc int, stamp vector.V, note string) {
-	if o == nil || (o.Tracer == nil && o.Flight == nil) {
-		return
+	if o.Recording() {
+		o.Recorder.Record(Event{Node: node, Proc: proc, Peer: -1, Phase: PhaseInternal, Stamp: stamp, Note: note})
 	}
-	e := Event{Node: node, Proc: proc, Peer: -1, Phase: PhaseInternal, Stamp: stamp, Note: note}
-	o.Tracer.Emit(e)
-	o.Flight.Record(e)
 }

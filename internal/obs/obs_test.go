@@ -20,7 +20,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
+	var rec *Recorder
 	var r *Registry
 	ev := Event{Proc: 1, Peer: 2, Phase: PhaseSyn, Stamp: stamp}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -30,10 +30,11 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		c.Add(1)
 		g.Set(7)
 		h.Observe(42)
-		tr.Emit(ev)
+		rec.Record(ev)
 		_ = c.Value()
 		_ = g.Value()
-		_ = tr.Len()
+		_ = rec.Events()
+		_ = rec.Recorded()
 		r.Counter("x").Add(1) // nil registry → nil counter → no-op
 	})
 	if allocs != 0 {
@@ -147,7 +148,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 
 func TestManualClock(t *testing.T) {
 	var m Manual
-	o := &Obs{Clock: &m}
+	o := &Obs{Metrics: NewRegistry(), Clock: &m}
 	if o.Now() != 0 {
 		t.Fatal("fresh manual clock must read 0")
 	}
@@ -158,11 +159,11 @@ func TestManualClock(t *testing.T) {
 	}
 }
 
-func TestTracerSeqPerProcess(t *testing.T) {
-	tr := NewTracer()
-	tr.Emit(Event{Proc: 1, Phase: PhaseSyn, Stamp: vector.V{1, 0}})
-	tr.Emit(Event{Proc: 0, Phase: PhaseMerge, Stamp: vector.V{1, 1}})
-	tr.Emit(Event{Proc: 1, Phase: PhaseAdopt, Stamp: vector.V{1, 1}})
+func TestRecorderSeqPerProcess(t *testing.T) {
+	tr := NewRecorder(0)
+	tr.Record(Event{Proc: 1, Phase: PhaseSyn, Stamp: vector.V{1, 0}})
+	tr.Record(Event{Proc: 0, Phase: PhaseMerge, Stamp: vector.V{1, 1}})
+	tr.Record(Event{Proc: 1, Phase: PhaseAdopt, Stamp: vector.V{1, 1}})
 	evs := tr.Events()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events", len(evs))
@@ -179,19 +180,19 @@ func TestTracerSeqPerProcess(t *testing.T) {
 	}
 }
 
-func TestTracerClonesStamp(t *testing.T) {
-	tr := NewTracer()
+func TestRecorderClonesStamp(t *testing.T) {
+	tr := NewRecorder(0)
 	stamp := vector.V{1, 0}
-	tr.Emit(Event{Proc: 0, Phase: PhaseSyn, Stamp: stamp})
+	tr.Record(Event{Proc: 0, Phase: PhaseSyn, Stamp: stamp})
 	stamp[0] = 99
 	if got := tr.Events()[0].Stamp[0]; got != 1 {
 		t.Fatalf("stamp not cloned: got %d", got)
 	}
 }
 
-// sampleTrace emits one two-process rendezvous plus an internal event into
-// two tracers with different interleavings; both must export identically.
-func sampleTrace() (*Tracer, *Tracer) {
+// sampleTrace records one two-process rendezvous plus an internal event into
+// two recorders with different interleavings; both must export identically.
+func sampleTrace() (*Recorder, *Recorder) {
 	a := []Event{
 		{Node: 0, Proc: 0, Peer: 1, Phase: PhaseSyn, Stamp: vector.V{1, 0}},
 		{Node: 0, Proc: 0, Peer: 1, Phase: PhaseAdopt, Stamp: vector.V{1, 1}},
@@ -201,20 +202,20 @@ func sampleTrace() (*Tracer, *Tracer) {
 		{Node: 1, Proc: 1, Peer: 0, Phase: PhaseMerge, Stamp: vector.V{1, 1}},
 		{Node: 1, Proc: 1, Peer: 0, Phase: PhaseAck, Stamp: vector.V{1, 1}},
 	}
-	t1, t2 := NewTracer(), NewTracer()
+	t1, t2 := NewRecorder(0), NewRecorder(0)
 	// Interleaving 1: all of proc 0, then proc 1.
 	for _, e := range a {
-		t1.Emit(e)
+		t1.Record(e)
 	}
 	for _, e := range b {
-		t1.Emit(e)
+		t1.Record(e)
 	}
 	// Interleaving 2: alternating.
-	t2.Emit(a[0])
-	t2.Emit(b[0])
-	t2.Emit(a[1])
-	t2.Emit(b[1])
-	t2.Emit(a[2])
+	t2.Record(a[0])
+	t2.Record(b[0])
+	t2.Record(a[1])
+	t2.Record(b[1])
+	t2.Record(a[2])
 	return t1, t2
 }
 

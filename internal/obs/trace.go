@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
@@ -92,59 +91,6 @@ type Event struct {
 	Stamp vector.V
 	// Note carries the internal event's payload.
 	Note string
-}
-
-// Tracer collects events from concurrently running processes. Emit is safe
-// for concurrent use; a nil *Tracer no-ops.
-type Tracer struct {
-	mu     sync.Mutex
-	events []Event
-	seq    map[int]int
-}
-
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{seq: make(map[int]int)}
-}
-
-// Emit records one event, assigning its per-process sequence number and
-// cloning the stamp (callers may reuse the backing array).
-func (t *Tracer) Emit(e Event) {
-	if t == nil {
-		return
-	}
-	e.Stamp = e.Stamp.Clone()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e.Seq = t.seq[e.Proc]
-	t.seq[e.Proc] = e.Seq + 1
-	t.events = append(t.events, e)
-}
-
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Events returns a copy of the recorded events in the canonical
-// deterministic order: by process, then per-process sequence. Because each
-// process's event sequence is interleaving-independent for a synchronous
-// computation, this order — and everything exported from it — is
-// byte-stable across runs.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	evs := append([]Event(nil), t.events...)
-	t.mu.Unlock()
-	SortEvents(evs)
-	return evs
 }
 
 // SortEvents sorts events into the canonical (proc, seq) order.
