@@ -39,10 +39,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Networking subsystem gate: the node runtime under the race detector plus
-# the tsnode integration test (real OS processes over localhost TCP).
+# Networking subsystem gate: the node runtime under the race detector, the
+# coalescing writer's determinism and end-of-run flush again on one CPU (the
+# scheduler shape DESIGN §12's flush yield exists for), plus the tsnode
+# integration test (real OS processes over localhost TCP).
 net-test:
 	$(GO) test -race ./internal/wire ./internal/node
+	GOMAXPROCS=1 $(GO) test -race -run 'TestCoalescingDeterminism|TestCloseDeliversInheritedFlush' ./internal/node
 	$(GO) test -race -run 'TestRunInProcessCluster|TestE2E' -v ./cmd/tsnode
 
 # Observability gate: the obs package (including the zero-alloc-when-

@@ -65,3 +65,32 @@ func TestAdoptRejections(t *testing.T) {
 		t.Fatal("accepted a stamp over an uncovered channel")
 	}
 }
+
+// TestAdoptCopiesIntoOwnVector pins Adopt's reuse: a warm Adopt allocates
+// nothing, and the clock keeps no alias of the stamp it adopted, so the
+// caller mutating the stamp afterwards leaves the clock unchanged.
+func TestAdoptCopiesIntoOwnVector(t *testing.T) {
+	dec := decomp.Best(graph.Path(3))
+	s, r := NewClock(0, dec), NewClock(1, dec)
+	stamp, err := r.Merge(s.Current(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(stamp, 1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Adopt(stamp, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm Adopt allocates %.1f objects, want 0", allocs)
+	}
+	want := stamp.Clone()
+	for k := range stamp {
+		stamp[k] += 100
+	}
+	if got := s.Current(); !vector.Eq(got, want) {
+		t.Fatalf("clock %v after the adopted stamp was mutated, want %v", got, want)
+	}
+}

@@ -85,7 +85,10 @@ func (c *Clock) Merge(remote vector.V, peer int) (vector.V, error) {
 // equivalent to the symmetric merge of Figure 5: the stamp is
 // max(v_self, v_peer) with the channel's component incremented, so it
 // dominates the local vector componentwise — Adopt rejects a stamp that
-// does not, since that indicates a protocol error or a corrupt frame.
+// does not, since that indicates a protocol error or a corrupt frame. The
+// stamp is copied into the clock's own vector, which Current and Merge
+// only ever hand out as clones, so the caller keeps the stamp and a warm
+// Adopt allocates nothing.
 func (c *Clock) Adopt(stamp vector.V, peer int) error {
 	if _, ok := c.dec.GroupOf(c.proc, peer); !ok {
 		return fmt.Errorf("core: channel (%d,%d) not covered by the edge decomposition", c.proc, peer)
@@ -96,7 +99,7 @@ func (c *Clock) Adopt(stamp vector.V, peer int) error {
 	if !vector.Leq(c.v, stamp) {
 		return fmt.Errorf("core: stamp %v does not dominate local vector %v", stamp, c.v)
 	}
-	c.v = stamp.Clone()
+	copy(c.v, stamp)
 	return nil
 }
 

@@ -3,7 +3,10 @@ package node
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -217,4 +220,66 @@ func TestCloseDeliversInheritedFlush(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatalf("peer did not receive the BYE: %v", err)
 	}
+}
+
+// countingTransport counts the Write calls on every stream it dials or
+// accepts.
+type countingTransport struct {
+	Transport
+	writes *atomic.Int64
+}
+
+func (t countingTransport) Dial(node int, deadline time.Time) (net.Conn, error) {
+	c, err := t.Transport.Dial(node, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, t.writes}, nil
+}
+
+func (t countingTransport) Accept() (net.Conn, error) {
+	c, err := t.Transport.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, t.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestTCPBatchesAtOneCPU pins the single-CPU scheduler trap of DESIGN §12
+// where it shows: a TCP socket write never blocks, so at GOMAXPROCS=1 a
+// flusher that did not yield would run its whole send before any other
+// sender could encode, and every frame would get a write of its own. The
+// Loop transport's pipe writes block and hide this. Sixteen concurrent
+// pairs over one TCP stream must share writes.
+func TestTCPBatchesAtOneCPU(t *testing.T) {
+	leakCheck(t)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	const pairs, rounds = 16, 100
+	dec, placement := benchMatching(pairs)
+	var writes atomic.Int64
+	ts := tcpTransports(t, 2)
+	for i := range ts {
+		ts[i] = countingTransport{ts[i], &writes}
+	}
+	frames := 0
+	for _, info := range runNodes(t, dec, placement, ts, benchPrograms(pairs, rounds)) {
+		f, _ := info.Frames.Total()
+		frames += f
+	}
+	perWrite := float64(frames) / float64(writes.Load())
+	if perWrite <= 2 {
+		t.Fatalf("%d frames in %d writes: %.2f frames per write at GOMAXPROCS=1, want more than 2", frames, writes.Load(), perWrite)
+	}
+	t.Logf("%d frames in %d writes: %.2f frames per write at GOMAXPROCS=1", frames, writes.Load(), perWrite)
 }

@@ -107,13 +107,14 @@ type Config struct {
 
 // inbound is one rendezvous request parked in a process's mailbox: the
 // sender's pre-merge vector, awaiting the receiver's merge. A local sender
-// parks on reply; a remote sender parks on the ACK frame the receiver's
-// node sends back.
+// parks on its reply slot, which travels here so the receiver can answer
+// into it; a remote sender parks on the ACK frame the receiver's node
+// sends back, which the sender's read loop answers into the same slot.
 type inbound struct {
 	from  int
 	seq   uint64
 	vec   vector.V
-	reply chan vector.V // nil for remote senders
+	reply chan answer // the local sender's reply slot; nil for remote senders
 }
 
 // peerConn is one established data connection to a peer node. The encoder
@@ -147,8 +148,9 @@ type peerConn struct {
 // write. Yielding first lets other runnable senders encode into the batch;
 // whoever decrements pending to zero last inherits the flush. With nothing
 // else runnable a yield returns immediately, so a lone send pays
-// nanoseconds.
-const flushYields = 4
+// nanoseconds. One yield is enough to batch at GOMAXPROCS=1, and every
+// further yield cost more CPU than it saved in writes (DESIGN §12).
+const flushYields = 1
 
 // send encodes one frame, serializing concurrent senders, and charges the
 // owning node's live wire-traffic counters (no-ops with obs disabled).
@@ -245,17 +247,17 @@ type Node struct {
 	failErr error
 
 	mu         sync.Mutex
-	conns      []*peerConn     // indexed by peer node; nil until connected
-	waiters    []chan vector.V // indexed by local sender process; nil unless a send is parked
-	waiterSeq  []uint64        // sequence number each parked sender expects its ACK to echo
-	retired    []*peerConn     // replaced or dead connections, kept for accounting
-	epochs     []int           // highest HELLO epoch used/seen per peer
-	excluded   []bool          // peers removed from the run (PeerLossExclude)
-	byeSeen    []bool          // peers that announced completion
-	byeFailed  []bool          // peers our own BYE provably did not reach
-	recovering []bool          // peers with a recoverPeer goroutine in flight
-	byeSent    bool            // this node announced completion
-	exclCh     chan struct{}   // closed+replaced on each exclusion (broadcast)
+	conns      []*peerConn   // indexed by peer node; nil until connected
+	waiters    []chan answer // indexed by hosted process: its reply slot, set by Run
+	waiterSeq  []uint64      // the sequence number each parked remote sender awaits; 0 when none is
+	retired    []*peerConn   // replaced or dead connections, kept for accounting
+	epochs     []int         // highest HELLO epoch used/seen per peer
+	excluded   []bool        // peers removed from the run (PeerLossExclude)
+	byeSeen    []bool        // peers that announced completion
+	byeFailed  []bool        // peers our own BYE provably did not reach
+	recovering []bool        // peers with a recoverPeer goroutine in flight
+	byeSent    bool          // this node announced completion
+	exclCh     chan struct{} // closed+replaced on each exclusion (broadcast)
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
 
@@ -352,7 +354,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 		tr:         tr,
 		stop:       make(chan struct{}),
 		conns:      make([]*peerConn, nodes),
-		waiters:    make([]chan vector.V, cfg.Dec.N()),
+		waiters:    make([]chan answer, cfg.Dec.N()),
 		waiterSeq:  make([]uint64, cfg.Dec.N()),
 		epochs:     make([]int, nodes),
 		excluded:   make([]bool, nodes),
@@ -667,9 +669,9 @@ func (n *Node) connect() error {
 // the run is live aborts the node.
 func (n *Node) readLoop(pc *peerConn) {
 	defer n.readersWG.Done()
+	var f wire.Frame // reused: only the decoded vector is fresh per frame
 	for {
-		f, err := pc.dec.Decode()
-		if err != nil {
+		if err := pc.dec.DecodeInto(&f); err != nil {
 			if n.stopped() {
 				return
 			}
@@ -689,7 +691,7 @@ func (n *Node) readLoop(pc *peerConn) {
 				return
 			}
 			if n.rec != nil {
-				reack, deliver := n.dedupCheck(f)
+				reack, deliver := n.dedupCheck(&f)
 				if !deliver {
 					if reack != nil {
 						// The merge committed but its ACK was lost: answer
@@ -717,21 +719,28 @@ func (n *Node) readLoop(pc *peerConn) {
 			}
 		case wire.KindAck:
 			n.mu.Lock()
-			var w chan vector.V
-			if f.To >= 0 && f.To < len(n.waiters) && n.waiterSeq[f.To] == f.Seq {
+			var w chan answer
+			if f.Seq != 0 && f.To >= 0 && f.To < len(n.waiters) && n.waiterSeq[f.To] == f.Seq {
 				w = n.waiters[f.To]
-				n.waiters[f.To] = nil
+				n.waiterSeq[f.To] = 0 // taken: a duplicate of this ACK finds no sender
 			}
 			n.mu.Unlock()
 			if w == nil {
 				// A sender whose rendezvous deadline expired has already
-				// cleared its waiter, and a duplicate ACK's sender has moved
-				// on to another sequence number — both are legitimate races,
-				// not protocol violations: count and keep reading.
+				// cleared its waiter, and a duplicate ACK's sender has already
+				// taken the first copy — both are legitimate races, not
+				// protocol violations: count and keep reading.
 				n.noteDropped()
 				continue
 			}
-			w <- f.Vec // buffered; the sender may have timed out, never blocks
+			// The slot is full only while it holds a late answer to a send
+			// its process abandoned; the process drops that answer as soon
+			// as it waits on its next send.
+			select {
+			case w <- answer{seq: f.Seq, stamp: f.Vec}:
+			case <-n.stop:
+				return
+			}
 		case wire.KindBye:
 			n.mu.Lock()
 			n.byeSeen[pc.node] = true
@@ -761,24 +770,23 @@ func (n *Node) noteDropped() {
 }
 
 // DroppedFrames reports how many frames the read loops have discarded so
-// far (late ACKs after a rendezvous timeout, unexpected kinds).
+// far (late or duplicate ACKs, unexpected kinds).
 func (n *Node) DroppedFrames() int64 { return n.dropped.Load() }
 
-// registerWaiter parks a sender: the next ACK addressed to proc and
-// echoing seq lands on the returned channel. Must be called before the SYN
-// is written, or the ACK could race past.
-func (n *Node) registerWaiter(proc int, seq uint64) chan vector.V {
-	ch := make(chan vector.V, 1)
+// registerWaiter parks a remote sender: the first ACK addressed to proc
+// and echoing seq lands in proc's reply slot, and clears the registration.
+// Must be called before the SYN is written, or the ACK could race past.
+func (n *Node) registerWaiter(proc int, seq uint64) {
 	n.mu.Lock()
-	n.waiters[proc] = ch
 	n.waiterSeq[proc] = seq
 	n.mu.Unlock()
-	return ch
 }
 
+// clearWaiter withdraws a remote sender's registration when it abandons
+// its send, so a late ACK is counted as dropped.
 func (n *Node) clearWaiter(proc int) {
 	n.mu.Lock()
-	n.waiters[proc] = nil
+	n.waiterSeq[proc] = 0
 	n.mu.Unlock()
 }
 
@@ -803,8 +811,8 @@ type RunInfo struct {
 	// included.
 	Frames wire.Stats
 	// Dropped counts frames the read loops discarded: late ACKs arriving
-	// after a rendezvous timeout and frame kinds unexpected on a data
-	// connection.
+	// after their sender gave up, duplicate ACKs, and frame kinds unexpected
+	// on a data connection.
 	Dropped int64
 	// Retransmits counts SYN frames re-sent after a retransmission timeout
 	// expired without the ACK (recovery mode only).
@@ -879,10 +887,13 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		if st := n.restored[p]; st != nil {
 			// Resume from the journal: the clock, log, and send sequence
 			// counter continue where the previous incarnation committed.
-			procs[i] = &Process{id: p, n: n, clock: st.clock, log: st.log, seq: st.seq}
+			procs[i] = &Process{id: p, n: n, clock: st.clock, log: st.log, seq: st.seq, reply: make(chan answer, 1)}
 		} else {
-			procs[i] = &Process{id: p, n: n, clock: core.NewClock(p, n.cfg.Dec)}
+			procs[i] = &Process{id: p, n: n, clock: core.NewClock(p, n.cfg.Dec), reply: make(chan answer, 1)}
 		}
+		n.mu.Lock()
+		n.waiters[p] = procs[i].reply
+		n.mu.Unlock()
 		prog := programs[p]
 		if prog == nil {
 			continue
@@ -897,6 +908,11 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		}(i, procs[i], prog)
 	}
 	wg.Wait()
+	for _, proc := range procs {
+		if proc.timer != nil {
+			proc.timer.Stop() // every Send has returned; leave no timer armed past Run
+		}
+	}
 
 	// Announce completion; peers' readers exit on our BYE, ours exit on
 	// theirs. Without recovery, waiting for the readers is the run's global

@@ -218,12 +218,12 @@ func TestLoopTriangleMixedPlacement(t *testing.T) {
 	}
 }
 
-func TestTCPPingPong(t *testing.T) {
-	leakCheck(t)
-	g := graph.Path(2)
-	dec := decomp.Best(g)
-	tcp := make([]*TCPTransport, 2)
-	addrs := make([]string, 2)
+// tcpTransports listens on one localhost TCP port per node and gives every
+// transport the full address list.
+func tcpTransports(t *testing.T, nodes int) []Transport {
+	t.Helper()
+	tcp := make([]*TCPTransport, nodes)
+	addrs := make([]string, nodes)
 	for i := range tcp {
 		tr, err := NewTCPTransport("127.0.0.1:0")
 		if err != nil {
@@ -232,12 +232,19 @@ func TestTCPPingPong(t *testing.T) {
 		tcp[i] = tr
 		addrs[i] = tr.Addr()
 	}
-	transports := make([]Transport, len(tcp))
+	transports := make([]Transport, nodes)
 	for i, tr := range tcp {
 		tr.SetPeers(addrs)
 		transports[i] = tr
 	}
-	res, results, err := runCluster(dec, []int{0, 1}, transports, pingPong(25), Config{})
+	return transports
+}
+
+func TestTCPPingPong(t *testing.T) {
+	leakCheck(t)
+	g := graph.Path(2)
+	dec := decomp.Best(g)
+	res, results, err := runCluster(dec, []int{0, 1}, tcpTransports(t, 2), pingPong(25), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +254,45 @@ func TestTCPPingPong(t *testing.T) {
 		}
 	}
 	verifyAgainstSequential(t, res, dec, 50)
+}
+
+// TestSendDropsStaleAnswer leaves a late answer to an abandoned send in a
+// process's reply slot, as the read loop can after that send gave up with
+// ErrPeerLost. The next Send must drop it, count it, and return its own
+// stamp; the local receiver answering into the full slot waits until then.
+func TestSendDropsStaleAnswer(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	n, err := New(Config{Node: 0, Placement: []int{0, 0}, Dec: dec}, NewLoop(1).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var sent, received vector.V
+	info, err := n.Run(map[int]func(*Process) error{
+		0: func(p *Process) error {
+			stale := vector.New(dec.D())
+			stale[0] = 99
+			p.reply <- answer{seq: 99, stamp: stale}
+			var err error
+			sent, err = p.Send(1)
+			return err
+		},
+		1: func(p *Process) error {
+			m, err := p.Recv()
+			received = m.Stamp
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vector.Eq(sent, received) {
+		t.Fatalf("Send returned %v, the receiver agreed on %v", sent, received)
+	}
+	if info.Dropped != 1 {
+		t.Fatalf("info.Dropped = %d, want 1 (the stale answer)", info.Dropped)
+	}
 }
 
 // TestStopUnblocksParkedOps parks a receiver (no sender exists) and a

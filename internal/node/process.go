@@ -38,6 +38,40 @@ type Process struct {
 	// stash holds rendezvous requests taken off the mailbox while waiting
 	// for a specific sender in RecvFrom; their senders stay parked.
 	stash []inbound
+	// reply is the one slot every answer to this process's sends lands in,
+	// from a local receiver's complete or from the read loop's ACK.
+	reply chan answer
+	// timer bounds each Send's wait; every Send re-arms it (armTimer), and
+	// Run stops it once every program has returned.
+	timer *time.Timer
+}
+
+// answer is one reply to a send: the agreed stamp, tagged with the
+// sequence number of the send it answers, so that Send can drop a late
+// answer to a send it abandoned.
+type answer struct {
+	seq   uint64
+	stamp vector.V
+}
+
+// armTimer stops the process's timer, drains a tick it may have left in
+// its channel, and re-arms it to fire after d. The drain is what keeps a
+// reused timer sound under the pre-Go 1.23 timer semantics this module
+// builds with (go.mod says go 1.22): a timer that fired after an earlier
+// Send stopped reading it holds a stale tick that would end this Send's
+// wait at once.
+func (p *Process) armTimer(d time.Duration) {
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+		return
+	}
+	if !p.timer.Stop() {
+		select {
+		case <-p.timer.C:
+		default:
+		}
+	}
+	p.timer.Reset(d)
 }
 
 // nextSeq allocates the next send sequence number.
@@ -84,30 +118,26 @@ func (p *Process) Send(q int) (vector.V, error) {
 		lastWall = sendWall
 		wait = min(wait, peer.RetryIn(0))
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	p.armTimer(wait)
 
 	pre := p.clock.Current()
 	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
 	t0 := n.cfg.Obs.Now()
 	seq := p.nextSeq()
-	var ack chan vector.V
 	var syn *wire.Frame
 	if !remote {
-		in := inbound{from: p.id, seq: seq, vec: pre, reply: make(chan vector.V, 1)}
 		select {
-		case n.mailboxes[q] <- in:
+		case n.mailboxes[q] <- inbound{from: p.id, seq: seq, vec: pre, reply: p.reply}:
 		case <-n.stop:
 			return nil, ErrStopped
-		case <-timer.C:
+		case <-p.timer.C:
 			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
 			n.fail(err)
 			return nil, err
 		}
 		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
-		ack = in.reply
 	} else {
-		ack = n.registerWaiter(p.id, seq)
+		n.registerWaiter(p.id, seq)
 		syn = &wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
 		if err := n.sendToPeer(target, syn); err != nil {
 			if n.rec == nil {
@@ -128,7 +158,14 @@ func (p *Process) Send(q int) (vector.V, error) {
 	t1 := n.cfg.Obs.Now()
 	for {
 		select {
-		case stamp := <-ack:
+		case a := <-p.reply:
+			if a.seq != seq {
+				// The answer to an earlier send this process abandoned
+				// (ErrPeerLost) arrived after it moved on.
+				n.noteDropped()
+				continue
+			}
+			stamp := a.stamp
 			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
 			if peer != nil {
 				// Feed the estimator. Karn's rule and the Eifel-style spurious
@@ -165,7 +202,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 				n.clearWaiter(p.id)
 			}
 			return nil, ErrStopped
-		case <-timer.C:
+		case <-p.timer.C:
 			if peer == nil || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
 				if remote {
 					n.clearWaiter(p.id)
@@ -189,7 +226,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 			retry := peer.RetryIn(attempts)
 			n.ins.BackoffNS.Observe(int64(retry))
 			// The channel was just drained, so Reset cannot leave a stale tick.
-			timer.Reset(min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
+			p.timer.Reset(min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
 		case <-exclC:
 			if n.isExcluded(target) {
 				n.clearWaiter(p.id)
@@ -283,7 +320,13 @@ func (p *Process) complete(in inbound) (Message, error) {
 		return Message{}, err
 	}
 	if in.reply != nil {
-		in.reply <- stamp // buffered; the sender is parked on it
+		// The sender is parked on its slot; the slot is full only while it
+		// still holds a late answer the sender is about to drop.
+		select {
+		case in.reply <- answer{seq: in.seq, stamp: stamp}:
+		case <-p.n.stop:
+			return Message{}, ErrStopped
+		}
 	} else {
 		if p.n.rec != nil {
 			p.n.noteMerged(in.from, in.seq, p.id, stamp)

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -353,6 +354,48 @@ func TestDedupCacheReusesStamp(t *testing.T) {
 	}
 }
 
+// fakePeer plays node 1 of a two-node run against a real node 0 over l: it
+// dials node 0 (higher dials lower), exchanges HELLOs, hands the raw codec
+// pair to script, and reports script's error on the returned channel.
+func fakePeer(l *Loop, dec *decomp.Decomposition, placement []int,
+	script func(enc *wire.Encoder, wdec *wire.Decoder) error) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			c, err := l.Transport(1).Dial(0, time.Now().Add(5*time.Second))
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			enc := wire.NewEncoder(c, dec.D())
+			wdec := wire.NewDecoder(c, dec.D())
+			digest := wire.Digest(dec, placement)
+			if err := enc.Encode(&wire.Frame{Kind: wire.KindHello, Role: wire.RoleData, Node: 1, Procs: []int{1}, Digest: digest}); err != nil {
+				return err
+			}
+			if _, err := wdec.Decode(); err != nil { // node 0's HELLO reply
+				return err
+			}
+			return script(enc, wdec)
+		}()
+	}()
+	return done
+}
+
+// answerSyn reads process 0's next SYN and merges it into clock, the
+// Figure 5 receive of fake process 1.
+func answerSyn(wdec *wire.Decoder, clock *core.Clock) (seq uint64, stamp vector.V, err error) {
+	f, err := wdec.Decode()
+	if err != nil {
+		return 0, nil, err
+	}
+	if f.Kind != wire.KindSyn {
+		return 0, nil, fmt.Errorf("read %v, want SYN", f.Kind)
+	}
+	stamp, err = clock.Merge(f.Vec, 0)
+	return f.Seq, stamp, err
+}
+
 // TestLateAckAndUnexpectedKindsCounted drives node 0 against a hand-rolled
 // wire peer that misbehaves before cooperating: an unsolicited ACK no sender
 // is parked for and an INTERNAL frame on the data stream. Both must be
@@ -372,55 +415,29 @@ func TestLateAckAndUnexpectedKindsCounted(t *testing.T) {
 	}
 	defer n.Close()
 
-	peerErr := make(chan error, 1)
-	go func() {
-		peerErr <- func() error {
-			// Fake node 1: dial node 0 (higher dials lower) and speak raw wire.
-			c, err := l.Transport(1).Dial(0, time.Now().Add(5*time.Second))
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			enc := wire.NewEncoder(c, dec.D())
-			wdec := wire.NewDecoder(c, dec.D())
-			digest := wire.Digest(dec, placement)
-			if err := enc.Encode(&wire.Frame{Kind: wire.KindHello, Role: wire.RoleData, Node: 1, Procs: []int{1}, Digest: digest}); err != nil {
-				return err
-			}
-			if _, err := wdec.Decode(); err != nil { // node 0's HELLO reply
-				return err
-			}
-			// Misbehave: a late ACK (no waiter is parked for seq 99) and an
-			// INTERNAL frame, which never belongs on a data stream.
-			if err := enc.Encode(&wire.Frame{Kind: wire.KindAck, From: 1, To: 0, Seq: 99, Vec: core.NewClock(1, dec).Current()}); err != nil {
-				return err
-			}
-			if err := enc.Encode(&wire.Frame{Kind: wire.KindInternal, Node: 1, Vec: core.NewClock(1, dec).Current()}); err != nil {
-				return err
-			}
-			// Now cooperate: answer proc 0's SYN with the Figure 5 merge.
-			clock := core.NewClock(1, dec)
-			f, err := wdec.Decode()
-			if err != nil {
-				return err
-			}
-			if f.Kind != wire.KindSyn {
-				return err
-			}
-			stamp, err := clock.Merge(f.Vec, 0)
-			if err != nil {
-				return err
-			}
-			if err := enc.Encode(&wire.Frame{Kind: wire.KindAck, From: 1, To: 0, Seq: f.Seq, Vec: stamp}); err != nil {
-				return err
-			}
-			if err := enc.Encode(&wire.Frame{Kind: wire.KindBye}); err != nil {
-				return err
-			}
-			_, _ = wdec.Decode() // node 0's BYE
-			return nil
-		}()
-	}()
+	peerErr := fakePeer(l, dec, placement, func(enc *wire.Encoder, wdec *wire.Decoder) error {
+		// Misbehave: a late ACK (no waiter is parked for seq 99) and an
+		// INTERNAL frame, which never belongs on a data stream.
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindAck, From: 1, To: 0, Seq: 99, Vec: core.NewClock(1, dec).Current()}); err != nil {
+			return err
+		}
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindInternal, Node: 1, Vec: core.NewClock(1, dec).Current()}); err != nil {
+			return err
+		}
+		// Now cooperate: answer proc 0's SYN with the Figure 5 merge.
+		seq, stamp, err := answerSyn(wdec, core.NewClock(1, dec))
+		if err != nil {
+			return err
+		}
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindAck, From: 1, To: 0, Seq: seq, Vec: stamp}); err != nil {
+			return err
+		}
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindBye}); err != nil {
+			return err
+		}
+		_, _ = wdec.Decode() // node 0's BYE
+		return nil
+	})
 
 	info, err := n.Run(map[int]func(*Process) error{
 		0: func(p *Process) error {
@@ -439,6 +456,77 @@ func TestLateAckAndUnexpectedKindsCounted(t *testing.T) {
 	}
 	if got := o.Registry().Counter(obs.MetricDroppedFrames).Value(); got != 2 {
 		t.Fatalf("%s = %d, want 2", obs.MetricDroppedFrames, got)
+	}
+}
+
+// TestDuplicateAckNeverAnswersNextSend has the fake peer answer SYN 1 with
+// its ACK twice before answering SYN 2 with a later stamp. The read loop
+// clears a sender's registration when it takes the ACK, so the duplicate
+// must be counted as dropped, and the second Send must return ACK 2's stamp
+// rather than the duplicate's.
+func TestDuplicateAckNeverAnswersNextSend(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	placement := []int{0, 1}
+	l := NewLoop(2)
+	n, err := New(Config{Node: 0, Placement: placement, Dec: dec}, l.Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	acked := make(chan vector.V, 2)
+	peerErr := fakePeer(l, dec, placement, func(enc *wire.Encoder, wdec *wire.Decoder) error {
+		clock := core.NewClock(1, dec)
+		for syn := 1; syn <= 2; syn++ {
+			seq, stamp, err := answerSyn(wdec, clock)
+			if err != nil {
+				return err
+			}
+			copies := 1
+			if syn == 1 {
+				copies = 2
+			}
+			for i := 0; i < copies; i++ {
+				if err := enc.Encode(&wire.Frame{Kind: wire.KindAck, From: 1, To: 0, Seq: seq, Vec: stamp}); err != nil {
+					return err
+				}
+			}
+			acked <- stamp
+		}
+		if err := enc.Encode(&wire.Frame{Kind: wire.KindBye}); err != nil {
+			return err
+		}
+		_, _ = wdec.Decode() // node 0's BYE
+		return nil
+	})
+
+	var got [2]vector.V
+	info, err := n.Run(map[int]func(*Process) error{
+		0: func(p *Process) error {
+			for i := range got {
+				stamp, err := p.Send(1)
+				if err != nil {
+					return err
+				}
+				got[i] = stamp
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatalf("fake peer: %v", err)
+	}
+	for i := range got {
+		if want := <-acked; !vector.Eq(got[i], want) {
+			t.Fatalf("send %d returned %v, want ACK %d's stamp %v", i+1, got[i], i+1, want)
+		}
+	}
+	if info.Dropped != 1 {
+		t.Fatalf("info.Dropped = %d, want 1 (the duplicate ACK)", info.Dropped)
 	}
 }
 

@@ -188,9 +188,9 @@ func (n *Node) readReport(rc *reportConn, sink func(proc int, rec csp.Record) er
 	owns := func(p int) bool {
 		return p >= 0 && p < len(n.cfg.Placement) && n.cfg.Placement[p] == rc.node
 	}
+	var f wire.Frame // reused: the vector and Metrics it carries are fresh per frame
 	for {
-		f, err := rc.dec.Decode()
-		if err != nil {
+		if err := rc.dec.DecodeInto(&f); err != nil {
 			return fmt.Errorf("node %d: report from node %d: %w", n.cfg.Node, rc.node, err)
 		}
 		switch f.Kind {

@@ -96,9 +96,10 @@ func TestEncodeZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeAllocsPinned pins the steady-state decode path at its designed
-// budget: one Frame and one vector per SYN/ACK, nothing else. The baseline
-// is a separate array updated in place, so delta decoding allocates no
-// scratch.
+// budget: one vector per SYN/ACK decoded into a reused Frame (DecodeInto,
+// internal/node's read loops), plus the Frame itself through Decode. The
+// baseline is a separate array updated in place, so delta decoding
+// allocates no scratch.
 func TestDecodeAllocsPinned(t *testing.T) {
 	const frames = 256
 	var buf bytes.Buffer
@@ -125,6 +126,15 @@ func TestDecodeAllocsPinned(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("warm SYN decode allocates %.1f objects per frame, want <= 2 (Frame + vector)", allocs)
+		t.Fatalf("warm SYN Decode allocates %.1f objects per frame, want <= 2 (Frame + vector)", allocs)
+	}
+	var f Frame
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := dec.DecodeInto(&f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("warm SYN DecodeInto allocates %.1f objects per frame, want <= 1 (the vector)", allocs)
 	}
 }

@@ -439,28 +439,41 @@ func NewDecoder(r io.Reader, d int) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), d: d, last: make(map[pair]vector.V)}
 }
 
-// Decode reads the next frame. It returns io.EOF only at a clean frame
-// boundary; a stream truncated mid-frame is an ErrUnexpectedEOF-wrapping
-// error.
+// Decode reads the next frame into a fresh Frame. It returns io.EOF only
+// at a clean frame boundary; a stream truncated mid-frame is an
+// ErrUnexpectedEOF-wrapping error.
 func (d *Decoder) Decode() (*Frame, error) {
+	f := new(Frame)
+	if err := d.DecodeInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto reads the next frame into f, which a hot read loop reuses
+// across frames. Every field of f is reset first, so nothing of an earlier
+// frame survives; the slices and the Metrics a frame carries are fresh
+// allocations the caller may keep. Errors are those of Decode.
+func (d *Decoder) DecodeInto(f *Frame) error {
+	*f = Frame{}
 	size, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("wire: read header: %w", err)
+		return fmt.Errorf("wire: read header: %w", err)
 	}
 	if size == 0 || size > MaxFrame {
-		return nil, fmt.Errorf("wire: implausible frame size %d", size)
+		return fmt.Errorf("wire: implausible frame size %d", size)
 	}
 	if cap(d.buf) < int(size) {
 		d.buf = make([]byte, size)
 	}
 	payload := d.buf[:size]
 	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return nil, fmt.Errorf("wire: read payload: %w", err)
+		return fmt.Errorf("wire: read payload: %w", err)
 	}
-	return d.parse(payload)
+	return d.parse(payload, f)
 }
 
 // reader walks a payload with bounds checking.
@@ -536,60 +549,60 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *Decoder) parse(payload []byte) (*Frame, error) {
+func (d *Decoder) parse(payload []byte, f *Frame) error {
 	r := &reader{b: payload}
 	kb, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := &Frame{Kind: Kind(kb)}
+	f.Kind = Kind(kb)
 	switch f.Kind {
 	case KindHello:
 		if f.Role, err = r.byte(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Node, err = r.intField("node", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Digest, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Epoch, err = r.intField("epoch", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.count("proc count", MaxProcs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Procs = make([]int, count)
 		for i := range f.Procs {
 			if f.Procs[i], err = r.intField("proc", 1<<31); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindSyn, KindAck:
 		if f.From, err = r.intField("from", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.To, err = r.intField("to", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Seq, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Vec, err = d.readVec(r, f.From, f.To); err != nil {
-			return nil, err
+			return err
 		}
 	case KindInternal:
 		if f.Proc, err = r.intField("proc", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		n, err := r.intField("note length", MaxNote)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.off+n > len(r.b) {
-			return nil, fmt.Errorf("wire: note of %d bytes overruns frame", n)
+			return fmt.Errorf("wire: note of %d bytes overruns frame", n)
 		}
 		f.Note = string(r.b[r.off : r.off+n])
 		r.off += n
@@ -598,35 +611,35 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 	case KindMetrics:
 		m := &Metrics{}
 		if m.Node, err = r.intField("node", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if m.Counters, err = readMetricValues(r, "counter"); err != nil {
-			return nil, err
+			return err
 		}
 		if m.Gauges, err = readMetricValues(r, "gauge"); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.count("histogram count", MaxMetrics)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < count; i++ {
 			var h MetricHistogram
 			if h.Name, err = r.str("metric name", MaxNote); err != nil {
-				return nil, err
+				return err
 			}
 			if i > 0 && h.Name <= m.Histograms[i-1].Name {
-				return nil, fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
+				return fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
 			}
 			edges, err := r.count("edge count", MaxEdges)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if edges > 0 {
 				h.Edges = make([]int64, edges)
 				for j := range h.Edges {
 					if h.Edges[j], err = r.varint(); err != nil {
-						return nil, err
+						return err
 					}
 				}
 			}
@@ -634,34 +647,34 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 			for j := range h.Counts {
 				c, err := r.uvarint()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if c > 1<<62 {
-					return nil, fmt.Errorf("wire: implausible bucket count %d", c)
+					return fmt.Errorf("wire: implausible bucket count %d", c)
 				}
 				h.Counts[j] = int64(c)
 			}
 			cnt, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if cnt > 1<<62 {
-				return nil, fmt.Errorf("wire: implausible histogram count %d", cnt)
+				return fmt.Errorf("wire: implausible histogram count %d", cnt)
 			}
 			h.Count = int64(cnt)
 			if h.Sum, err = r.varint(); err != nil {
-				return nil, err
+				return err
 			}
 			m.Histograms = append(m.Histograms, h)
 		}
 		f.Metrics = m
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", kb)
+		return fmt.Errorf("wire: unknown frame kind %d", kb)
 	}
 	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(r.b)-r.off, f.Kind)
+		return fmt.Errorf("wire: %d trailing bytes after %v frame", len(r.b)-r.off, f.Kind)
 	}
-	return f, nil
+	return nil
 }
 
 // readMetricValues decodes one sorted name/value list of a METRICS frame.
@@ -689,9 +702,10 @@ func readMetricValues(r *reader, what string) ([]MetricValue, error) {
 
 // readVec decodes a vector and advances the (from, to) baseline exactly as
 // the encoder did. The returned vector is a fresh allocation (internal/node
-// retains it past the next Decode); the baseline is a separate array
-// updated in place, so a warm SYN/ACK decode costs exactly the Frame and
-// the vector — bench_test.go pins it.
+// keeps it in mailboxes and logs past the next decode); the baseline is a
+// separate array updated in place, so a warm SYN/ACK costs exactly the
+// vector through DecodeInto and the vector plus the Frame through Decode —
+// bench_test.go pins both.
 func (d *Decoder) readVec(r *reader, from, to int) (vector.V, error) {
 	mode, err := r.byte()
 	if err != nil {

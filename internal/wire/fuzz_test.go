@@ -12,7 +12,9 @@ import (
 // FuzzDecodeFrame feeds arbitrary bytes to the decoder: it must never
 // panic, and every frame it accepts must re-encode and decode to the same
 // frame (on a fresh codec pair, so baselines restart at zero on both sides).
-// The target cannot see allocation; TestDecodeBoundsAllocation pins that a
+// A second decoder reads the same input into one reused Frame, pre-filled
+// from a HELLO, and must accept the same frames with equal results. The
+// target cannot see allocation; TestDecodeBoundsAllocation pins that a
 // short frame claiming a long list fails before allocating for it.
 func FuzzDecodeFrame(f *testing.F) {
 	seed := func(frames []*Frame, d int) []byte {
@@ -52,6 +54,16 @@ func FuzzDecodeFrame(f *testing.F) {
 				break
 			}
 			accepted = append(accepted, fr)
+		}
+		reused := NewDecoder(bytes.NewReader(in), d)
+		into := Frame{Kind: KindHello, Role: RoleReport, Node: 7, Procs: []int{1, 2}, Digest: 5, Epoch: 3}
+		for i, want := range accepted {
+			if err := reused.DecodeInto(&into); err != nil {
+				t.Fatalf("frame %d: Decode accepted it, DecodeInto failed: %v", i, err)
+			}
+			if !reflect.DeepEqual(&into, want) {
+				t.Fatalf("frame %d decoded into a reused Frame: got %+v, want %+v", i, into, *want)
+			}
 		}
 		if len(accepted) == 0 {
 			return

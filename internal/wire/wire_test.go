@@ -66,6 +66,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoLeavesNoStaleFields decodes frames of every shape into one
+// reused Frame: each result must equal a fresh Decode of the same bytes,
+// so no field of an earlier frame survives into a later one.
+func TestDecodeIntoLeavesNoStaleFields(t *testing.T) {
+	frames := []*Frame{
+		{Kind: KindHello, Role: RoleData, Node: 2, Procs: []int{3, 4}, Digest: 0xfeed, Epoch: 1},
+		{Kind: KindMetrics, Metrics: &Metrics{
+			Node:       2,
+			Counters:   []MetricValue{{Name: "c", Value: 7}},
+			Histograms: []MetricHistogram{{Name: "h", Edges: []int64{5}, Counts: []int64{1, 2}, Count: 3, Sum: 11}},
+		}},
+		{Kind: KindInternal, Proc: 4, Note: "checkpoint"},
+		{Kind: KindSyn, From: 3, To: 0, Seq: 9, Vec: vector.V{1, 0, 2}},
+		{Kind: KindBye},
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, 3)
+	for _, f := range frames {
+		if err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := buf.Bytes()
+	fresh := NewDecoder(bytes.NewReader(stream), 3)
+	reused := NewDecoder(bytes.NewReader(stream), 3)
+	var f Frame
+	for i := range frames {
+		want, err := fresh.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.DecodeInto(&f); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&f, want) {
+			t.Fatalf("frame %d (%v) decoded into a reused Frame: got %+v, want %+v", i, want.Kind, f, *want)
+		}
+	}
+}
+
 // TestDeltaBeatsDenseOnRepeatTraffic drives repeated same-pair exchanges —
 // the differential codec's favorable regime — and requires actual wire
 // bytes strictly below the dense cost, while round-tripping exactly.
