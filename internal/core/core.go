@@ -80,7 +80,7 @@ func (c *Clock) Merge(remote vector.V, peer int) (vector.V, error) {
 }
 
 // Adopt sets the clock to the agreed stamp of a rendezvous with peer that
-// the other side computed (the ACK of the internal/node wire protocol
+// the other side computed (the ACK of internal/node and internal/csp
 // carries the merged stamp rather than the pre-merge vector). Adopting is
 // equivalent to the symmetric merge of Figure 5: the stamp is
 // max(v_self, v_peer) with the channel's component incremented, so it
@@ -103,27 +103,38 @@ func (c *Clock) Adopt(stamp vector.V, peer int) error {
 	return nil
 }
 
+// GroupMap is all the online algorithm needs of an edge decomposition: the
+// process count N, the group count D (the vector size), and each channel's
+// group. *decomp.Decomposition satisfies it, and so do topologies too large
+// to materialize as one (internal/load's arithmetic client-server stars).
+type GroupMap interface {
+	N() int
+	D() int
+	GroupOf(a, b int) (int, bool)
+}
+
 // Stamper runs the online algorithm sequentially over a recorded
 // computation, exploiting the equivalence of synchronous computations with
 // instantaneous-message sequences: processing the global message sequence in
 // order performs exactly the exchanges the distributed algorithm performs.
+// StampMessage calls on disjoint process pairs may run concurrently, since
+// each touches only its two vectors; Extend must not overlap any call.
 type Stamper struct {
-	dec    *decomp.Decomposition
+	groups GroupMap
 	clocks []vector.V
 }
 
-// NewStamper returns a Stamper for n processes under the given
-// decomposition (n must equal dec.N()).
-func NewStamper(dec *decomp.Decomposition) *Stamper {
-	clocks := make([]vector.V, dec.N())
+// NewStamper returns a Stamper for groups.N() processes, all clocks zero.
+func NewStamper(groups GroupMap) *Stamper {
+	clocks := make([]vector.V, groups.N())
 	for i := range clocks {
-		clocks[i] = vector.New(dec.D())
+		clocks[i] = vector.New(groups.D())
 	}
-	return &Stamper{dec: dec, clocks: clocks}
+	return &Stamper{groups: groups, clocks: clocks}
 }
 
 // D returns the vector size in use (the decomposition size).
-func (s *Stamper) D() int { return s.dec.D() }
+func (s *Stamper) D() int { return s.groups.D() }
 
 // StampMessage performs the rendezvous of one message from one process to
 // another and returns its timestamp.
@@ -131,7 +142,7 @@ func (s *Stamper) StampMessage(from, to int) (vector.V, error) {
 	if from < 0 || from >= len(s.clocks) || to < 0 || to >= len(s.clocks) || from == to {
 		return nil, fmt.Errorf("core: invalid message %d->%d for %d processes", from, to, len(s.clocks))
 	}
-	g, ok := s.dec.GroupOf(from, to)
+	g, ok := s.groups.GroupOf(from, to)
 	if !ok {
 		return nil, fmt.Errorf("core: channel (%d,%d) not covered by the edge decomposition", from, to)
 	}
@@ -149,15 +160,20 @@ func (s *Stamper) ClockOf(p int) vector.V { return s.clocks[p].Clone() }
 // Extend switches the stamper to a grown decomposition (same d, same or
 // larger N — see decomp.Extends): new processes start with zero clocks and
 // every previously issued timestamp remains valid. This is the paper's
-// Section 3.3 scalability property in executable form.
+// Section 3.3 scalability property in executable form. Only a stamper built
+// on a *decomp.Decomposition can grow; any other group map is refused.
 func (s *Stamper) Extend(dec *decomp.Decomposition) error {
-	if err := decomp.Extends(s.dec, dec); err != nil {
+	cur, ok := s.groups.(*decomp.Decomposition)
+	if !ok {
+		return fmt.Errorf("core: cannot extend a stamper built on %T; only a decomposition grows", s.groups)
+	}
+	if err := decomp.Extends(cur, dec); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	for p := len(s.clocks); p < dec.N(); p++ {
 		s.clocks = append(s.clocks, vector.New(dec.D()))
 	}
-	s.dec = dec
+	s.groups = dec
 	return nil
 }
 

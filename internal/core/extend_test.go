@@ -119,3 +119,32 @@ func TestStamperExtendRejectsRegrouping(t *testing.T) {
 		t.Fatal("Extend accepted a regrouping")
 	}
 }
+
+// groupMap is a GroupMap that is not a *decomp.Decomposition, like the
+// analytic client-server topology of internal/load.
+type groupMap struct{ *decomp.Decomposition }
+
+// TestStamperExtendRefusesOtherGroupMaps: only a decomposition can grow, so
+// a stamper built on any other group map refuses Extend, even to the very
+// decomposition it wraps, and keeps stamping under its own map.
+func TestStamperExtendRefusesOtherGroupMaps(t *testing.T) {
+	dec := decomp.Approximate(graph.Star(4, 0))
+	if err := NewStamper(dec).Extend(dec); err != nil {
+		t.Fatalf("a decomposition stamper refused its own decomposition: %v", err)
+	}
+	s := NewStamper(groupMap{dec})
+	if err := s.Extend(dec); err == nil {
+		t.Fatal("Extend accepted a stamper built on a non-decomposition group map")
+	}
+	want, err := NewStamper(dec).StampMessage(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.StampMessage(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vector.Eq(got, want) {
+		t.Fatalf("stamp under the wrapped map %v, under the decomposition %v", got, want)
+	}
+}

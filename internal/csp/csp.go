@@ -24,12 +24,10 @@
 //	park until acknowledged  ◄──    ACK: the merged stamp (= v(m))
 //	adopt the stamp: v ← v(m)
 //
-// In csp the ACK carries the receiver's pre-merge vector and the sender
-// merges symmetrically; in node the ACK carries the merged stamp and the
-// sender adopts it. The two are equivalent — Figure 5's lines (5)-(6) and
-// (9)-(10) compute the same componentwise maximum on both sides — and both
-// runtimes log the identical agreed stamp on each side of the exchange,
-// which is the invariant Reconstruct's matching relies on.
+// Adopting the merged stamp is equivalent to Figure 5's symmetric merge —
+// lines (5)-(6) and (9)-(10) compute the same componentwise maximum on
+// both sides — and both sides log the identical agreed stamp, which is the
+// invariant Reconstruct's matching relies on.
 package csp
 
 import (
@@ -57,8 +55,8 @@ type Message struct {
 	Stamp   vector.V
 }
 
-// envelope travels on a process mailbox; ack carries the receiver's
-// pre-merge vector back to the sender (line (4) of Figure 5).
+// envelope travels on a process mailbox; ack carries the agreed stamp the
+// receiver's merge produced back to the sender, which adopts it.
 type envelope struct {
 	from    int
 	payload any
@@ -111,15 +109,14 @@ func (p *Process) Send(q int, payload any) (vector.V, error) {
 	}
 	t1 := p.sys.obsv.Now()
 	p.sys.ins.SendBlockNS.Observe(t1 - t0)
-	var peerV vector.V
+	var stamp vector.V
 	select {
-	case peerV = <-env.ack:
+	case stamp = <-env.ack:
 	case <-p.sys.stop:
 		return nil, ErrStopped
 	}
 	p.sys.ins.SynAckNS.Observe(p.sys.obsv.Now() - t1)
-	stamp, err := p.merge(peerV, q)
-	if err != nil {
+	if err := p.adopt(stamp, q); err != nil {
 		return nil, err
 	}
 	p.sys.obsv.Rendezvous(-1, p.id, q, obs.PhaseAdopt, stamp)
@@ -132,19 +129,31 @@ func (p *Process) Send(q int, payload any) (vector.V, error) {
 	return stamp, nil
 }
 
-// merge applies lines (5)-(6)/(9)-(10) of Figure 5, lazily rebasing the
-// clock when the channel belongs to a decomposition growth this process has
-// not observed yet (a peer that joined after the clock's snapshot).
+// merge applies lines (5)-(6)/(9)-(10) of Figure 5 on the receiver's side.
+// Like adopt, it retries once on the current decomposition when the
+// channel belongs to a growth this process has not observed yet (a peer
+// that joined after the clock's snapshot).
 func (p *Process) merge(remote vector.V, peer int) (vector.V, error) {
 	stamp, err := p.clock.Merge(remote, peer)
-	if err == nil {
-		return stamp, nil
+	if err != nil && p.rebase() {
+		return p.clock.Merge(remote, peer)
 	}
-	if rb := p.clock.Rebase(p.sys.dec.Load()); rb != nil {
-		return nil, err // not a growth issue; report the original error
-	}
-	return p.clock.Merge(remote, peer)
+	return stamp, err
 }
+
+// adopt takes the agreed stamp from the ACK on the sender's side.
+func (p *Process) adopt(stamp vector.V, peer int) error {
+	err := p.clock.Adopt(stamp, peer)
+	if err != nil && p.rebase() {
+		return p.clock.Adopt(stamp, peer)
+	}
+	return err
+}
+
+// rebase switches the clock to the current decomposition and reports
+// whether it could; when it cannot, the failure was not a growth issue and
+// the caller reports its original error.
+func (p *Process) rebase() bool { return p.clock.Rebase(p.sys.dec.Load()) == nil }
 
 // Recv blocks for the next incoming message from any peer, acknowledges it,
 // and returns it with its timestamp. Messages stashed by earlier RecvFrom
@@ -195,18 +204,19 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 	}
 }
 
-// complete performs the receiver's half of the Figure 5 exchange.
+// complete performs the receiver's half of the Figure 5 exchange: the merge
+// yields the stamp, which the ACK carries back to the sender.
 func (p *Process) complete(env envelope) (Message, error) {
-	// Acknowledge with the pre-merge local vector; the buffered ack channel
-	// cannot block (the sender is parked on it).
-	cur := p.clock.Current()
-	env.ack <- cur
-	p.sys.obsv.Rendezvous(-1, p.id, env.from, obs.PhaseAck, cur)
 	stamp, err := p.merge(env.v, env.from)
 	if err != nil {
+		// No ACK will come: stop the run so the parked sender returns.
+		p.sys.Stop()
 		return Message{}, err
 	}
 	p.sys.obsv.Rendezvous(-1, p.id, env.from, obs.PhaseMerge, stamp)
+	// The buffered ack channel cannot block (the sender is parked on it).
+	env.ack <- stamp
+	p.sys.obsv.Rendezvous(-1, p.id, env.from, obs.PhaseAck, stamp)
 	p.sys.ins.Rendezvous.Add(1)
 	p.sys.ins.Proc(p.id).Add(1)
 	p.log = append(p.log, Record{Kind: RecordRecv, Peer: env.from, Stamp: stamp})

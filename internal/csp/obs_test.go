@@ -116,6 +116,54 @@ func TestRunObsMetricsAndOracle(t *testing.T) {
 	}
 }
 
+// TestAckCarriesMergedStamp pins csp's ACK to node's: the receiver merges
+// first and acknowledges with the agreed stamp, which the sender adopts, so
+// every PhaseAck event repeats its process's preceding PhaseMerge stamp and
+// every PhaseAdopt stamp is one a receiver merged.
+func TestAckCarriesMergedStamp(t *testing.T) {
+	dec, programs := obsTestPrograms()
+	o := obs.New()
+	o.Clock = &obs.Manual{}
+	if _, err := RunObs(dec, programs, testTimeout, o); err != nil {
+		t.Fatal(err)
+	}
+	var merged []vector.V
+	var last vector.V // the current process's latest merge stamp
+	acks, adopts := 0, 0
+	events := o.Recorder.Events() // (proc, seq) order
+	for i, e := range events {
+		if i > 0 && e.Proc != events[i-1].Proc {
+			last = nil
+		}
+		switch e.Phase {
+		case obs.PhaseMerge:
+			last = e.Stamp
+			merged = append(merged, e.Stamp)
+		case obs.PhaseAck:
+			acks++
+			if last == nil || !vector.Eq(e.Stamp, last) {
+				t.Fatalf("process %d acked %d with %v; its preceding merge stamp is %v", e.Proc, e.Peer, e.Stamp, last)
+			}
+		}
+	}
+	for _, e := range events {
+		if e.Phase != obs.PhaseAdopt {
+			continue
+		}
+		adopts++
+		found := false
+		for _, m := range merged {
+			found = found || vector.Eq(e.Stamp, m)
+		}
+		if !found {
+			t.Fatalf("process %d adopted %v, which no receiver merged", e.Proc, e.Stamp)
+		}
+	}
+	if acks != 3 || adopts != 3 {
+		t.Fatalf("%d acks and %d adopts, want 3 of each (one per message)", acks, adopts)
+	}
+}
+
 // TestObsDisabledHookAllocs pins the acceptance criterion that a system
 // without SetObs pays zero allocations for the instrumentation added to the
 // rendezvous paths (the exact call sequence Send/complete/Recv execute).

@@ -86,7 +86,7 @@ func TestAsyncMatrixStampsMatchSequential(t *testing.T) {
 								t.Fatalf("node %d: %v", i, r.err)
 							}
 						}
-						if err := verifySequential(res, dec, tr.NumMessages()); err != nil {
+						if err := verifySequential(res, results, dec, tr.NumMessages()); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -239,7 +239,7 @@ func TestAsyncSuspicionExcludesUnresponsivePeer(t *testing.T) {
 	}
 	// The surviving computation still verifies: two committed messages,
 	// stamps equal to their sequential replay, victim components frozen.
-	if err := verifySequential(res, dec, 2); err != nil {
+	if err := verifySequential(res, results, dec, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -362,6 +362,6 @@ func TestPropAsyncExclusionPreservesFrozenStamps(t *testing.T) {
 		// Every committed message is one of the original trace; the extra
 		// rendezvous into the victim committed on the victim's side only and
 		// must not surface in the surviving reconstruction.
-		return verifySequential(res, dec, tr.NumMessages())
+		return verifySequential(res, results, dec, tr.NumMessages())
 	})
 }

@@ -125,8 +125,11 @@ func projectionPrograms(tr *trace.Trace) map[int]func(*node.Process) error {
 }
 
 // verifySequential checks a reconstructed faulty run against the fault-free
-// sequential Figure 5 replay, stamp for stamp, and against Theorem 4.
-func verifySequential(res *csp.Result, dec *decomp.Decomposition, wantMessages int) error {
+// sequential Figure 5 replay, stamp for stamp, and against Theorem 4. It
+// then streams the logs node 0 collected through a 2-leaf collector tree:
+// the streaming verifier must accept every run the oracle accepts, under
+// every fault schedule.
+func verifySequential(res *csp.Result, results []chaosResult, dec *decomp.Decomposition, wantMessages int) error {
 	if got := res.Trace.NumMessages(); got != wantMessages {
 		return fmt.Errorf("reconstructed %d messages, want %d (at-least-once delivery leaked a duplicate?)", got, wantMessages)
 	}
@@ -139,9 +142,53 @@ func verifySequential(res *csp.Result, dec *decomp.Decomposition, wantMessages i
 			return fmt.Errorf("message %d: faulty-run stamp %v, fault-free stamp %v", m, res.Stamps[m], seq[m])
 		}
 	}
-	return check.ExactMatch(res.Trace, func(m1, m2 int) bool {
+	if err := check.ExactMatch(res.Trace, func(m1, m2 int) bool {
 		return vector.Less(res.Stamps[m1], res.Stamps[m2])
-	})
+	}); err != nil {
+		return err
+	}
+	return verifyTree(results, dec, wantMessages)
+}
+
+// verifyTree feeds the logs of every node node 0 did not exclude — the
+// reports its Collect joined — through a collector tree and requires a
+// clean verdict over exactly wantMessages messages.
+func verifyTree(results []chaosResult, dec *decomp.Decomposition, wantMessages int) error {
+	excluded := make([]bool, len(results))
+	for _, j := range results[0].info.Excluded {
+		excluded[j] = true
+	}
+	logs := make([][]csp.Record, dec.N())
+	for j, r := range results {
+		if excluded[j] {
+			continue
+		}
+		for p, log := range r.info.Logs {
+			logs[p] = log
+		}
+	}
+	tree, err := node.NewCollectorTree(check.NewDecompTopology(dec), node.TreeConfig{Leaves: 2})
+	if err != nil {
+		return err
+	}
+	for p, log := range logs {
+		for _, rec := range log {
+			if err := tree.Ingest(p, rec); err != nil {
+				return err
+			}
+		}
+	}
+	v, err := tree.Finish()
+	if err != nil {
+		return err
+	}
+	if !v.OK {
+		return fmt.Errorf("collector tree rejected a run the oracle accepts: %v", v.Problems)
+	}
+	if v.Messages != int64(wantMessages) {
+		return fmt.Errorf("collector tree counts %d messages, want %d", v.Messages, wantMessages)
+	}
+	return nil
 }
 
 // TestChaosMatrixStampsMatchSequential is the tentpole's correctness gate:
@@ -184,7 +231,7 @@ func TestChaosMatrixStampsMatchSequential(t *testing.T) {
 						t.Fatalf("node %d: %v", i, r.err)
 					}
 				}
-				if err := verifySequential(res, dec, tr.NumMessages()); err != nil {
+				if err := verifySequential(res, results, dec, tr.NumMessages()); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -226,7 +273,7 @@ func TestChaosConnectionResetReconnects(t *testing.T) {
 	if reconnects == 0 {
 		t.Fatalf("connections were reset (%d) but no node recorded a reconnect", resets)
 	}
-	if err := verifySequential(res, dec, tr.NumMessages()); err != nil {
+	if err := verifySequential(res, results, dec, tr.NumMessages()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -290,7 +337,7 @@ func TestChaosExcludeKeepsSurvivorsStamping(t *testing.T) {
 	}
 	// Only the 0↔1 round-trip committed; the reconstruction must cover
 	// exactly it and stamp it as the fault-free replay would.
-	if err := verifySequential(res, dec, 2); err != nil {
+	if err := verifySequential(res, results, dec, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -316,7 +363,7 @@ func TestChaosDelayIsMaskedByRetransmission(t *testing.T) {
 			t.Fatalf("node %d: %v", i, r.err)
 		}
 	}
-	if err := verifySequential(res, dec, tr.NumMessages()); err != nil {
+	if err := verifySequential(res, results, dec, tr.NumMessages()); err != nil {
 		t.Fatal(err)
 	}
 }

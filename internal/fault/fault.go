@@ -399,15 +399,16 @@ func (c *faultConn) writeFrame(frame []byte) error {
 
 	t := c.t
 	lk := t.link(peer)
-	crash := t.noteSent()
+	if t.noteSent() && t.CrashFn != nil {
+		// The frame that reaches the threshold fires the crash whether or
+		// not its write succeeds: a write to a peer that just died must not
+		// cancel this node's scheduled crash. Deferred, so it runs after
+		// the link lock is released.
+		defer t.CrashFn()
+	}
 	if lk.rule == nil {
-		if _, err := c.Conn.Write(frame); err != nil {
-			return err
-		}
-		if crash && t.CrashFn != nil {
-			t.CrashFn()
-		}
-		return nil
+		_, err := c.Conn.Write(frame)
+		return err
 	}
 
 	lk.mu.Lock()
@@ -465,9 +466,6 @@ func (c *faultConn) writeFrame(frame []byte) error {
 	if f.reset {
 		t.resets.Add(1)
 		_ = c.Conn.Close()
-	}
-	if crash && t.CrashFn != nil {
-		t.CrashFn()
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func FuzzFaultPlan(f *testing.F) {
 				t.Fatalf("node %d: %v", i, r.err)
 			}
 		}
-		if err := verifySequential(res, dec, tr.NumMessages()); err != nil {
+		if err := verifySequential(res, results, dec, tr.NumMessages()); err != nil {
 			t.Fatal(err)
 		}
 	})

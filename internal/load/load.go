@@ -10,13 +10,13 @@
 // the gap between offered and achieved rate, and the latency percentiles
 // measured from each request's scheduled due time, are the signal.
 //
-// Clients are state, not goroutines: a client is a vector clock, a mutex,
-// and a position in its schedule, so millions fit where millions of
-// goroutines would not. A fixed pool of workers drives the schedules;
-// clients are partitioned across workers (client mod workers), which
-// preserves each client's program order without cross-worker coordination,
-// and servers are shared under their own locks. Workers = 1 is fully
-// deterministic: same config, same logs, same verdict.
+// Clients are state, not goroutines: a client is a mutex, its row of a
+// core.Stamper, and a position in its schedule, so millions fit where
+// millions of goroutines would not. A fixed pool of workers drives the
+// schedules; clients are partitioned across workers (client mod workers),
+// which preserves each client's program order without cross-worker
+// coordination, and servers are shared under their own locks. Workers = 1
+// is fully deterministic: same config, same logs, same verdict.
 package load
 
 import (
@@ -26,12 +26,12 @@ import (
 	"sync"
 	"time"
 
+	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
-	"syncstamp/internal/vector"
 )
 
 // Arrival selects the inter-arrival time distribution of a client's
@@ -168,20 +168,13 @@ type event struct {
 	server int
 }
 
-// clientState is a client's whole footprint: its clock, its lock, and its
-// log sequence. The lock order is always client before server, so the two
-// lock classes cannot deadlock.
-type clientState struct {
-	mu sync.Mutex
-	v  vector.V
-}
-
-// serverState is a server's footprint; its clock advances under its own
-// lock while the owning client's lock is held.
-type serverState struct {
-	mu sync.Mutex
-	v  vector.V
-}
+// clientState and serverState are a client's and a server's locks; their
+// clocks are rows of the run's stamper. The lock order is always client
+// before server, so the two lock classes cannot deadlock.
+type (
+	clientState struct{ mu sync.Mutex }
+	serverState struct{ mu sync.Mutex }
+)
 
 // schedules builds each worker's event list: every client's arrivals in
 // program order, merged across the worker's clients by due time. Merging
@@ -232,14 +225,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	st := core.NewStamper(topo)
 	clients := make([]clientState, cfg.Clients)
 	servers := make([]serverState, cfg.Servers)
-	for i := range clients {
-		clients[i].v = vector.New(topo.D())
-	}
-	for i := range servers {
-		servers[i].v = vector.New(topo.D())
-	}
 
 	var offered, achieved *obs.Counter
 	latency := obs.NewHistogram(obs.LatencyEdges)
@@ -278,7 +266,7 @@ func Run(cfg Config) (*Result, error) {
 				} else {
 					due = time.Now()
 				}
-				rendezvous(topo, &clients[e.client-cfg.Servers], &servers[e.server], tree, e)
+				rendezvous(st, &clients[e.client-cfg.Servers], &servers[e.server], tree, e)
 				latency.Observe(time.Since(due).Nanoseconds())
 				achieved.Add(1)
 			}
@@ -311,16 +299,12 @@ func Run(cfg Config) (*Result, error) {
 // rendezvous performs one Figure 5 exchange between a client and a server
 // and streams both halves into the tree. The client's lock is held across
 // the whole rendezvous (its program order), the server's only across the
-// clock merge and its own record (its program order is its lock order).
-func rendezvous(topo *Topology, c *clientState, s *serverState, tree *node.CollectorTree, e event) {
-	g := e.server // the channel's group is the server's star
+// stamp and its own record (its program order is its lock order); holding
+// both is what lets workers share the stamper.
+func rendezvous(st *core.Stamper, c *clientState, s *serverState, tree *node.CollectorTree, e event) {
 	c.mu.Lock()
 	s.mu.Lock()
-	stamp := c.v.Clone()
-	stamp.Max(s.v)
-	stamp[g]++
-	copy(c.v, stamp)
-	copy(s.v, stamp)
+	stamp, _ := st.StampMessage(e.client, e.server) // a client-server channel: never refused
 	// The server's receive half is ingested under its lock so the tree
 	// sees the server's records in the order its clock advanced.
 	_ = tree.Ingest(e.server, csp.Record{Kind: csp.RecordRecv, Peer: e.client, Stamp: stamp})

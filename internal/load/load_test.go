@@ -110,13 +110,17 @@ func TestLoadDeterministic(t *testing.T) {
 }
 
 // TestLoadConcurrentWorkers drives the same workload with a worker pool:
-// interleavings vary, but every stamp must still verify.
+// interleavings vary, but every stamp must still verify. The workers share
+// one core.Stamper, so the control cross-check holds the stamper's
+// concurrent use (disjoint pairs under the client and server locks) to the
+// sequential replay of whatever interleaving the run took.
 func TestLoadConcurrentWorkers(t *testing.T) {
-	res, err := Run(Config{
+	cfg := Config{
 		Servers: 4, Clients: 40, MessagesPerClient: 10,
 		ZipfTheta: 0.5, Seed: 3, Workers: 8,
-		Tree: node.TreeConfig{Leaves: 4},
-	})
+		Tree: node.TreeConfig{Leaves: 4, KeepLogs: true},
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +130,7 @@ func TestLoadConcurrentWorkers(t *testing.T) {
 	if res.Verdict.Messages != 400 {
 		t.Fatalf("verdict counts %d messages, drove 400", res.Verdict.Messages)
 	}
+	controlCrossCheck(t, NewTopology(cfg.Servers, cfg.Clients), res)
 }
 
 // TestLoadPacedRun: a paced run must finish near its offered horizon and

@@ -1,6 +1,6 @@
 // Sharded streaming collector tree.
 //
-// The legacy collect path (report.go) funnels every process's log into one
+// The flat collect path (report.go) funnels every process's log into one
 // collector that reconstructs the whole trace in memory — O(run) state,
 // which caps run size long before the hot path does. The tree splits the
 // work across leaf collectors, each owning a partition (shard) of the
@@ -23,11 +23,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"syncstamp/internal/check"
 	"syncstamp/internal/csp"
-	"syncstamp/internal/obs"
 	"syncstamp/internal/wire"
 )
 
@@ -105,10 +103,6 @@ type CollectorTree struct {
 	chans  []chan procRec
 	leaves []*leafCollector
 	wg     sync.WaitGroup
-
-	// rollup accumulates the healthy leaves' shard registries; Finish is
-	// its only writer.
-	rollup *obs.Registry
 }
 
 // leafCollector owns one shard: a verifier, a segment buffer, and a spill
@@ -123,14 +117,6 @@ type leafCollector struct {
 	segCap   int
 	keepLogs bool
 	logs     map[int][]csp.Record
-
-	// The leaf's own shard registry, merged into the root's rollup unless
-	// the leaf crashed; the resolved counters avoid a map lookup per
-	// record.
-	reg         *obs.Registry
-	recRecords  *obs.Counter
-	recSegments *obs.Counter
-	recSpill    *obs.Counter
 
 	records     int64
 	segments    int64
@@ -160,18 +146,14 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 			return nil, fmt.Errorf("node: collector spill dir: %w", err)
 		}
 	}
-	t := &CollectorTree{topo: topo, rollup: obs.NewRegistry()}
+	t := &CollectorTree{topo: topo}
 	for i := 0; i < cfg.Leaves; i++ {
 		l := &leafCollector{
 			ch:       make(chan procRec, 1024),
 			ver:      check.NewShardVerifier(topo, i),
 			segCap:   cfg.SegmentRecords,
 			keepLogs: cfg.KeepLogs,
-			reg:      obs.NewRegistry(),
 		}
-		l.recRecords = l.reg.Counter(obs.MetricShardRecords)
-		l.recSegments = l.reg.Counter(obs.MetricShardSegments)
-		l.recSpill = l.reg.Counter(obs.MetricShardSpillBytes)
 		if cfg.KeepLogs {
 			l.logs = make(map[int][]csp.Record)
 		}
@@ -244,15 +226,9 @@ func (t *CollectorTree) Finish() (*TreeVerdict, error) {
 		if l.maxResident > tv.MaxResident {
 			tv.MaxResident = l.maxResident
 		}
-		// A crashed leaf has no summary, so the root judges it missing,
-		// and its registry stays out of the rollup.
-		if l.sum == nil {
-			continue
-		}
+		// A crashed leaf has no summary (nil), so the root judges it
+		// missing.
 		sums[i] = l.sum
-		if err := t.rollup.Merge(l.reg.Snapshot()); err != nil {
-			return nil, err
-		}
 	}
 	verdict := check.CombineSummaries(t.topo, len(t.leaves), sums)
 	tv.OK = verdict.OK
@@ -262,11 +238,6 @@ func (t *CollectorTree) Finish() (*TreeVerdict, error) {
 	tv.Problems = verdict.Problems
 	return tv, nil
 }
-
-// Rollup snapshots the merged shard registries of the leaves that
-// reported. Valid after Finish; counters are exactly the sums over those
-// leaves' own registries (Registry.Merge adds counters).
-func (t *CollectorTree) Rollup() obs.Snapshot { return t.rollup.Snapshot() }
 
 // Logs merges the leaves' retained logs (KeepLogs mode) into the
 // per-process slice csp.Reconstruct takes.
@@ -311,7 +282,6 @@ func (l *leafCollector) ingest(pr procRec) {
 		l.crashed = true
 		return
 	}
-	l.recRecords.Add(1)
 	_ = l.ver.Ingest(pr.proc, pr.rec) // the verifier holds its first error for the summary
 	if l.keepLogs {
 		l.logs[pr.proc] = append(l.logs[pr.proc], pr.rec)
@@ -352,8 +322,6 @@ func (l *leafCollector) flushSegment() {
 	}
 	l.segments++
 	l.spillBytes += int64(n)
-	l.recSegments.Add(1)
-	l.recSpill.Add(int64(n))
 	l.seg = l.seg[:0]
 }
 
@@ -388,43 +356,4 @@ func ReadSpill(dir string, leaves, n int) ([][]csp.Record, error) {
 		}
 	}
 	return logs, nil
-}
-
-// CollectTree receives the peer nodes' reports exactly like Collect, but
-// streams every record through a collector tree instead of buffering the
-// run: shards verify incrementally, spill to disk, and the root's verdict
-// is the outcome — O(shard) collector memory instead of O(run). The
-// counters land in info (and /metrics when the node carries a registry).
-// A failed verdict is a result, not an error; errors are transport or
-// timeout failures.
-func (n *Node) CollectTree(info *RunInfo, timeout time.Duration, cfg TreeConfig) (*TreeVerdict, error) {
-	tree, err := NewCollectorTree(check.NewDecompTopology(n.cfg.Dec), cfg)
-	if err != nil {
-		return nil, err
-	}
-	serr := n.collectStream(info, timeout, tree.Ingest)
-	verdict, ferr := tree.Finish()
-	if serr != nil {
-		return nil, serr
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	info.SegmentsSpilled = verdict.SegmentsSpilled
-	info.SpillBytes = verdict.SpillBytes
-	info.ShardsVerified = int64(verdict.Shards)
-	if r := n.cfg.Obs.Registry(); r != nil {
-		r.Gauge(obs.MetricSegmentsSpilled).Set(verdict.SegmentsSpilled)
-		r.Gauge(obs.MetricSpillBytes).Set(verdict.SpillBytes)
-		r.Gauge(obs.MetricShardsVerified).Set(int64(verdict.Shards))
-	}
-	// Fold the tree's leaf registries into the same rollup the peer
-	// nodes' METRICS frames landed in, then publish the merged view.
-	if err := n.mergeMetrics(tree.Rollup()); err != nil {
-		return nil, err
-	}
-	if err := n.finishRollup(info); err != nil {
-		return nil, err
-	}
-	return verdict, nil
 }

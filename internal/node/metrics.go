@@ -11,12 +11,11 @@ import (
 //
 // A METRICS frame is a registry snapshot on the wire: reporting nodes ship
 // one ahead of their report's BYE (report.go), and the collecting root
-// merges them, together with the collector tree's leaf registries
-// (collector.go, in memory) — counters and gauges add, histograms merge
-// bucket-wise (obs.Registry.Merge is commutative and associative, so
-// arrival order cannot change the rollup). The merged view lands in the
-// root's own live registry, so its /metrics endpoint serves cluster totals,
-// and in RunInfo.Rollup for programmatic use.
+// merges them — counters and gauges add, histograms merge bucket-wise
+// (obs.Registry.Merge is commutative and associative, so arrival order
+// cannot change the rollup). The merged view lands in the root's own live
+// registry, so its /metrics endpoint serves cluster totals, and in
+// RunInfo.Rollup for programmatic use.
 
 // MetricsFromSnapshot renders a registry snapshot as the METRICS frame
 // payload, instrument names sorted — the codec enforces sortedness, which
@@ -86,10 +85,10 @@ func (n *Node) mergeMetrics(s obs.Snapshot) error {
 }
 
 // finishRollup completes a collect's metrics rollup: the accumulated peer
-// (and collector-tree leaf) snapshots are merged into this node's own
-// registry — /metrics now serves the cluster view — and the merged totals
-// are stamped into info.Rollup. With nothing reported and no local
-// registry, info.Rollup stays nil.
+// snapshots are merged into this node's own registry — /metrics now
+// serves the cluster view — and the merged totals are stamped into
+// info.Rollup. With nothing reported and no local registry, info.Rollup
+// stays nil.
 func (n *Node) finishRollup(info *RunInfo) error {
 	n.mu.Lock()
 	roll := n.rollup

@@ -830,20 +830,12 @@ type RunInfo struct {
 	// commit doing its job.
 	JournalAppends int64
 	JournalSyncs   int64
-	// SegmentsSpilled, SpillBytes, and ShardsVerified account the sharded
-	// collector tree (CollectTree only; all zero after a plain Collect):
-	// verified segments spilled to disk, their byte volume, and the shard
-	// summaries that reached the root.
-	SegmentsSpilled int64
-	SpillBytes      int64
-	ShardsVerified  int64
 	// Rollup is the cluster-wide metrics view the collector assembled
-	// (Collect/CollectTree on the collector node only; nil elsewhere):
-	// every reporting node's registry snapshot and every collector-tree
-	// leaf's shard registry, merged into this node's own metrics — counters
-	// and gauges add, histograms merge bucket-wise. The same totals are
-	// folded into the node's live registry, so /metrics serves the merged
-	// cluster view.
+	// (Collect on the collector node only; nil elsewhere): every reporting
+	// node's registry snapshot merged into this node's own metrics —
+	// counters and gauges add, histograms merge bucket-wise. The same
+	// totals are folded into the node's live registry, so /metrics serves
+	// the merged cluster view.
 	Rollup *obs.Snapshot
 	// Spurious and Suspicions are synchronizer totals (recovery mode only):
 	// retransmissions the Eifel-style detector proved unnecessary, and

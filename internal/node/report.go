@@ -75,12 +75,8 @@ func (n *Node) SendReport(collector int, info *RunInfo) error {
 // must be called on exactly one node, after Run, with that node's RunInfo;
 // timeout bounds the whole collection.
 func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*csp.Result, error) {
-	logs := make([][]csp.Record, n.cfg.Dec.N())
-	sink := func(p int, rec csp.Record) error {
-		logs[p] = append(logs[p], rec)
-		return nil
-	}
-	if err := n.collectStream(info, timeout, sink); err != nil {
+	logs, err := n.collectStream(info, timeout)
+	if err != nil {
 		return nil, err
 	}
 	if err := n.finishRollup(info); err != nil {
@@ -93,23 +89,19 @@ func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*csp.Result, error
 	return res, nil
 }
 
-// collectStream is the collect core both paths share: it feeds this node's
-// own logs and every peer report through sink record by record, each
-// process's records in program order, retaining nothing itself. Collect's
-// sink appends into per-process slices for whole-trace reconstruction;
-// CollectTree's routes records straight into a sharded verifier tree, so
-// the collector's memory stays O(shard) regardless of run size.
-func (n *Node) collectStream(info *RunInfo, timeout time.Duration, sink func(proc int, rec csp.Record) error) error {
+// collectStream gathers the run's per-process logs, appending this node's
+// own records and then every peer report's as its frames decode, each
+// process's records in program order.
+func (n *Node) collectStream(info *RunInfo, timeout time.Duration) ([][]csp.Record, error) {
 	n.start()
+	logs := make([][]csp.Record, n.cfg.Dec.N())
 	seen := make([]bool, n.cfg.Dec.N())
 	reported := make([]bool, n.nodes)
 	reported[n.cfg.Node] = true
 	for _, p := range n.local {
 		seen[p] = true
 		for _, rec := range info.Logs[p] {
-			if err := sink(p, rec); err != nil {
-				return err
-			}
+			logs[p] = append(logs[p], rec)
 		}
 	}
 	// Excluded peers never report: their processes count as reported with
@@ -137,28 +129,28 @@ func (n *Node) collectStream(info *RunInfo, timeout time.Duration, sink func(pro
 		case rc = <-n.reports:
 		case <-n.stop:
 			if err := n.failure(); err != nil {
-				return err
+				return nil, err
 			}
-			return ErrStopped
+			return nil, ErrStopped
 		case <-timer.C:
-			return fmt.Errorf("node %d: %d of %d reports within %v, still waiting on node(s) %v",
+			return nil, fmt.Errorf("node %d: %d of %d reports within %v, still waiting on node(s) %v",
 				n.cfg.Node, got-1, want-1, timeout, missingNodes(reported))
 		}
 		if rc.node >= 0 && rc.node < len(reported) {
 			reported[rc.node] = true
 		}
-		if err := n.readReport(rc, sink, seen); err != nil {
-			_ = rc.c.Close()
-			return err
-		}
+		err := n.readReport(rc, logs, seen)
 		_ = rc.c.Close()
+		if err != nil {
+			return nil, err
+		}
 	}
 	for p, ok := range seen {
 		if !ok {
-			return fmt.Errorf("node %d: no report covered process %d", n.cfg.Node, p)
+			return nil, fmt.Errorf("node %d: no report covered process %d", n.cfg.Node, p)
 		}
 	}
-	return nil
+	return logs, nil
 }
 
 // missingNodes lists the straggler nodes a collect timeout is still waiting
@@ -173,9 +165,8 @@ func missingNodes(reported []bool) []int {
 	return m
 }
 
-// readReport streams one report into sink, frame by frame, without
-// buffering the peer's logs.
-func (n *Node) readReport(rc *reportConn, sink func(proc int, rec csp.Record) error, seen []bool) error {
+// readReport appends one report to logs, frame by frame.
+func (n *Node) readReport(rc *reportConn, logs [][]csp.Record, seen []bool) error {
 	for _, p := range rc.procs {
 		if p < 0 || p >= len(seen) {
 			return fmt.Errorf("node %d: report from node %d claims process %d, out of range", n.cfg.Node, rc.node, p)
@@ -198,23 +189,17 @@ func (n *Node) readReport(rc *reportConn, sink func(proc int, rec csp.Record) er
 			if !owns(f.From) {
 				return fmt.Errorf("node %d: report from node %d logs a send by foreign process %d", n.cfg.Node, rc.node, f.From)
 			}
-			if err := sink(f.From, csp.Record{Kind: csp.RecordSend, Peer: f.To, Stamp: f.Vec}); err != nil {
-				return err
-			}
+			logs[f.From] = append(logs[f.From], csp.Record{Kind: csp.RecordSend, Peer: f.To, Stamp: f.Vec})
 		case wire.KindAck:
 			if !owns(f.To) {
 				return fmt.Errorf("node %d: report from node %d logs a receive by foreign process %d", n.cfg.Node, rc.node, f.To)
 			}
-			if err := sink(f.To, csp.Record{Kind: csp.RecordRecv, Peer: f.From, Stamp: f.Vec}); err != nil {
-				return err
-			}
+			logs[f.To] = append(logs[f.To], csp.Record{Kind: csp.RecordRecv, Peer: f.From, Stamp: f.Vec})
 		case wire.KindInternal:
 			if !owns(f.Proc) {
 				return fmt.Errorf("node %d: report from node %d logs an internal event of foreign process %d", n.cfg.Node, rc.node, f.Proc)
 			}
-			if err := sink(f.Proc, csp.Record{Kind: csp.RecordInternal, Note: f.Note}); err != nil {
-				return err
-			}
+			logs[f.Proc] = append(logs[f.Proc], csp.Record{Kind: csp.RecordInternal, Note: f.Note})
 		case wire.KindMetrics:
 			if f.Metrics == nil {
 				return fmt.Errorf("node %d: empty METRICS frame in report from node %d", n.cfg.Node, rc.node)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
@@ -18,53 +17,14 @@ import (
 	"syncstamp/internal/vector"
 )
 
-// TestCollectorTreeRollupEqualsLeafTotals pins the rollup acceptance
-// criterion at the tree level: the root's merged registry must equal the sum
-// of the per-leaf shard registries — which count exactly what the verdict
-// counts, so equality is checkable without trusting the rollup path itself.
-func TestCollectorTreeRollupEqualsLeafTotals(t *testing.T) {
-	in := genSeed(t)
-	logs := oracleLogs(t, in)
-	records := 0
-	for _, l := range logs {
-		records += len(l)
-	}
-	dir := t.TempDir()
-	tree, err := NewCollectorTree(check.NewDecompTopology(in.Dec),
-		TreeConfig{Leaves: 3, SpillDir: dir, SegmentRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedTree(tree, logs)
-	v, err := tree.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.OK {
-		t.Fatalf("clean run rejected: %v", v.Problems)
-	}
-	roll := tree.Rollup()
-	if got := roll.Counters[obs.MetricShardRecords]; got != int64(records) {
-		t.Errorf("%s = %d, want %d (every ingested record, summed over leaves)",
-			obs.MetricShardRecords, got, records)
-	}
-	if got := roll.Counters[obs.MetricShardSegments]; got != v.SegmentsSpilled {
-		t.Errorf("%s = %d, verdict counts %d", obs.MetricShardSegments, got, v.SegmentsSpilled)
-	}
-	if got := roll.Counters[obs.MetricShardSpillBytes]; got != v.SpillBytes {
-		t.Errorf("%s = %d, verdict counts %d", obs.MetricShardSpillBytes, got, v.SpillBytes)
-	}
-}
-
-// TestCollectTreeClusterRollup runs a real 2-node cluster: node 1's METRICS
-// report and the collector leaves' shard registries must all land in node
-// 0's rollup, with exact counter sums, merged histograms, and the node's own
-// live registry (its /metrics view) equal to RunInfo.Rollup.
-func TestCollectTreeClusterRollup(t *testing.T) {
+// TestCollectClusterRollup runs a real 2-node cluster: node 1's METRICS
+// report must land in node 0's rollup, with exact counter sums, merged
+// histograms, and the node's own live registry (its /metrics view) equal to
+// RunInfo.Rollup.
+func TestCollectClusterRollup(t *testing.T) {
 	leakCheck(t)
 	g := graph.Path(2)
 	dec := decomp.Best(g)
-	dir := t.TempDir()
 	transports := loopTransports(2)
 	edges := []int64{10, 100}
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
@@ -75,7 +35,7 @@ func TestCollectTreeClusterRollup(t *testing.T) {
 		h.Observe(int64(1000 * (i + 1))) // overflow bucket on both
 	}
 
-	var verdict *TreeVerdict
+	var collected *csp.Result
 	var info0 *RunInfo
 	var collectErr error
 	results := make([]clusterResult, 2)
@@ -98,9 +58,7 @@ func TestCollectTreeClusterRollup(t *testing.T) {
 			}
 			if i == 0 {
 				info0 = info
-				verdict, collectErr = n.CollectTree(info, 10*time.Second, TreeConfig{
-					Leaves: 2, SpillDir: dir, SegmentRecords: 8,
-				})
+				collected, collectErr = n.Collect(info, 10*time.Second)
 			} else {
 				results[i].err = n.SendReport(0, info)
 			}
@@ -115,34 +73,21 @@ func TestCollectTreeClusterRollup(t *testing.T) {
 	if collectErr != nil {
 		t.Fatal(collectErr)
 	}
-	if !verdict.OK {
-		t.Fatalf("cluster run rejected: %v", verdict.Problems)
-	}
 	if info0.Rollup == nil {
-		t.Fatal("RunInfo.Rollup not populated by CollectTree")
+		t.Fatal("RunInfo.Rollup not populated by Collect")
 	}
 	roll := *info0.Rollup
 
-	// Exact counter equality: the custom counter sums across nodes, and the
-	// leaf shard counters sum to the verdict's totals.
+	// Exact counter equality: the custom counter sums across nodes.
 	if got := roll.Counters["rollup_test_total"]; got != 12 {
 		t.Errorf("rollup_test_total = %d, want 12 (5 from node 0 + 7 from node 1)", got)
-	}
-	if got := roll.Counters[obs.MetricShardRecords]; got != verdict.Records {
-		t.Errorf("%s = %d, verdict counts %d", obs.MetricShardRecords, got, verdict.Records)
-	}
-	if got := roll.Counters[obs.MetricShardSegments]; got != verdict.SegmentsSpilled {
-		t.Errorf("%s = %d, verdict counts %d", obs.MetricShardSegments, got, verdict.SegmentsSpilled)
-	}
-	if got := roll.Counters[obs.MetricShardSpillBytes]; got != verdict.SpillBytes {
-		t.Errorf("%s = %d, verdict counts %d", obs.MetricShardSpillBytes, got, verdict.SpillBytes)
 	}
 	// Both nodes ran the same program halves, so the per-node frame counters
 	// merged into a cluster total that covers every message twice (each
 	// rendezvous is observed by its sender and its receiver).
-	if got := roll.Counters[obs.MetricRendezvous]; got != 2*verdict.Messages {
-		t.Errorf("%s = %d, want %d (both ends of %d messages)",
-			obs.MetricRendezvous, got, 2*verdict.Messages, verdict.Messages)
+	msgs := int64(collected.Trace.NumMessages())
+	if got := roll.Counters[obs.MetricRendezvous]; got != 2*msgs {
+		t.Errorf("%s = %d, want %d (both ends of %d messages)", obs.MetricRendezvous, got, 2*msgs, msgs)
 	}
 
 	// Merged histogram: bucket-wise sums of the two nodes' observations.

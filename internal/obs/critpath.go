@@ -95,8 +95,8 @@ type critNode struct {
 
 // CriticalPath analyzes the completed work of the given events (merged from
 // one or more traces; any order). Only completed-work phases — adopt,
-// merge, internal — define DAG nodes; SYN/ACK pre-merge vectors are
-// protocol intermediates, not work. The result is identical for every
+// merge, internal — define DAG nodes; the SYN's pre-merge vector and the
+// ACK's copy of the merged stamp are protocol intermediates, not work. The result is identical for every
 // interleaving of the same computation.
 func CriticalPath(events []Event) *CritPath {
 	evs := append([]Event(nil), events...)

@@ -65,22 +65,6 @@ const (
 	// durable. Syncs well below appends is group commit at work; equal
 	// counts mean every batch held a single record (an uncontended journal).
 	MetricJournalSyncs = "journal_syncs_total"
-	// MetricSegmentsSpilled gauges the verified segments a sharded
-	// collector tree spilled to disk over a run (CollectTree only).
-	MetricSegmentsSpilled = "collector_segments_spilled_total"
-	// MetricSpillBytes gauges the byte volume of those spilled segments.
-	MetricSpillBytes = "collector_spill_bytes_total"
-	// MetricShardsVerified gauges the shard summaries that reached the
-	// collector tree's root — equal to the tree width on a healthy run.
-	MetricShardsVerified = "collector_shards_verified_total"
-	// MetricShardRecords, MetricShardSegments, and MetricShardSpillBytes
-	// are a collector-tree leaf's shard counters: records ingested,
-	// segments spilled, and spill bytes written. Each leaf counts into its
-	// own registry and the root merges the registries of the leaves that
-	// reported, so the root's rollup totals are exactly those leaves' sums.
-	MetricShardRecords    = "shard_records_total"
-	MetricShardSegments   = "shard_segments_total"
-	MetricShardSpillBytes = "shard_spill_bytes_total"
 	// MetricLoadOffered and MetricLoadAchieved count the messages a load
 	// driver scheduled versus the messages it completed; their per-second
 	// rates over the run window are the open-loop offered-vs-achieved

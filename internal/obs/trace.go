@@ -24,9 +24,8 @@ const (
 	// PhaseMerge: the receiver performed the Figure 5 merge; the event
 	// carries the agreed stamp v(m).
 	PhaseMerge
-	// PhaseAck: the receiver answered the sender (in internal/node the ACK
-	// carries the merged stamp; in internal/csp the ack precedes the merge
-	// and carries the receiver's pre-merge vector).
+	// PhaseAck: the receiver answered the sender with the merged stamp
+	// v(m), in both runtimes.
 	PhaseAck
 	// PhaseAdopt: the sender adopted the agreed stamp; the rendezvous is
 	// complete on its side.
@@ -86,8 +85,8 @@ type Event struct {
 	// Phase is the protocol step this event records.
 	Phase Phase
 	// Stamp is the vector the phase established: the pre-merge vector for
-	// PhaseSyn (and csp's PhaseAck), the agreed stamp v(m) for
-	// PhaseMerge/PhaseAdopt, the process's current vector for PhaseInternal.
+	// PhaseSyn, the agreed stamp v(m) for PhaseMerge/PhaseAck/PhaseAdopt,
+	// the process's current vector for PhaseInternal.
 	Stamp vector.V
 	// Note carries the internal event's payload.
 	Note string
