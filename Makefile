@@ -108,10 +108,8 @@ microbench:
 fuzz:
 	$(GO) test -fuzz=FuzzReadText -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzReadText -fuzztime=10s ./internal/graph
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzCompare -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzStampTrace -fuzztime=10s ./internal/core
-	$(GO) test -fuzz=FuzzVectorDelta -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -fuzz=FuzzNolint -fuzztime=10s ./internal/lint

@@ -8,11 +8,8 @@ import (
 	"sort"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
-	"syncstamp/internal/decomp"
 	"syncstamp/internal/obs"
-	"syncstamp/internal/vector"
 )
 
 // runTraceReport implements the trace-report subcommand: ingest one JSONL
@@ -51,7 +48,7 @@ func runTraceReport(args []string, stdout, stderr io.Writer) int {
 		len(files), nodes, dec.N(), dec.D())
 	fmt.Fprintf(stdout, "events: %d records — %d messages, %d internal events\n",
 		len(events), res.Trace.NumMessages(), len(res.Internal))
-	if err := verifyTrace(res, dec); err != nil {
+	if err := check.Verify(res, dec); err != nil {
 		return fail(fmt.Errorf("span ordering check failed: %w", err))
 	}
 	fmt.Fprintln(stdout, "verified: span stamps match the sequential replay and characterize the message order exactly")
@@ -66,27 +63,6 @@ func runTraceReport(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "chrome trace written to %s\n", *chromeOut)
 	}
 	return 0
-}
-
-// verifyTrace checks a reconstructed trace against its two oracles: the
-// sequential Figure 5 replay (byte-identical stamps) and the ground-truth
-// message poset (Theorem 4 comparability, via order.MessagePoset).
-func verifyTrace(res *csp.Result, dec *decomp.Decomposition) error {
-	seq, err := core.StampTrace(res.Trace, dec)
-	if err != nil {
-		return err
-	}
-	if len(seq) != len(res.Stamps) {
-		return fmt.Errorf("trace recorded %d stamps, sequential replay yields %d", len(res.Stamps), len(seq))
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			return fmt.Errorf("message %d: recorded stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-		}
-	}
-	return check.ExactMatch(res.Trace, func(m1, m2 int) bool {
-		return vector.Less(res.Stamps[m1], res.Stamps[m2])
-	})
 }
 
 // printCausalLatency buckets each send's causal latency (the stamp-sum

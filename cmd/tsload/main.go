@@ -35,12 +35,10 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/load"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
-	"syncstamp/internal/vector"
 )
 
 func main() {
@@ -191,16 +189,5 @@ func controlReplay(res *load.Result) error {
 	if int64(r.Trace.NumMessages()) != res.Messages {
 		return fmt.Errorf("replay reconstructed %d messages, run drove %d", r.Trace.NumMessages(), res.Messages)
 	}
-	seq, err := core.StampTrace(r.Trace, dec)
-	if err != nil {
-		return err
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], r.Stamps[m]) {
-			return fmt.Errorf("message %d: driven stamp %v, sequential stamp %v", m, r.Stamps[m], seq[m])
-		}
-	}
-	return check.ExactMatch(r.Trace, func(m1, m2 int) bool {
-		return vector.Less(r.Stamps[m1], r.Stamps[m2])
-	})
+	return check.Verify(r, dec)
 }

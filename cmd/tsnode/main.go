@@ -56,7 +56,6 @@ import (
 
 	"syncstamp/internal/check"
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/fault"
 	"syncstamp/internal/graph"
@@ -64,7 +63,6 @@ import (
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/topospec"
-	"syncstamp/internal/vector"
 )
 
 func main() {
@@ -355,7 +353,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  m%-3d %d->%d  %v\n", m, op.From, op.To, res.Stamps[m])
 	}
 	if *verify {
-		if err := verifyRun(res, dec); err != nil {
+		if err := check.Verify(res, dec); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, "verified: distributed stamps match the sequential replay and characterize the message order exactly")
@@ -383,27 +381,6 @@ func writeTrace(path string, nodeIdx int, dec *decomp.Decomposition, o *obs.Obs,
 		return err
 	}
 	return f.Close()
-}
-
-// verifyRun checks the distributed run against its two oracles: the
-// sequential Figure 5 replay (byte-identical stamps) and the ground-truth
-// message poset (Theorem 4 comparability, via order.MessagePoset).
-func verifyRun(res *csp.Result, dec *decomp.Decomposition) error {
-	seq, err := core.StampTrace(res.Trace, dec)
-	if err != nil {
-		return err
-	}
-	if len(seq) != len(res.Stamps) {
-		return fmt.Errorf("run produced %d stamps, sequential replay %d", len(res.Stamps), len(seq))
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			return fmt.Errorf("message %d: distributed stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-		}
-	}
-	return check.ExactMatch(res.Trace, func(m1, m2 int) bool {
-		return vector.Less(res.Stamps[m1], res.Stamps[m2])
-	})
 }
 
 // addExtraEdges adds "A-B" channels to a parsed topology.

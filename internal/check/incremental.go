@@ -15,9 +15,9 @@ import (
 // in, in O(shard) memory, instead of reconstructing the whole trace and
 // replaying it sequentially at the end.
 //
-// The sequential-replay oracle (core.StampTrace + ExactMatch) characterizes
-// a correct Figure 5 run by three facts, each of which has a local,
-// streaming form:
+// The sequential-replay oracle (Verify: core.StampTrace, then ExactMatch)
+// characterizes a correct Figure 5 run by three facts, each of which has a
+// local, streaming form:
 //
 //  1. Chain monotonicity. A process's consecutive message stamps are its
 //     clock values after each merge, so each stamp componentwise dominates

@@ -6,6 +6,8 @@ import (
 	"syncstamp/internal/chainclock"
 	"syncstamp/internal/cluster"
 	"syncstamp/internal/core"
+	"syncstamp/internal/csp"
+	"syncstamp/internal/decomp"
 	"syncstamp/internal/offline"
 	"syncstamp/internal/order"
 	"syncstamp/internal/poset"
@@ -143,6 +145,36 @@ func Compare(in *Input, names ...string) error {
 // claimed concurrency coincide with real concurrency.
 func ExactMatch(tr *trace.Trace, precedes PrecedesFunc) error {
 	return exactMatch(tr, order.MessagePoset(tr), precedes)
+}
+
+// Replay checks a run against the sequential replay oracle: the run must
+// carry exactly one stamp per message of its trace, each equal to the stamp
+// core.StampTrace assigns that message under dec. Internal-event stamps need
+// no comparison of their own: a run and the replay both derive them from
+// the message stamps through core.EventStamps.
+func Replay(res *csp.Result, dec *decomp.Decomposition) error {
+	seq, err := core.StampTrace(res.Trace, dec)
+	if err != nil {
+		return err
+	}
+	if len(res.Stamps) != len(seq) {
+		return fmt.Errorf("run recorded %d stamps, sequential replay %d", len(res.Stamps), len(seq))
+	}
+	for m := range seq {
+		if !vector.Eq(res.Stamps[m], seq[m]) {
+			return fmt.Errorf("message %d: run stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
+		}
+	}
+	return nil
+}
+
+// Verify is the correctness contract of a run: Replay, then Theorem 4 —
+// the run's stamps characterize its message order exactly (ExactMatch).
+func Verify(res *csp.Result, dec *decomp.Decomposition) error {
+	if err := Replay(res, dec); err != nil {
+		return err
+	}
+	return ExactMatch(res.Trace, VectorPrecedes(res.Stamps))
 }
 
 // SoundMatch checks that precedes never contradicts ↦: every true ordering

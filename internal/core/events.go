@@ -95,24 +95,37 @@ type StampedTrace struct {
 }
 
 // StampAll runs the online algorithm over tr and assigns both message and
-// internal-event timestamps. Internal-event stamps become available only
-// once the following message is known (as the paper notes, an internal
-// event is timestamped after the process knows the timestamp of the message
-// after it); this offline-completion pass fills the Succ of trailing events
-// with ∞.
+// internal-event timestamps: StampTrace, then EventStamps.
 func StampAll(tr *trace.Trace, dec *decomp.Decomposition) (*StampedTrace, error) {
-	if tr.N != dec.N() {
-		return nil, fmt.Errorf("core: trace has %d processes, decomposition %d", tr.N, dec.N())
+	msgs, err := StampTrace(tr, dec)
+	if err != nil {
+		return nil, err
 	}
-	s := NewStamper(dec)
-	st := &StampedTrace{D: dec.D()}
+	internal, err := EventStamps(tr, msgs, dec.D())
+	if err != nil {
+		return nil, err
+	}
+	return &StampedTrace{Messages: msgs, Internal: internal, D: dec.D()}, nil
+}
 
+// EventStamps derives the Section 5 stamp of every internal op of tr, in
+// trace order, from the message stamps msgs (msgs[k] stamps tr's k-th
+// message) in vectors of d components. It is the one derivation of
+// (prev, succ, c): the sequential replay and the reconstruction of a
+// distributed run both call it. An internal event is stamped only once the
+// message after it is known, as the paper notes; events with no later
+// message keep Succ == nil (the ∞ vector).
+func EventStamps(tr *trace.Trace, msgs []vector.V, d int) ([]EventStamp, error) {
+	if n := tr.NumMessages(); len(msgs) != n {
+		return nil, fmt.Errorf("core: %d message stamps for a trace of %d messages", len(msgs), n)
+	}
+	var out []EventStamp
 	prev := make([]vector.V, tr.N) // last message stamp per process; nil = none
 	counter := make([]int, tr.N)
-	// pending[p] indexes into st.Internal of events awaiting their Succ.
+	// pending[p] indexes into out the events of p awaiting their Succ.
 	pending := make([][]int, tr.N)
-
-	zero := vector.New(dec.D())
+	zero := vector.New(d)
+	m := 0
 	for i, op := range tr.Ops {
 		switch op.Kind {
 		case trace.OpInternal:
@@ -121,23 +134,15 @@ func StampAll(tr *trace.Trace, dec *decomp.Decomposition) (*StampedTrace, error)
 			if prev[p] != nil {
 				pv = prev[p]
 			}
-			st.Internal = append(st.Internal, EventStamp{
-				Proc: p,
-				Op:   i,
-				Prev: pv.Clone(),
-				C:    counter[p],
-			})
-			pending[p] = append(pending[p], len(st.Internal)-1)
+			out = append(out, EventStamp{Proc: p, Op: i, Prev: pv.Clone(), C: counter[p]})
+			pending[p] = append(pending[p], len(out)-1)
 			counter[p]++
 		case trace.OpMessage:
-			v, err := s.StampMessage(op.From, op.To)
-			if err != nil {
-				return nil, fmt.Errorf("core: op %d: %w", i, err)
-			}
-			st.Messages = append(st.Messages, v)
-			for _, p := range []int{op.From, op.To} {
+			v := msgs[m]
+			m++
+			for _, p := range [2]int{op.From, op.To} {
 				for _, k := range pending[p] {
-					st.Internal[k].Succ = v.Clone()
+					out[k].Succ = v.Clone()
 				}
 				pending[p] = pending[p][:0]
 				prev[p] = v
@@ -147,6 +152,5 @@ func StampAll(tr *trace.Trace, dec *decomp.Decomposition) (*StampedTrace, error)
 			return nil, fmt.Errorf("core: op %d: invalid kind %d", i, int(op.Kind))
 		}
 	}
-	// Events with no later message keep Succ == nil (the ∞ vector).
-	return st, nil
+	return out, nil
 }

@@ -128,6 +128,22 @@ func TestStampAllErrors(t *testing.T) {
 	}
 }
 
+func TestEventStampsErrors(t *testing.T) {
+	tr := &trace.Trace{N: 2}
+	tr.MustAppend(trace.Internal(0))
+	tr.MustAppend(trace.Message(0, 1))
+	if _, err := EventStamps(tr, nil, 1); err == nil {
+		t.Fatal("EventStamps accepted no stamps for a one-message trace")
+	}
+	if _, err := EventStamps(tr, []vector.V{{1}, {2}}, 1); err == nil {
+		t.Fatal("EventStamps accepted two stamps for a one-message trace")
+	}
+	bad := &trace.Trace{N: 2, Ops: []trace.Op{{Kind: trace.OpKind(9)}}}
+	if _, err := EventStamps(bad, nil, 1); err == nil {
+		t.Fatal("EventStamps accepted an invalid op kind")
+	}
+}
+
 // Property (E12, Theorem 9): the event stamps order internal events exactly
 // as the happened-before oracle does.
 func TestQuickTheorem9InternalEvents(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +267,50 @@ func TestInternalEventsResolved(t *testing.T) {
 	}
 	if !before.Stamp.HappenedBefore(after.Stamp) {
 		t.Fatal("before → after must hold")
+	}
+}
+
+// TestReconstructInternalStampsMatchStampAll runs computations with an
+// internal event on every process before its first message, internal events
+// between messages, and one on every process after its last message: the
+// reconstructed internal events must carry exactly core.StampAll's stamps
+// over the reconstructed trace, each with its own process's note.
+func TestReconstructInternalStampsMatchStampAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 15; round++ {
+		g := graph.RandomConnected(2+rng.Intn(6), 0.5, rng)
+		dec := decomp.Approximate(g)
+		tr := &trace.Trace{N: g.N()}
+		for p := 0; p < g.N(); p++ {
+			tr.MustAppend(trace.Internal(p))
+		}
+		body := trace.Generate(g, trace.GenOptions{Messages: 1 + rng.Intn(40), InternalProb: 0.4}, rng)
+		for _, op := range body.Ops {
+			tr.MustAppend(op)
+		}
+		for p := 0; p < g.N(); p++ {
+			tr.MustAppend(trace.Internal(p))
+		}
+		res, err := Run(dec, ReplayPrograms(tr), testTimeout)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		st, err := core.StampAll(res.Trace, dec)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(res.Internal) != tr.NumInternal() || len(st.Internal) != len(res.Internal) {
+			t.Fatalf("round %d: run has %d internal events, StampAll %d, trace %d",
+				round, len(res.Internal), len(st.Internal), tr.NumInternal())
+		}
+		for k, ev := range res.Internal {
+			if !reflect.DeepEqual(ev.Stamp, st.Internal[k]) {
+				t.Fatalf("round %d: internal event %d stamped %v, StampAll %v", round, k, ev.Stamp, st.Internal[k])
+			}
+			if want := fmt.Sprintf("replay-int-%d-", ev.Stamp.Proc); !strings.HasPrefix(fmt.Sprint(ev.Note), want) {
+				t.Fatalf("round %d: internal event %d of P%d carries note %v", round, k, ev.Stamp.Proc, ev.Note)
+			}
+		}
 	}
 }
 

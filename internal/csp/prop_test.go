@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/trace"
-	"syncstamp/internal/vector"
 )
 
 // TestPropRuntimeMatchesSequential replays each generated trace's
@@ -51,20 +49,6 @@ func TestPropRuntimeMatchesSequential(t *testing.T) {
 		if got, want := res.Trace.NumMessages(), tr.NumMessages(); got != want {
 			return fmt.Errorf("runtime reconstructed %d messages, replayed %d", got, want)
 		}
-		seq, err := core.StampTrace(res.Trace, in.Dec)
-		if err != nil {
-			return err
-		}
-		if len(seq) != len(res.Stamps) {
-			return fmt.Errorf("runtime produced %d stamps, sequential %d", len(res.Stamps), len(seq))
-		}
-		for m := range seq {
-			if !vector.Eq(seq[m], res.Stamps[m]) {
-				return fmt.Errorf("message %d: runtime stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-			}
-		}
-		return check.ExactMatch(res.Trace, func(m1, m2 int) bool {
-			return vector.Less(res.Stamps[m1], res.Stamps[m2])
-		})
+		return check.Verify(res, in.Dec)
 	})
 }

@@ -2,7 +2,6 @@ package csp
 
 import (
 	"fmt"
-	"sort"
 
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
@@ -55,11 +54,14 @@ type Record struct {
 
 // Reconstruct merges per-process rendezvous logs (logs[p] is process p's log
 // in program order) into a valid global linearization of the synchronous
-// computation, under the decomposition the run used. At every step all
-// pending internal events are emitted, then some message must have both of
-// its log entries at the heads of its participants' logs (the rendezvous
-// that completed earliest in real time does); entries are matched by their
-// timestamps, which both participants logged identically.
+// computation, under the decomposition the run used. At every step the
+// internal events at the logs' heads are emitted, then some message must
+// have both of its log entries at the heads of its participants' logs (the
+// rendezvous that completed earliest in real time does); entries are
+// matched by their timestamps, which both participants logged identically.
+// The internal events' Section 5 stamps then follow from the trace and its
+// message stamps through core.EventStamps, the derivation the sequential
+// replay uses.
 //
 // The reconstruction is always possible for logs of a real synchronous run;
 // an error indicates logs from different runs, a truncated log, or a
@@ -68,44 +70,20 @@ func Reconstruct(dec *decomp.Decomposition, logs [][]Record) (*Result, error) {
 	n := len(logs)
 	heads := make([]int, n)
 	res := &Result{Trace: &trace.Trace{N: n}}
-
-	prev := make([]vector.V, n)
-	counter := make([]int, n)
-	var pending [][2]int // (process, index into res.Internal) awaiting succ
-	zero := vector.New(dec.D())
+	var notes []any // the internal events' notes, in trace order
 
 	remaining := 0
 	for _, log := range logs {
 		remaining += len(log)
 	}
 	for remaining > 0 {
-		// Emit internal events at any head.
-		progress := true
-		for progress {
-			progress = false
-			for pi, log := range logs {
-				for heads[pi] < len(log) && log[heads[pi]].Kind == RecordInternal {
-					entry := log[heads[pi]]
-					pv := zero
-					if prev[pi] != nil {
-						pv = prev[pi]
-					}
-					res.Internal = append(res.Internal, InternalEvent{
-						Note: entry.Note,
-						Stamp: core.EventStamp{
-							Proc: pi,
-							Op:   len(res.Trace.Ops),
-							Prev: pv.Clone(),
-							C:    counter[pi],
-						},
-					})
-					pending = append(pending, [2]int{pi, len(res.Internal) - 1})
-					counter[pi]++
-					res.Trace.MustAppend(trace.Internal(pi))
-					heads[pi]++
-					remaining--
-					progress = true
-				}
+		// Emit the internal events at every head.
+		for pi, log := range logs {
+			for heads[pi] < len(log) && log[heads[pi]].Kind == RecordInternal {
+				notes = append(notes, log[heads[pi]].Note)
+				res.Trace.MustAppend(trace.Internal(pi))
+				heads[pi]++
+				remaining--
 			}
 		}
 		if remaining == 0 {
@@ -132,19 +110,6 @@ func Reconstruct(dec *decomp.Decomposition, logs [][]Record) (*Result, error) {
 			// Commit the rendezvous.
 			res.Trace.MustAppend(trace.Message(pi, q))
 			res.Stamps = append(res.Stamps, entry.Stamp.Clone())
-			for _, side := range []int{pi, q} {
-				kept := pending[:0]
-				for _, pe := range pending {
-					if pe[0] == side {
-						res.Internal[pe[1]].Stamp.Succ = entry.Stamp.Clone()
-					} else {
-						kept = append(kept, pe)
-					}
-				}
-				pending = kept
-				prev[side] = entry.Stamp
-				counter[side] = 0
-			}
 			heads[pi]++
 			heads[q]++
 			remaining -= 2
@@ -155,12 +120,12 @@ func Reconstruct(dec *decomp.Decomposition, logs [][]Record) (*Result, error) {
 			return nil, fmt.Errorf("csp: inconsistent logs: no matchable rendezvous among %d remaining entries", remaining)
 		}
 	}
-	// Deterministic ordering of trailing internal events is already given
-	// by emission order; events with no later message keep Succ nil (∞).
-	sortInternalByOp(res.Internal)
+	stamps, err := core.EventStamps(res.Trace, res.Stamps, dec.D())
+	if err != nil {
+		return nil, fmt.Errorf("csp: %w", err)
+	}
+	for k, st := range stamps {
+		res.Internal = append(res.Internal, InternalEvent{Note: notes[k], Stamp: st})
+	}
 	return res, nil
-}
-
-func sortInternalByOp(evs []InternalEvent) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Stamp.Op < evs[j].Stamp.Op })
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
@@ -133,22 +134,11 @@ func e14() Experiment {
 						return err
 					}
 					totalMsgs += res.Trace.NumMessages()
-					seq, err := core.StampTrace(res.Trace, dec)
-					if err != nil {
-						return err
+					if check.Replay(res, dec) != nil {
+						match = false
 					}
-					for i := range seq {
-						if !vector.Eq(seq[i], res.Stamps[i]) {
-							match = false
-						}
-					}
-					p := order.MessagePoset(res.Trace)
-					for i := range res.Stamps {
-						for j := range res.Stamps {
-							if i != j && vector.Less(res.Stamps[i], res.Stamps[j]) != p.Less(i, j) {
-								theorem4 = false
-							}
-						}
+					if check.ExactMatch(res.Trace, check.VectorPrecedes(res.Stamps)) != nil {
+						theorem4 = false
 					}
 				}
 				t.row(c.name, runs, totalMsgs, match, theorem4, checkMark(match && theorem4))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/core"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/fault"
@@ -16,7 +15,6 @@ import (
 	"syncstamp/internal/node"
 	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/trace"
-	"syncstamp/internal/vector"
 )
 
 // chaosResult is one node's outcome of a faulty cluster run.
@@ -133,18 +131,7 @@ func verifySequential(res *csp.Result, results []chaosResult, dec *decomp.Decomp
 	if got := res.Trace.NumMessages(); got != wantMessages {
 		return fmt.Errorf("reconstructed %d messages, want %d (at-least-once delivery leaked a duplicate?)", got, wantMessages)
 	}
-	seq, err := core.StampTrace(res.Trace, dec)
-	if err != nil {
-		return err
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			return fmt.Errorf("message %d: faulty-run stamp %v, fault-free stamp %v", m, res.Stamps[m], seq[m])
-		}
-	}
-	if err := check.ExactMatch(res.Trace, func(m1, m2 int) bool {
-		return vector.Less(res.Stamps[m1], res.Stamps[m2])
-	}); err != nil {
+	if err := check.Verify(res, dec); err != nil {
 		return err
 	}
 	return verifyTree(results, dec, wantMessages)

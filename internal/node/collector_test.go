@@ -114,14 +114,8 @@ func TestCollectorTreeMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reconstruct retained logs: %v", err)
 	}
-	seq, err := core.StampTrace(res.Trace, in.Dec)
-	if err != nil {
+	if err := check.Verify(res, in.Dec); err != nil {
 		t.Fatal(err)
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			t.Fatalf("message %d: collected stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-		}
 	}
 
 	// The spill is the run: restoring it yields the same per-process logs.

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"syncstamp/internal/core"
+	"syncstamp/internal/check"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -122,20 +122,14 @@ func pingPong(rounds int) map[int]func(*Process) error {
 }
 
 // verifyAgainstSequential checks the reconstructed run against the
-// sequential Figure 5 replay, stamp for stamp.
+// sequential Figure 5 replay, stamp for stamp, and against Theorem 4.
 func verifyAgainstSequential(t *testing.T, res *csp.Result, dec *decomp.Decomposition, wantMessages int) {
 	t.Helper()
 	if got := res.Trace.NumMessages(); got != wantMessages {
 		t.Fatalf("reconstructed %d messages, want %d", got, wantMessages)
 	}
-	seq, err := core.StampTrace(res.Trace, dec)
-	if err != nil {
+	if err := check.Verify(res, dec); err != nil {
 		t.Fatal(err)
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			t.Fatalf("message %d: distributed stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-		}
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/core"
 	"syncstamp/internal/trace"
-	"syncstamp/internal/vector"
 )
 
 // TestPropLoopRunMatchesSequential is the networking analogue of the csp
@@ -89,17 +87,6 @@ func TestPropLoopRunMatchesSequential(t *testing.T) {
 		if got, want := res.Trace.NumMessages(), tr.NumMessages(); got != want {
 			return fmt.Errorf("cluster reconstructed %d messages, replayed %d", got, want)
 		}
-		seq, err := core.StampTrace(res.Trace, in.Dec)
-		if err != nil {
-			return err
-		}
-		for m := range seq {
-			if !vector.Eq(seq[m], res.Stamps[m]) {
-				return fmt.Errorf("message %d: distributed stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-			}
-		}
-		return check.ExactMatch(res.Trace, func(m1, m2 int) bool {
-			return vector.Less(res.Stamps[m1], res.Stamps[m2])
-		})
+		return check.Verify(res, in.Dec)
 	})
 }

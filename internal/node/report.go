@@ -55,7 +55,8 @@ func (n *Node) SendReport(collector int, info *RunInfo) error {
 	// Ship the node's registry snapshot ahead of the BYE, so the collector
 	// can fold it into the cluster rollup. Registry-less nodes skip it.
 	if r := n.cfg.Obs.Registry(); r != nil {
-		f := &wire.Frame{Kind: wire.KindMetrics, Metrics: MetricsFromSnapshot(n.cfg.Node, r.Snapshot())}
+		snap := r.Snapshot()
+		f := &wire.Frame{Kind: wire.KindMetrics, Metrics: &snap}
 		if err := enc.Encode(f); err != nil {
 			return fmt.Errorf("node %d: report metrics: %w", n.cfg.Node, err)
 		}
@@ -204,7 +205,7 @@ func (n *Node) readReport(rc *reportConn, logs [][]csp.Record, seen []bool) erro
 			if f.Metrics == nil {
 				return fmt.Errorf("node %d: empty METRICS frame in report from node %d", n.cfg.Node, rc.node)
 			}
-			if err := n.mergeMetrics(SnapshotFromMetrics(f.Metrics)); err != nil {
+			if err := n.mergeMetrics(*f.Metrics); err != nil {
 				return fmt.Errorf("node %d: metrics from node %d: %w", n.cfg.Node, rc.node, err)
 			}
 		case wire.KindBye:

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"syncstamp/internal/core"
+	"syncstamp/internal/check"
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -303,13 +303,7 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 	if len(res.Internal) != 1 || res.Internal[0].Note != "checkpoint" {
 		t.Fatalf("dumps reconstruct internal events %+v, run recorded one \"checkpoint\"", res.Internal)
 	}
-	seq, err := core.StampTrace(res.Trace, dec)
-	if err != nil {
+	if err := check.Verify(res, dec); err != nil {
 		t.Fatal(err)
-	}
-	for m := range seq {
-		if !vector.Eq(seq[m], res.Stamps[m]) {
-			t.Fatalf("message %d: flight stamp %v, sequential stamp %v", m, res.Stamps[m], seq[m])
-		}
 	}
 }

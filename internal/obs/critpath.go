@@ -91,6 +91,9 @@ type critNode struct {
 	phase Phase
 	// from/to are sender→receiver for a rendezvous; proc/-1 for internal.
 	from, to int
+	// preds are the nodes the processes that reach this one held just
+	// before it: its candidate critical predecessors.
+	preds []int
 }
 
 // CriticalPath analyzes the completed work of the given events (merged from
@@ -105,9 +108,12 @@ func CriticalPath(events []Event) *CritPath {
 	// Collect the distinct completed-work stamps, remembering each one's
 	// classification and endpoints. A rendezvous stamp may also carry
 	// later internal events (internal events do not advance the clock);
-	// the rendezvous wins the classification.
+	// the rendezvous wins the classification. Events arrive in (proc, seq)
+	// order, so each process's previous node is at hand: it is a candidate
+	// predecessor of the process's next node.
 	index := make(map[string]int)
 	var nodes []critNode
+	lastProc, last := -1, -1
 	procEnd := make(map[int]int64) // proc -> max stamp sum it reached
 	linkMsgs := make(map[[2]int]int)
 	linkEnd := make(map[[2]int]int64)
@@ -132,6 +138,13 @@ func CriticalPath(events []Event) *CritPath {
 				phase: PhaseInternal, from: e.Proc, to: -1,
 			})
 		}
+		if e.Proc != lastProc {
+			lastProc, last = e.Proc, -1
+		}
+		if last >= 0 && last != i && vector.Less(nodes[last].stamp, e.Stamp) {
+			nodes[i].preds = append(nodes[i].preds, last)
+		}
+		last = i
 		if e.Phase == PhaseAdopt || e.Phase == PhaseMerge {
 			from, to := e.Proc, e.Peer
 			if e.Phase == PhaseMerge {
@@ -178,19 +191,29 @@ func CriticalPath(events []Event) *CritPath {
 	// is the causally-preceding node with the largest sum (smallest key on
 	// ties) — the tightest dependency, which attributes the smallest tick
 	// delta to each step and so yields the longest chain realizing the
-	// sink's clock.
+	// sink's clock. Sums strictly grow along a chain, and in a trace with
+	// every process's events, every node below X lies at or below the node
+	// some process reaching X held just before it. So that maximum is one
+	// of X's candidates, or, when X has none, the all-zero node that
+	// internal events before a process's first message record.
+	zero := -1
+	for i, nd := range nodes {
+		if nd.sum == 0 && vector.Eq(nd.stamp, vector.New(len(nd.stamp))) {
+			zero = i
+		}
+	}
 	var chain []int
 	for cur := sink; ; {
 		chain = append(chain, cur)
 		pred := -1
-		for j := range nodes {
-			if j == cur || !vector.Less(nodes[j].stamp, nodes[cur].stamp) {
-				continue
-			}
+		for _, j := range nodes[cur].preds {
 			if pred < 0 || nodes[j].sum > nodes[pred].sum ||
 				(nodes[j].sum == nodes[pred].sum && nodes[j].key < nodes[pred].key) {
 				pred = j
 			}
+		}
+		if pred < 0 && zero >= 0 && vector.Less(nodes[zero].stamp, nodes[cur].stamp) {
+			pred = zero
 		}
 		if pred < 0 {
 			break

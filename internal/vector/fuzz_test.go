@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzDecode checks the vector codec never panics on arbitrary bytes and
-// that anything it accepts re-encodes to the consumed prefix.
-func FuzzDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{3, 1, 2, 3})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
-	f.Add((V{1, 0, 1 << 30}).Encode(nil))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		v, n, err := Decode(in)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(in) {
-			t.Fatalf("consumed %d of %d bytes", n, len(in))
-		}
-		re := v.Encode(nil)
-		back, n2, err := Decode(re)
-		if err != nil || n2 != len(re) || !Eq(back, v) {
-			t.Fatalf("re-encode round trip failed: %v %d %v", err, n2, back)
-		}
-	})
-}
-
 // FuzzCompare checks comparison laws hold for arbitrary component values:
 // antisymmetry of Before/After and consistency of the predicate helpers.
 func FuzzCompare(f *testing.F) {

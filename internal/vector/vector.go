@@ -159,41 +159,6 @@ func (v V) EncodedSize() int {
 	return n
 }
 
-// Encode appends a varint encoding of v (length prefix then components).
-func (v V) Encode(dst []byte) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(v)))
-	dst = append(dst, buf[:n]...)
-	for _, x := range v {
-		n = binary.PutUvarint(buf[:], uint64(x))
-		dst = append(dst, buf[:n]...)
-	}
-	return dst
-}
-
-// Decode parses a vector encoded by Encode, returning the vector and the
-// number of bytes consumed.
-func Decode(src []byte) (V, int, error) {
-	d, n := binary.Uvarint(src)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("vector: bad length prefix")
-	}
-	if d > 1<<20 {
-		return nil, 0, fmt.Errorf("vector: implausible dimension %d", d)
-	}
-	v := make(V, d)
-	off := n
-	for k := range v {
-		x, n := binary.Uvarint(src[off:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("vector: truncated component %d", k)
-		}
-		v[k] = int(x)
-		off += n
-	}
-	return v, off, nil
-}
-
 // String renders the vector as "(1,0,2)".
 func (v V) String() string {
 	var b strings.Builder

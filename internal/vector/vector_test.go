@@ -92,48 +92,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		v := New(rng.Intn(10))
-		for k := range v {
-			v[k] = rng.Intn(1 << 20)
-		}
-		buf := v.Encode(nil)
-		got, n, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		if n != len(buf) {
-			t.Fatalf("Decode consumed %d of %d bytes", n, len(buf))
-		}
-		if !Eq(got, v) {
-			t.Fatalf("round trip %v -> %v", v, got)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) succeeded")
-	}
-	// Length prefix says 3 but only one component follows.
-	buf := V{7}.Encode(nil)
-	buf[0] = 3
-	if _, _, err := Decode(buf); err == nil {
-		t.Fatal("Decode of truncated input succeeded")
-	}
-	// Implausible dimension.
-	huge := make([]byte, 10)
-	huge[0] = 0xff
-	huge[1] = 0xff
-	huge[2] = 0xff
-	huge[3] = 0x7f
-	if _, _, err := Decode(huge); err == nil {
-		t.Fatal("Decode of implausible dimension succeeded")
-	}
-}
-
 func TestEncodedSizeGrowsWithValues(t *testing.T) {
 	small := V{1, 1, 1}
 	big := V{1 << 20, 1 << 20, 1 << 20}
@@ -183,27 +141,6 @@ func TestQuickCompareMaxLaws(t *testing.T) {
 		m := u.Clone()
 		m.Max(w)
 		return Leq(u, m) && Leq(w, m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: encode/decode round-trips and encoded size matches
-// EncodedSize plus the length prefix.
-func TestQuickEncodeRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := New(rng.Intn(8))
-		for k := range v {
-			v[k] = rng.Intn(1 << 16)
-		}
-		buf := v.Encode(nil)
-		got, n, err := Decode(buf)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		return Eq(got, v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"syncstamp/internal/core"
+	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
 
@@ -37,8 +39,9 @@ type Frame struct {
 	Proc int
 	Note string
 
-	// METRICS payload (node → root).
-	Metrics *Metrics
+	// METRICS payload (node → root): the reporting node's registry
+	// snapshot, for the root to merge into the cluster rollup.
+	Metrics *obs.Snapshot
 }
 
 // GroupSummary is one edge group's fingerprint inside a shard summary: the
@@ -84,35 +87,6 @@ type Verdict struct {
 	Messages uint64 // matched messages across the run
 	Records  uint64 // records ingested across the run, internals included
 	Problems []string
-}
-
-// MetricValue is one named scalar instrument (counter or gauge) inside a
-// METRICS frame. Values are zigzag-encoded, so gauges may be negative.
-type MetricValue struct {
-	Name  string
-	Value int64
-}
-
-// MetricHistogram is one named histogram inside a METRICS frame: the fixed
-// bucket edges, the per-bucket counts (one extra overflow bucket), and the
-// observation count and sum.
-type MetricHistogram struct {
-	Name   string
-	Edges  []int64
-	Counts []int64
-	Count  int64
-	Sum    int64
-}
-
-// Metrics is one node's (or leaf collector's) registry snapshot, shipped up
-// the report/collector path for the root to merge into the cluster rollup.
-// Each list is sorted by name; the encoder rejects unsorted input so the
-// frame bytes for a given snapshot are deterministic.
-type Metrics struct {
-	Node       int
-	Counters   []MetricValue
-	Gauges     []MetricValue
-	Histograms []MetricHistogram
 }
 
 // pair keys the delta baselines: the ordered (from, to) process pair whose
@@ -279,33 +253,30 @@ func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
 		if m == nil {
 			return nil, fmt.Errorf("wire: METRICS frame without a payload")
 		}
-		dst = appendUvarint(dst, uint64(m.Node))
 		var err error
-		if dst, err = appendMetricValues(dst, "counter", m.Counters); err != nil {
+		if dst, err = appendNamedValues(dst, "counter", m.Counters); err != nil {
 			return nil, err
 		}
-		if dst, err = appendMetricValues(dst, "gauge", m.Gauges); err != nil {
+		if dst, err = appendNamedValues(dst, "gauge", m.Gauges); err != nil {
 			return nil, err
 		}
 		if len(m.Histograms) > MaxMetrics {
 			return nil, fmt.Errorf("wire: %d histograms exceed limit %d", len(m.Histograms), MaxMetrics)
 		}
 		dst = appendUvarint(dst, uint64(len(m.Histograms)))
-		for i, h := range m.Histograms {
-			if i > 0 && h.Name <= m.Histograms[i-1].Name {
-				return nil, fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
-			}
-			if len(h.Name) > MaxNote {
-				return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(h.Name), MaxNote)
+		for _, name := range sortedNames(m.Histograms) {
+			h := m.Histograms[name]
+			if len(name) > MaxNote {
+				return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(name), MaxNote)
 			}
 			if len(h.Edges) > MaxEdges {
-				return nil, fmt.Errorf("wire: histogram %q has %d edges, limit %d", h.Name, len(h.Edges), MaxEdges)
+				return nil, fmt.Errorf("wire: histogram %q has %d edges, limit %d", name, len(h.Edges), MaxEdges)
 			}
 			if len(h.Counts) != len(h.Edges)+1 {
-				return nil, fmt.Errorf("wire: histogram %q has %d counts for %d edges", h.Name, len(h.Counts), len(h.Edges))
+				return nil, fmt.Errorf("wire: histogram %q has %d counts for %d edges", name, len(h.Counts), len(h.Edges))
 			}
-			dst = appendUvarint(dst, uint64(len(h.Name)))
-			dst = append(dst, h.Name...)
+			dst = appendUvarint(dst, uint64(len(name)))
+			dst = append(dst, name...)
 			dst = appendUvarint(dst, uint64(len(h.Edges)))
 			for _, e := range h.Edges {
 				dst = appendZigzag(dst, e)
@@ -322,24 +293,32 @@ func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// appendMetricValues encodes one sorted name/value list of a METRICS frame.
-func appendMetricValues(dst []byte, what string, vals []MetricValue) ([]byte, error) {
+// appendNamedValues encodes one name/value list of a METRICS frame, names
+// in sorted order, so a snapshot has exactly one encoding.
+func appendNamedValues(dst []byte, what string, vals map[string]int64) ([]byte, error) {
 	if len(vals) > MaxMetrics {
 		return nil, fmt.Errorf("wire: %d %ss exceed limit %d", len(vals), what, MaxMetrics)
 	}
 	dst = appendUvarint(dst, uint64(len(vals)))
-	for i, v := range vals {
-		if i > 0 && v.Name <= vals[i-1].Name {
-			return nil, fmt.Errorf("wire: %s names not strictly sorted at %q", what, v.Name)
+	for _, name := range sortedNames(vals) {
+		if len(name) > MaxNote {
+			return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(name), MaxNote)
 		}
-		if len(v.Name) > MaxNote {
-			return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(v.Name), MaxNote)
-		}
-		dst = appendUvarint(dst, uint64(len(v.Name)))
-		dst = append(dst, v.Name...)
-		dst = appendZigzag(dst, v.Value)
+		dst = appendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = appendZigzag(dst, vals[name])
 	}
 	return dst, nil
+}
+
+// sortedNames returns a METRICS list's instrument names in wire order.
+func sortedNames[T any](m map[string]T) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // appendVec encodes f.Vec in whichever of dense/delta form is smaller,
@@ -609,28 +588,29 @@ func (d *Decoder) parse(payload []byte, f *Frame) error {
 	case KindBye:
 		// No payload.
 	case KindMetrics:
-		m := &Metrics{}
-		if m.Node, err = r.intField("node", 1<<31); err != nil {
+		m := &obs.Snapshot{}
+		if m.Counters, err = readNamedValues(r, "counter"); err != nil {
 			return err
 		}
-		if m.Counters, err = readMetricValues(r, "counter"); err != nil {
-			return err
-		}
-		if m.Gauges, err = readMetricValues(r, "gauge"); err != nil {
+		if m.Gauges, err = readNamedValues(r, "gauge"); err != nil {
 			return err
 		}
 		count, err := r.count("histogram count", MaxMetrics)
 		if err != nil {
 			return err
 		}
+		m.Histograms = make(map[string]obs.HistogramSnapshot)
+		var prev string
 		for i := 0; i < count; i++ {
-			var h MetricHistogram
-			if h.Name, err = r.str("metric name", MaxNote); err != nil {
+			name, err := r.str("metric name", MaxNote)
+			if err != nil {
 				return err
 			}
-			if i > 0 && h.Name <= m.Histograms[i-1].Name {
-				return fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
+			if i > 0 && name <= prev {
+				return fmt.Errorf("wire: histogram names not strictly sorted at %q", name)
 			}
+			prev = name
+			var h obs.HistogramSnapshot
 			edges, err := r.count("edge count", MaxEdges)
 			if err != nil {
 				return err
@@ -665,7 +645,7 @@ func (d *Decoder) parse(payload []byte, f *Frame) error {
 			if h.Sum, err = r.varint(); err != nil {
 				return err
 			}
-			m.Histograms = append(m.Histograms, h)
+			m.Histograms[name] = h
 		}
 		f.Metrics = m
 	default:
@@ -677,25 +657,28 @@ func (d *Decoder) parse(payload []byte, f *Frame) error {
 	return nil
 }
 
-// readMetricValues decodes one sorted name/value list of a METRICS frame.
-func readMetricValues(r *reader, what string) ([]MetricValue, error) {
+// readNamedValues decodes one name/value list of a METRICS frame. The
+// bytes come from another process, so names must arrive strictly sorted:
+// an unsorted or repeated name is a malformed frame.
+func readNamedValues(r *reader, what string) (map[string]int64, error) {
 	count, err := r.count(what+" count", MaxMetrics)
 	if err != nil {
 		return nil, err
 	}
-	var vals []MetricValue
+	vals := make(map[string]int64)
+	var prev string
 	for i := 0; i < count; i++ {
-		var v MetricValue
-		if v.Name, err = r.str("metric name", MaxNote); err != nil {
+		name, err := r.str("metric name", MaxNote)
+		if err != nil {
 			return nil, err
 		}
-		if i > 0 && v.Name <= vals[i-1].Name {
-			return nil, fmt.Errorf("wire: %s names not strictly sorted at %q", what, v.Name)
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("wire: %s names not strictly sorted at %q", what, name)
 		}
-		if v.Value, err = r.varint(); err != nil {
+		prev = name
+		if vals[name], err = r.varint(); err != nil {
 			return nil, err
 		}
-		vals = append(vals, v)
 	}
 	return vals, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
 
@@ -36,11 +37,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: KindInternal, Proc: 2, Note: "n"},
 		{Kind: KindBye},
 	}, 3), 3)
-	f.Add(seed([]*Frame{{Kind: KindMetrics, Metrics: &Metrics{
-		Node:       1,
-		Counters:   []MetricValue{{Name: "a", Value: 3}, {Name: "b", Value: 1}},
-		Gauges:     []MetricValue{{Name: "g", Value: -2}},
-		Histograms: []MetricHistogram{{Name: "h", Edges: []int64{1, 10}, Counts: []int64{2, 0, 1}, Count: 3, Sum: 14}},
+	f.Add(seed([]*Frame{{Kind: KindMetrics, Metrics: &obs.Snapshot{
+		Counters:   map[string]int64{"a": 3, "b": 1},
+		Gauges:     map[string]int64{"g": -2},
+		Histograms: map[string]obs.HistogramSnapshot{"h": {Edges: []int64{1, 10}, Counts: []int64{2, 0, 1}, Count: 3, Sum: 14}},
 	}}}, 3), 3)
 	f.Fuzz(func(t *testing.T, in []byte, d int) {
 		if d < 0 || d > 64 || len(in) > 1<<16 {

@@ -4,25 +4,21 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"syncstamp/internal/obs"
 )
 
 // TestMetricsFrameRoundTrip exercises the cluster-rollup frame: counters,
-// gauges (negative deltas included), and full histogram snapshots.
+// gauges (negative values included), full histogram snapshots, and the
+// snapshot of an empty registry.
 func TestMetricsFrameRoundTrip(t *testing.T) {
+	empty := obs.NewRegistry().Snapshot()
 	frames := []*Frame{
-		{Kind: KindMetrics, Metrics: &Metrics{
-			Node: 3,
-			Counters: []MetricValue{
-				{Name: "frames_total", Value: 1234},
-				{Name: "rendezvous_total", Value: 56},
-			},
-			Gauges: []MetricValue{
-				{Name: "clock_skew", Value: -7},
-				{Name: "resident_records", Value: 42},
-			},
-			Histograms: []MetricHistogram{
-				{
-					Name:   "latency_ns",
+		{Kind: KindMetrics, Metrics: &obs.Snapshot{
+			Counters: map[string]int64{"frames_total": 1234, "rendezvous_total": 56},
+			Gauges:   map[string]int64{"clock_skew": -7, "resident_records": 42},
+			Histograms: map[string]obs.HistogramSnapshot{
+				"latency_ns": {
 					Edges:  []int64{1000, 2000, 5000},
 					Counts: []int64{1, 0, 9, 2},
 					Count:  12,
@@ -30,7 +26,7 @@ func TestMetricsFrameRoundTrip(t *testing.T) {
 				},
 			},
 		}},
-		{Kind: KindMetrics, Metrics: &Metrics{Node: 0}},
+		{Kind: KindMetrics, Metrics: &empty},
 	}
 	got := pipeRoundTrip(t, 3, frames)
 	if len(got) != len(frames) {
@@ -43,36 +39,27 @@ func TestMetricsFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsFrameRejectsMalformed pins the validation: names must arrive
-// strictly sorted (the deterministic wire order), histograms must carry
-// len(edges)+1 buckets, and a METRICS frame needs its payload.
+// TestMetricsFrameRejectsMalformed pins the validation: histograms must
+// carry len(edges)+1 buckets, a METRICS frame needs its payload, and the
+// decoder accepts names only in the strictly sorted order the encoder
+// writes them in.
 func TestMetricsFrameRejectsMalformed(t *testing.T) {
 	enc := NewEncoder(bytes.NewBuffer(nil), 3)
 	if err := enc.Encode(&Frame{Kind: KindMetrics}); err == nil {
 		t.Fatal("METRICS without a payload encoded without error")
 	}
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &Metrics{
-		Counters: []MetricValue{{Name: "b"}, {Name: "a"}},
-	}}); err == nil {
-		t.Fatal("unsorted counter names encoded without error")
-	}
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &Metrics{
-		Gauges: []MetricValue{{Name: "a"}, {Name: "a"}},
-	}}); err == nil {
-		t.Fatal("duplicate gauge names encoded without error")
-	}
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &Metrics{
-		Histograms: []MetricHistogram{{Name: "h", Edges: []int64{1, 2}, Counts: []int64{1, 2}}},
+	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &obs.Snapshot{
+		Histograms: map[string]obs.HistogramSnapshot{"h": {Edges: []int64{1, 2}, Counts: []int64{1, 2}}},
 	}}); err == nil {
 		t.Fatal("histogram with wrong bucket count encoded without error")
 	}
 
-	// The decoder enforces the same sortedness on the incoming bytes: take a
-	// valid frame and swap the two encoded names.
+	// The decoder enforces sortedness on the incoming bytes: take a valid
+	// frame and swap the two encoded names.
 	var buf bytes.Buffer
 	enc = NewEncoder(&buf, 3)
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &Metrics{
-		Counters: []MetricValue{{Name: "aa", Value: 1}, {Name: "bb", Value: 2}},
+	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &obs.Snapshot{
+		Counters: map[string]int64{"aa": 1, "bb": 2},
 	}}); err != nil {
 		t.Fatal(err)
 	}

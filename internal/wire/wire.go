@@ -23,10 +23,12 @@
 //	          its per-process logs to the collector
 //	BYE       clean end of stream; an EOF after BYE is a graceful close,
 //	          an EOF without one is a failure
-//	METRICS   a metrics-registry snapshot riding the report path, node →
-//	          collecting root: named counters, gauges, and histograms
-//	          (sorted by name), which the root merges into one cluster
-//	          rollup — counters and gauges add, histograms merge bucket-wise
+//	METRICS   an obs.Snapshot riding the report path, node → collecting
+//	          root: named counters, gauges, and histograms (the encoder
+//	          writes names sorted, the decoder rejects any other order),
+//	          which the root merges into one cluster rollup — counters and
+//	          gauges add, histograms merge bucket-wise. It names no node:
+//	          the report stream's HELLO already does
 //
 // # Differential vector encoding
 //

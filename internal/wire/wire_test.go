@@ -11,6 +11,7 @@ import (
 
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/obs"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 )
@@ -72,10 +73,9 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestDecodeIntoLeavesNoStaleFields(t *testing.T) {
 	frames := []*Frame{
 		{Kind: KindHello, Role: RoleData, Node: 2, Procs: []int{3, 4}, Digest: 0xfeed, Epoch: 1},
-		{Kind: KindMetrics, Metrics: &Metrics{
-			Node:       2,
-			Counters:   []MetricValue{{Name: "c", Value: 7}},
-			Histograms: []MetricHistogram{{Name: "h", Edges: []int64{5}, Counts: []int64{1, 2}, Count: 3, Sum: 11}},
+		{Kind: KindMetrics, Metrics: &obs.Snapshot{
+			Counters:   map[string]int64{"c": 7},
+			Histograms: map[string]obs.HistogramSnapshot{"h": {Edges: []int64{5}, Counts: []int64{1, 2}, Count: 3, Sum: 11}},
 		}},
 		{Kind: KindInternal, Proc: 4, Note: "checkpoint"},
 		{Kind: KindSyn, From: 3, To: 0, Seq: 9, Vec: vector.V{1, 0, 2}},
@@ -242,7 +242,7 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 		{"HELLO claiming MaxProcs processes",
 			frame(appendUvarint([]byte{byte(KindHello), RoleData, 0, 0, 0}, MaxProcs)...), "proc count"},
 		{"METRICS histogram claiming MaxEdges edges",
-			frame(appendUvarint([]byte{byte(KindMetrics), 0, 0, 0, 1, 1, 'h'}, MaxEdges)...), "edge count"},
+			frame(appendUvarint([]byte{byte(KindMetrics), 0, 0, 1, 1, 'h'}, MaxEdges)...), "edge count"},
 		{"kind 7 claiming 1<<20 groups",
 			frame(appendUvarint([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<20)...), "unknown frame kind"},
 	}
