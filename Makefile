@@ -53,14 +53,14 @@ net-test:
 # critpath determinism) under the race detector; the recorder tests again
 # ten times over (per-process ring wraparound, interleaving-independent
 # rings, and processes recording their first event while /debug/flight is
-# scraped); the runtime hook + rollup + flight-dump tests in csp/node; and
-# the trace-report/critical-path oracles plus the full e2e (obs endpoints +
-# JSONL round trip through tsanalyze, byte-identical critical-path
-# profiles across two runs).
+# scraped); the runtime hook + rollup + event-file tests in csp/node; and
+# the trace-report/critical-path oracles plus the full e2e (obs endpoints,
+# each -obs-trace file equal to its flight dump, event files through
+# tsanalyze, byte-identical critical-path profiles across two runs).
 obs-test:
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -count=10 -run 'Recorder|Flight|Scrape|DisabledZeroAlloc' ./internal/obs
-	$(GO) test -race -run 'Obs|Dropped|TraceReport|Rollup|Flight|CriticalPath' ./internal/csp ./internal/node ./cmd/tsanalyze
+	$(GO) test -race -run 'Obs|Dropped|TraceReport|Rollup|Flight|EventFile|Malformed|CriticalPath' ./internal/csp ./internal/node ./cmd/tsanalyze
 	$(GO) test -race -run 'TestE2E' -v ./cmd/tsnode
 
 # Fault-injection gate: the deterministic injector, the synchronizer and

@@ -4,14 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
-	"syncstamp/internal/decomp"
+	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 )
 
-// runCriticalPath implements the critical-path subcommand: ingest one JSONL
-// trace per node, rebuild the happens-before DAG from the recorded stamps
+// runCriticalPath implements the critical-path subcommand: ingest one event
+// file per node, rebuild the happens-before DAG from the recorded stamps
 // alone (vector.Less is the causal order — Theorem 4), and print the
 // longest weighted causal chain with per-process slack and a ranked
 // rendezvous-link blame table. Weights are causal ticks, not wall clocks,
@@ -28,52 +27,56 @@ func runCriticalPath(args []string, stdout, stderr io.Writer) int {
 	}
 	files := fs.Args()
 	if len(files) == 0 {
-		return fail(fmt.Errorf("critical-path needs at least one JSONL trace file"))
+		return fail(fmt.Errorf("critical-path needs at least one event file"))
 	}
-	_, events, nodes, dec, err := readTraces(files)
+	metas, events, err := readTraces(files)
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "critical-path: %d file(s), nodes %v, N=%d processes, d=%d\n",
-		len(files), nodes, dec.N(), dec.D())
+	printHeader(stdout, "critical-path", metas)
 	if err := obs.CriticalPath(events).WriteReport(stdout); err != nil {
 		return fail(err)
 	}
 	return 0
 }
 
-// readTraces loads and merges one or more JSONL traces, enforcing the
-// schema version and that every file describes the same topology and
-// decomposition. Each process is hosted by exactly one node, so the
-// per-process (proc, seq) sequences from different files interleave
-// without collisions.
-func readTraces(files []string) (metas []obs.Meta, events []obs.Event, nodes []int, dec *decomp.Decomposition, err error) {
+// readTraces loads and merges event files — tsnode -obs-trace files or
+// flight dumps — in canonical (proc, seq) order. Every file must carry the
+// same decomposition, and since each process is hosted by exactly one
+// node, no (proc, seq) pair may appear twice across the files.
+func readTraces(files []string) ([]node.DumpMeta, []obs.Event, error) {
+	var metas []node.DumpMeta
+	var events []obs.Event
+	read := make(map[[2]int]string)
 	for _, name := range files {
-		f, err := os.Open(name)
+		meta, evs, err := node.ReadFlightDump(name)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
-		meta, evs, err := obs.ReadJSONL(f)
-		_ = f.Close() // read-only file
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("%s: %w", name, err)
+		if len(metas) > 0 && (meta.Dec.N() != metas[0].Dec.N() || meta.Dec.String() != metas[0].Dec.String()) {
+			return nil, nil, fmt.Errorf("%s: topology/decomposition differs from %s", name, files[0])
 		}
-		if meta.Version != obs.MetaVersion {
-			return nil, nil, nil, nil, fmt.Errorf("%s: schema version %d, this tool reads %d", name, meta.Version, obs.MetaVersion)
+		for i, e := range evs {
+			key := [2]int{e.Proc, e.Seq}
+			if prev, dup := read[key]; dup {
+				return nil, nil, fmt.Errorf("%s record %d: process %d's seq %d was already read from %s", name, i+1, e.Proc, e.Seq, prev)
+			}
+			read[key] = name
 		}
 		metas = append(metas, meta)
 		events = append(events, evs...)
-		nodes = append(nodes, meta.Node)
-	}
-	for i := 1; i < len(metas); i++ {
-		if metas[i].N != metas[0].N || metas[i].D != metas[0].D || metas[i].Dec != metas[0].Dec {
-			return nil, nil, nil, nil, fmt.Errorf("%s: topology/decomposition differs from %s", files[i], files[0])
-		}
-	}
-	dec, err = metas[0].Decomposition()
-	if err != nil {
-		return nil, nil, nil, nil, err
 	}
 	obs.SortEvents(events)
-	return metas, events, nodes, dec, nil
+	return metas, events, nil
+}
+
+// printHeader prints a subcommand's first line: the files' nodes and the
+// run's shape.
+func printHeader(w io.Writer, cmd string, metas []node.DumpMeta) {
+	nodes := make([]int, len(metas))
+	for i, m := range metas {
+		nodes[i] = m.Node
+	}
+	dec := metas[0].Dec
+	fmt.Fprintf(w, "%s: %d file(s), nodes %v, N=%d processes, d=%d\n", cmd, len(metas), nodes, dec.N(), dec.D())
 }

@@ -8,20 +8,22 @@
 //	tsgen -topology clientserver:2x6 -messages 40 | tsanalyze
 //	tsanalyze -trace run.trace -lost 3 -diagram
 //
-// The "trace-report" subcommand instead ingests the JSONL event traces the
-// runtimes export (csp.RunObs, tsnode -obs-trace), verifies the recorded
+// The "trace-report" subcommand instead ingests event files — the flight
+// dumps tsnode writes with -obs-trace or -flight-dump, or that a test
+// writes from csp.RunObs with node.WriteFlightDump — verifies the recorded
 // spans against a full reconstruction of the computation, and summarizes
-// causal latency and wire traffic:
+// causal latency and wire traffic. A file from a flight ring that wrapped
+// is refused, since it lacks the run's start:
 //
-//	tsanalyze trace-report -chrome run.chrome.json node0.jsonl node1.jsonl
+//	tsanalyze trace-report -chrome run.chrome.json node0.events node1.events
 //
-// The "critical-path" subcommand profiles the same JSONL traces causally:
+// The "critical-path" subcommand profiles the same event files causally:
 // it rebuilds the happens-before DAG from the stamps, extracts the longest
 // weighted causal chain (in causal ticks, so the report is byte-identical
 // across runs), and prints per-process slack plus a ranked blame table of
 // rendezvous links:
 //
-//	tsanalyze critical-path node0.jsonl node1.jsonl node2.jsonl
+//	tsanalyze critical-path node0.events node1.events node2.events
 package main
 
 import (

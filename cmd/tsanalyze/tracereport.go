@@ -9,11 +9,13 @@ import (
 
 	"syncstamp/internal/check"
 	"syncstamp/internal/csp"
+	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
+	"syncstamp/internal/wire"
 )
 
-// runTraceReport implements the trace-report subcommand: ingest one JSONL
-// trace per node (or a single in-process trace), reconstruct the computation
+// runTraceReport implements the trace-report subcommand: ingest one event
+// file per node (or a single in-process trace), reconstruct the computation
 // from the recorded spans, verify the span stamps against the sequential
 // Figure 5 replay and the ground-truth message poset, and print causal
 // latency and wire-traffic summaries. All output is derived from stamps and
@@ -32,20 +34,19 @@ func runTraceReport(args []string, stdout, stderr io.Writer) int {
 	}
 	files := fs.Args()
 	if len(files) == 0 {
-		return fail(fmt.Errorf("trace-report needs at least one JSONL trace file"))
+		return fail(fmt.Errorf("trace-report needs at least one event file"))
 	}
 
-	metas, events, nodes, dec, err := readTraces(files)
+	metas, events, err := readTraces(files)
 	if err != nil {
 		return fail(err)
 	}
-
+	dec := metas[0].Dec
 	res, err := csp.Reconstruct(dec, csp.LogsFromEvents(dec.N(), events))
 	if err != nil {
 		return fail(fmt.Errorf("reconstructing the computation from the trace: %w", err))
 	}
-	fmt.Fprintf(stdout, "trace-report: %d file(s), nodes %v, N=%d processes, d=%d\n",
-		len(files), nodes, dec.N(), dec.D())
+	printHeader(stdout, "trace-report", metas)
 	fmt.Fprintf(stdout, "events: %d records — %d messages, %d internal events\n",
 		len(events), res.Trace.NumMessages(), len(res.Internal))
 	if err := check.Verify(res, dec); err != nil {
@@ -91,38 +92,25 @@ func printCausalLatency(w io.Writer, events []obs.Event) {
 	}
 }
 
-// printWireTraffic aggregates the per-node frame accounting from the meta
-// headers into one table, sorted by frame kind name.
-func printWireTraffic(w io.Writer, metas []obs.Meta) {
-	agg := make(map[string]obs.FrameStats)
+// printWireTraffic sums the files' frame tables into one table of the
+// frame kinds that occurred, sorted by name.
+func printWireTraffic(w io.Writer, metas []node.DumpMeta) {
+	var sum wire.Stats
 	for _, m := range metas {
-		var kinds []string
-		for k := range m.Frames {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			a := agg[k]
-			a.Frames += m.Frames[k].Frames
-			a.Bytes += m.Frames[k].Bytes
-			agg[k] = a
-		}
+		sum.Merge(m.Frames)
 	}
-	if len(agg) == 0 {
+	frames, bytes := sum.Total()
+	if frames == 0 {
 		fmt.Fprintln(w, "wire traffic: none recorded (in-process run)")
 		return
 	}
-	var kinds []string
-	for k := range agg {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	kinds := wire.Kinds()
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	fmt.Fprintln(w, "wire traffic by frame kind:")
-	var frames, bytes int
 	for _, k := range kinds {
-		fmt.Fprintf(w, "  %-9s %4d frames %8d bytes\n", k, agg[k].Frames, agg[k].Bytes)
-		frames += agg[k].Frames
-		bytes += agg[k].Bytes
+		if sum.Frames[k] > 0 {
+			fmt.Fprintf(w, "  %-9s %4d frames %8d bytes\n", k, sum.Frames[k], sum.Bytes[k])
+		}
 	}
 	fmt.Fprintf(w, "  %-9s %4d frames %8d bytes\n", "total", frames, bytes)
 }

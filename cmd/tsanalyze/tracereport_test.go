@@ -1,9 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,13 +11,26 @@ import (
 	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
 
 // writeObsTrace runs a small in-process computation under tracing and
-// writes its JSONL export to a temp file.
+// writes its event file to a temp file.
 func writeObsTrace(t *testing.T) string {
+	t.Helper()
+	dec, events := obsTraceEvents(t)
+	path := filepath.Join(t.TempDir(), "run.events")
+	if err := node.WriteFlightDump(path, node.DumpMeta{Node: -1, Dec: dec}, events); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// obsTraceEvents runs a small in-process computation under tracing and
+// returns its decomposition and recorded events.
+func obsTraceEvents(t *testing.T) (*decomp.Decomposition, []obs.Event) {
 	t.Helper()
 	dec := decomp.Approximate(graph.Path(3))
 	programs := []func(*csp.Process) error{
@@ -49,19 +62,7 @@ func writeObsTrace(t *testing.T) string {
 	if _, err := csp.RunObs(dec, programs, 10*time.Second, o); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := obs.NewMeta(-1, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, meta, o.Recorder.Events()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return dec, o.Recorder.Events()
 }
 
 func TestTraceReport(t *testing.T) {
@@ -96,22 +97,14 @@ func TestTraceReport(t *testing.T) {
 // stamps disagree with the sequential replay must fail verification.
 func TestTraceReportRejectsBadStamps(t *testing.T) {
 	dec := decomp.Approximate(graph.Path(2))
-	meta, err := obs.NewMeta(0, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := []obs.Event{
 		{Proc: 0, Peer: 1, Seq: 0, Phase: obs.PhaseSyn, Stamp: vector.V{0}},
 		{Proc: 0, Peer: 1, Seq: 1, Phase: obs.PhaseAdopt, Stamp: vector.V{5}},
 		{Proc: 1, Peer: 0, Seq: 0, Phase: obs.PhaseMerge, Stamp: vector.V{5}},
 		{Proc: 1, Peer: 0, Seq: 1, Phase: obs.PhaseAck, Stamp: vector.V{5}},
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, meta, events); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "bad.events")
+	if err := node.WriteFlightDump(path, node.DumpMeta{Node: 0, Dec: dec}, events); err != nil {
 		t.Fatal(err)
 	}
 	code, _, errOut := runTool(t, nil, "trace-report", path)
@@ -125,7 +118,7 @@ func TestTraceReportRejectsBadStamps(t *testing.T) {
 
 func TestTraceReportErrors(t *testing.T) {
 	good := writeObsTrace(t)
-	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	empty := filepath.Join(t.TempDir(), "empty.events")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +133,59 @@ func TestTraceReportErrors(t *testing.T) {
 	for _, args := range cases {
 		if code, _, _ := runTool(t, nil, args...); code == 0 {
 			t.Errorf("args %v succeeded, want failure", args)
+		}
+	}
+}
+
+// TestMalformedTraces pins the readers' refusals: each malformed input
+// makes both subcommands fail, naming the file, instead of reporting on a
+// trace that describes no run.
+func TestMalformedTraces(t *testing.T) {
+	good := writeObsTrace(t)
+	dec, events := obsTraceEvents(t)
+	internal := slices.IndexFunc(events, func(e obs.Event) bool { return e.Phase == obs.PhaseInternal })
+	write := func(name string, edit func([]obs.Event) []obs.Event) string {
+		t.Helper()
+		evs := edit(slices.Clone(events))
+		path := filepath.Join(t.TempDir(), name+".events")
+		if err := node.WriteFlightDump(path, node.DumpMeta{Node: -1, Dec: dec}, evs); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := []struct {
+		name  string
+		files []string
+		want  string
+	}{
+		{"same file twice", []string{good, good}, "was already read from " + good},
+		{"stamp length", []string{write("stamp", func(evs []obs.Event) []obs.Event {
+			evs[0].Stamp = vector.V{0, 0, 0}
+			return evs
+		})}, "stamp of 3 components, d = 1"},
+		{"peer out of range", []string{write("peer", func(evs []obs.Event) []obs.Event {
+			evs[0].Peer = 99
+			return evs
+		})}, "peer 99 out of range [0,3)"},
+		{"rendezvous without peer", []string{write("nopeer", func(evs []obs.Event) []obs.Event {
+			evs[0].Peer = -1
+			return evs
+		})}, "peer -1 out of range [0,3)"},
+		{"internal with peer", []string{write("internal", func(evs []obs.Event) []obs.Event {
+			evs[internal].Peer = 0
+			return evs
+		})}, "internal event with peer 0"},
+		{"wrapped ring", []string{write("wrapped", func(evs []obs.Event) []obs.Event {
+			return evs[1:] // process 0 lost its first event
+		})}, "process 0's events start at seq 1"},
+	}
+	for _, tc := range cases {
+		for _, cmd := range []string{"trace-report", "critical-path"} {
+			code, out, errOut := runTool(t, nil, append([]string{cmd}, tc.files...)...)
+			if code == 0 || !strings.Contains(errOut, tc.want) || !strings.Contains(errOut, tc.files[len(tc.files)-1]) {
+				t.Errorf("%s, %s: exit %d, stderr %q; want a failure naming the file and %q\nstdout:\n%s",
+					tc.name, cmd, code, errOut, tc.want, out)
+			}
 		}
 	}
 }

@@ -38,7 +38,8 @@ func buildBinary(t *testing.T, goTool, dir, pkg string) string {
 }
 
 // runE2EMesh launches the three-node mesh as real OS processes with
-// observability enabled and returns the per-node JSONL trace files. With
+// observability enabled and returns the per-node event files, each checked
+// byte-identical to the node's end-of-run flight dump. With
 // poll set, nodes 0 and 1 are started first and their /metrics and /healthz
 // endpoints are exercised over HTTP while they sit in the handshake waiting
 // for node 2 — proving the obs server is live during the run, not just
@@ -50,8 +51,9 @@ func runE2EMesh(t *testing.T, bin string, poll bool) []string {
 	dir := t.TempDir()
 	traces := make([]string, 3)
 	for i := range traces {
-		traces[i] = filepath.Join(dir, fmt.Sprintf("node%d.jsonl", i))
+		traces[i] = filepath.Join(dir, fmt.Sprintf("node%d.events", i))
 	}
+	flight := func(i int) string { return filepath.Join(dir, fmt.Sprintf("node%d.flight", i)) }
 	common := []string{
 		"-addrs", strings.Join(addrs, ","),
 		"-topology", "clientserver:2x4",
@@ -74,6 +76,7 @@ func runE2EMesh(t *testing.T, bin string, poll bool) []string {
 			"-node", fmt.Sprint(i),
 			"-obs-addr", obsAddrs[i],
 			"-obs-trace", traces[i],
+			"-flight-dump", flight(i),
 		}
 		args = append(args, common...)
 		if i == 0 {
@@ -137,6 +140,12 @@ func runE2EMesh(t *testing.T, bin string, poll bool) []string {
 		if !strings.Contains(results[i].out.String(), "trace written to "+traces[i]) {
 			t.Fatalf("node %d did not write its trace:\n%s", i, results[i].out.String())
 		}
+		a, errA := os.ReadFile(traces[i])
+		b, errB := os.ReadFile(flight(i))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("node %d: -obs-trace file (%d bytes, %v) is not its end-of-run flight dump (%d bytes, %v)",
+				i, len(a), errA, len(b), errB)
+		}
 	}
 	return traces
 }
@@ -165,7 +174,7 @@ func pollEndpoint(t *testing.T, url, want string) {
 // tsnode and tsanalyze binaries, launches three real OS processes forming a
 // TCP mesh over localhost, exercises the live observability endpoints while
 // the mesh is forming, verifies the reconstructed stamps, checks that a
-// second run exports byte-identical JSONL traces, and feeds the traces
+// second run exports byte-identical event files, and feeds the files
 // through "tsanalyze trace-report" for the independent span-ordering oracle.
 //
 // Skipped under -short: it compiles binaries and opens real sockets.
@@ -196,7 +205,7 @@ func TestE2EThreeOSProcesses(t *testing.T) {
 			t.Fatalf("node %d exported an empty trace", i)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("node %d JSONL differs across two runs:\n%s\n---\n%s", i, a, b)
+			t.Errorf("node %d's event file differs across two runs:\n%x\n---\n%x", i, a, b)
 		}
 	}
 

@@ -20,13 +20,15 @@
 //
 // Observability: -obs-addr serves /metrics (JSON), /healthz, /debug/flight,
 // and net/http/pprof for the duration of the run; -obs-trace writes the
-// node's structured JSONL event trace after the run, ready for "tsanalyze
-// trace-report" and "tsanalyze critical-path". The flight recorder (-flight,
+// node's event file after the run: a flight dump of every event, with the
+// node's wire accounting in its meta record. The flight recorder (-flight,
 // on by default) keeps a bounded ring of each hosted process's recent
 // events and dumps them to -flight-dump on failure, peer loss, SIGQUIT, and
 // end of run — the causal post-mortem for runs that died too hard to write
-// a trace. With -obs-trace the one recorder keeps every event instead, and
-// the dumps hold the whole run. On the collector node, /metrics serves the
+// a trace. With -obs-trace the one recorder keeps every event instead, the
+// dumps hold the whole run, and the end-of-run dump is byte-identical to
+// the -obs-trace file. "tsanalyze trace-report" and "tsanalyze
+// critical-path" read both. On the collector node, /metrics serves the
 // cluster rollup after a collect: every reporting node's registry (and
 // every collector-tree leaf's shard registry) merged into one view.
 //
@@ -86,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rendezvous := fs.Duration("rendezvous-timeout", 10*time.Second, "per-send ACK deadline")
 	collectWait := fs.Duration("collect-timeout", 30*time.Second, "with -collect: deadline for all reports")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, and pprof on this address (e.g. 127.0.0.1:0)")
-	obsTrace := fs.String("obs-trace", "", "write this node's JSONL trace here after the run")
+	obsTrace := fs.String("obs-trace", "", "write this node's event file (every event, for tsanalyze) here after the run")
 	faultPlanFlag := fs.String("fault-plan", "", "JSON fault-injection plan; wraps the transport with the deterministic internal/fault injector (implies recovery)")
 	journalFlag := fs.String("journal", "", "crash-recovery journal file; a restarted node replays it and resumes the session (implies recovery)")
 	onPeerLoss := fs.String("on-peer-loss", "abort", "policy for a peer unreachable past -reconnect-window: abort, wait, or exclude")
@@ -94,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retransmitMin := fs.Duration("retransmit-min", tssync.DefaultRTOMin, "floor of the adaptive SYN retransmission timeout")
 	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
 	flight := fs.Int("flight", 4096, "flight recorder capacity in events, split evenly into one ring per hosted process (0 disables it)")
-	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (binary journal records) on failure, peer loss, SIGQUIT, and end of run")
+	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (an event file, for tsanalyze) on failure, peer loss, SIGQUIT, and end of run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -328,7 +330,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.Dropped, st.Duplicated, st.Reordered, st.Delayed, st.Resets)
 	}
 	if *obsTrace != "" {
-		if err := writeTrace(*obsTrace, *nodeIdx, dec, o, info); err != nil {
+		meta := node.DumpMeta{Node: *nodeIdx, Dec: dec, Frames: info.Frames}
+		if err := node.WriteFlightDump(*obsTrace, meta, o.Recorder.Events()); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "tsnode: trace written to %s\n", *obsTrace)
@@ -359,28 +362,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "verified: distributed stamps match the sequential replay and characterize the message order exactly")
 	}
 	return 0
-}
-
-// writeTrace exports the node's structured event trace as deterministic
-// JSONL, with the node's wire accounting in the meta header. Feed the files
-// from every node to "tsanalyze trace-report" to verify and summarize the
-// run.
-func writeTrace(path string, nodeIdx int, dec *decomp.Decomposition, o *obs.Obs, info *node.RunInfo) error {
-	meta, err := obs.NewMeta(nodeIdx, dec)
-	if err != nil {
-		return err
-	}
-	meta.Frames = node.FrameMap(info.Frames)
-	meta.Overhead = &info.Overhead
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, meta, o.Recorder.Events()); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return err
-	}
-	return f.Close()
 }
 
 // addExtraEdges adds "A-B" channels to a parsed topology.

@@ -6,10 +6,11 @@ import "syncstamp/internal/obs"
 // Only the runtime-independent phases carry log-equivalent information —
 // PhaseAdopt is the sender's completed send, PhaseMerge the receiver's
 // completed receive, both stamped with the agreed v(m); PhaseInternal is an
-// internal event — so a JSONL trace from either runtime feeds Reconstruct
-// exactly like the runtime's own logs. This is how tsanalyze trace-report
-// oracle-checks a trace: reconstruct the computation from the trace alone
-// and compare the stamps it claims against the poset.
+// internal event — so the events of either runtime, read back from event
+// files (node.ReadFlightDump), feed Reconstruct exactly like the runtime's
+// own logs. This is how tsanalyze trace-report oracle-checks a trace:
+// reconstruct the computation from the trace alone and compare the stamps
+// it claims against the poset.
 func LogsFromEvents(n int, events []obs.Event) [][]Record {
 	evs := append([]obs.Event(nil), events...)
 	obs.SortEvents(evs)

@@ -12,10 +12,10 @@ import (
 // diffed against recorded figures. Go randomizes map iteration order, so a
 // bare `for range m` in these packages is a latent replay-nondeterminism
 // bug. The wire codec's frame bytes and the node runtime's rendezvous logs
-// feed the same golden and replay machinery, so both are held to the same
-// rule, as is internal/obs, whose JSONL and Chrome exports are contractually
-// byte-identical across runs, and internal/fault, whose whole contract is
-// byte-identical fault schedules under a fixed seed. internal/load promises
+// and event files feed the same golden and replay machinery, so both are
+// held to the same rule, as is internal/obs, whose Chrome export and flight
+// order are contractually byte-identical across runs, and internal/fault,
+// whose whole contract is byte-identical fault schedules under a fixed seed. internal/load promises
 // identical logs for identical seeds at workers=1 (a seeded load run is
 // only comparable with another if it is), so it is held to the same rule.
 var deterministicPaths = []string{

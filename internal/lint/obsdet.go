@@ -5,9 +5,9 @@ import (
 )
 
 // obsDetPaths lists the packages whose exports are contractually byte-stable
-// across runs of the same computation: internal/obs's JSONL and Chrome trace
-// files must never depend on when the run happened, only on its causal
-// structure. A direct wall-clock read anywhere in the package is a latent
+// across runs of the same computation: internal/obs's Chrome trace files and
+// the flight order event files are written in must never depend on when the
+// run happened, only on its causal structure. A direct wall-clock read anywhere in the package is a latent
 // determinism bug — time must flow through the obs.Clock seam, whose single
 // sanctioned wall implementation carries the one justified suppression.
 var obsDetPaths = []string{

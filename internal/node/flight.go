@@ -3,36 +3,56 @@ package node
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
+	"syncstamp/internal/decomp"
 	"syncstamp/internal/obs"
+	"syncstamp/internal/vector"
+	"syncstamp/internal/wire"
 )
 
-// Flight-recorder dumps.
+// Event files.
 //
-// The flight recorder is the node's obs.Recorder: with Config.FlightRecorder
-// alone, one bounded ring per hosted process. This file is its durability
-// story. A dump serializes the held events in the deterministic flight
-// order (obs.SortFlight: stamp sum, proc, seq) as binary journal records
-// (kind = the event's phase, peer -1 for an internal event) and lands them
-// atomically: written and fsynced to a temp file through the journal
-// machinery, then renamed over the dump path, so a reader never observes a
-// torn dump and the newest dump always wins. Dumps fire on the node's first
-// failure, on a peer loss, at end of run, and on demand (SIGQUIT,
-// /debug/flight?dump=1).
+// A run's obs events have one on-disk format, the flight dump: a journal
+// file (journal.go's records) holding one meta record, then the events in
+// the deterministic flight order (obs.SortFlight: stamp sum, proc, seq),
+// each a record whose kind is its phase (peer -1 for an internal event).
+// The meta record's node is the emitting node (-1 in-process), its note the
+// decomposition in decomp.WriteText form, and its stamp the frame table:
+// frame counts, then byte counts, indexed by wire.Kind. A dump lands
+// atomically — written and fsynced to a temp file, then renamed over the
+// path — so a reader never sees a torn dump. The flight recorder dumps on
+// the node's first failure, on a peer loss, at end of run (the one dump
+// with a frame table), and on demand (SIGQUIT, /debug/flight?dump=1);
+// tsnode -obs-trace writes the same file, and tsanalyze reads either.
 //
 // A kill -9 leaves no dump from the dying incarnation — nothing can — but
 // the journal does the remembering: Restore re-emits every committed
-// operation through the obs hooks, so a restarted node's rings carry the
-// committed history (up to their size) and its end-of-run dump is a causal
-// post-mortem of the run, oracle-checkable via csp.LogsFromEvents.
+// operation through the obs hooks, so a restarted node's end-of-run dump is
+// a causal post-mortem of the run, oracle-checkable via csp.LogsFromEvents.
 
-// DumpFlight writes the recorder's held events to Config.FlightDump and
-// reports whether a dump was written. It is a no-op (false) when the
-// flight recorder is off, the dump path is empty, or nothing was recorded
-// yet; concurrent dumps serialize and each overwrites the last. Errors are
-// swallowed: a dump is a best-effort post-mortem taken on failure paths
-// that must not themselves fail.
-func (n *Node) DumpFlight() bool {
+// DumpMeta is an event file's meta record.
+type DumpMeta struct {
+	// Node is the emitting node, or -1 for the in-process runtime.
+	Node int
+	// Dec is the run's edge decomposition; it fixes N and d.
+	Dec *decomp.Decomposition
+	// Frames is the node's sent wire traffic by frame kind, zero in a
+	// mid-run dump.
+	Frames wire.Stats
+}
+
+// DumpFlight writes the recorder's held events to Config.FlightDump, with a
+// zero frame table, and reports whether a dump was written. It is a no-op
+// (false) when the flight recorder is off, the dump path is empty, or
+// nothing was recorded yet; concurrent dumps serialize and each overwrites
+// the last. Errors are swallowed: a dump is a best-effort post-mortem taken
+// on failure paths that must not themselves fail.
+func (n *Node) DumpFlight() bool { return n.dumpFlight(wire.Stats{}) }
+
+// dumpFlight is DumpFlight with the given frame table.
+func (n *Node) dumpFlight(frames wire.Stats) bool {
 	if n.cfg.FlightRecorder <= 0 || n.cfg.FlightDump == "" {
 		return false
 	}
@@ -40,16 +60,24 @@ func (n *Node) DumpFlight() bool {
 	if len(events) == 0 {
 		return false
 	}
-	obs.SortFlight(events)
 	n.dumpMu.Lock()
 	defer n.dumpMu.Unlock()
-	return WriteFlightDump(n.cfg.FlightDump, events) == nil
+	return WriteFlightDump(n.cfg.FlightDump, DumpMeta{Node: n.cfg.Node, Dec: n.cfg.Dec, Frames: frames}, events) == nil
 }
 
-// WriteFlightDump writes events, in the order given, to path atomically:
-// temp file, one fsynced batch, rename.
-func WriteFlightDump(path string, events []obs.Event) error {
-	recs := make([]JournalRecord, 0, len(events))
+// WriteFlightDump writes meta, then events in flight order, to path
+// atomically: temp file, one fsynced batch, rename. The events slice is not
+// reordered.
+func WriteFlightDump(path string, meta DumpMeta, events []obs.Event) error {
+	var dec strings.Builder
+	if err := decomp.WriteText(&dec, meta.Dec); err != nil {
+		return fmt.Errorf("node: flight dump meta: %w", err)
+	}
+	table := append(append(make(vector.V, 0, 2*wire.KindMax), meta.Frames.Frames[:]...), meta.Frames.Bytes[:]...)
+	recs := make([]JournalRecord, 0, 1+len(events))
+	recs = append(recs, JournalRecord{Kind: journalMeta, Node: meta.Node, Stamp: table, Note: dec.String()})
+	events = slices.Clone(events)
+	obs.SortFlight(events)
 	for _, e := range events {
 		recs = append(recs, JournalRecord{
 			Kind:  e.Phase.String(),
@@ -80,21 +108,54 @@ func WriteFlightDump(path string, events []obs.Event) error {
 	return nil
 }
 
-// ReadFlightDump reads a flight dump back into obs events, in the dump's
-// (deterministic) order, without modifying the file. Reading shares the
-// journal's torn-tail tolerance, though a published dump is always
-// complete — only a temp file can tear.
-func ReadFlightDump(path string) ([]obs.Event, error) {
+// ReadFlightDump reads an event file back, without modifying it: the meta
+// record, which must come first and only once, then the events in file
+// (flight) order. Each event must be a known phase of a process in [0, N),
+// with a peer in [0, N) or, for an internal event, -1, and a d-component
+// stamp. Each process's events must be seqs 0, 1, …, k−1: a flight ring
+// that wrapped holds only a tail. Torn tails are tolerated as in a journal,
+// though only a temp file can tear.
+func ReadFlightDump(path string) (DumpMeta, []obs.Event, error) {
+	fail := func(format string, args ...any) (DumpMeta, []obs.Event, error) {
+		return DumpMeta{}, nil, fmt.Errorf("node: event file %s: %s", path, fmt.Sprintf(format, args...))
+	}
 	recs, err := readJournal(path)
 	if err != nil {
-		return nil, err
+		return DumpMeta{}, nil, err
 	}
-	events := make([]obs.Event, 0, len(recs))
-	for i, rec := range recs {
-		ph, perr := obs.ParsePhase(rec.Kind)
-		if perr != nil {
-			return nil, fmt.Errorf("node: flight dump %s record %d: %w", path, i, perr)
+	if len(recs) == 0 || recs[0].Kind != journalMeta {
+		return fail("no meta record first")
+	}
+	dec, err := decomp.ReadText(strings.NewReader(recs[0].Note))
+	if err != nil {
+		return fail("meta record: %v", err)
+	}
+	if len(recs[0].Stamp) != 2*int(wire.KindMax) {
+		return fail("meta record: frame table of %d entries, want %d", len(recs[0].Stamp), 2*wire.KindMax)
+	}
+	meta := DumpMeta{Node: recs[0].Node, Dec: dec}
+	copy(meta.Frames.Frames[:], recs[0].Stamp)
+	copy(meta.Frames.Bytes[:], recs[0].Stamp[wire.KindMax:])
+	n, d := dec.N(), dec.D()
+	events := make([]obs.Event, 0, len(recs)-1)
+	seqs := make([][]int, n)
+	for i, rec := range recs[1:] {
+		ph, err := obs.ParsePhase(rec.Kind)
+		switch {
+		case rec.Kind == journalMeta:
+			return fail("record %d: a second meta record", i+1)
+		case err != nil:
+			return fail("record %d: %v", i+1, err)
+		case rec.Proc < 0 || rec.Proc >= n:
+			return fail("record %d: process %d out of range [0,%d)", i+1, rec.Proc, n)
+		case ph == obs.PhaseInternal && rec.Peer != -1:
+			return fail("record %d: internal event with peer %d", i+1, rec.Peer)
+		case ph != obs.PhaseInternal && (rec.Peer < 0 || rec.Peer >= n):
+			return fail("record %d: %s with peer %d out of range [0,%d)", i+1, ph, rec.Peer, n)
+		case len(rec.Stamp) != d:
+			return fail("record %d: stamp of %d components, d = %d", i+1, len(rec.Stamp), d)
 		}
+		seqs[rec.Proc] = append(seqs[rec.Proc], int(rec.Seq))
 		events = append(events, obs.Event{
 			Node:  rec.Node,
 			Proc:  rec.Proc,
@@ -105,5 +166,19 @@ func ReadFlightDump(path string) ([]obs.Event, error) {
 			Note:  rec.Note,
 		})
 	}
-	return events, nil
+	for p, s := range seqs {
+		slices.Sort(s)
+		for i, seq := range s {
+			switch {
+			case seq == i:
+			case i == 0:
+				return fail("process %d's events start at seq %d: the flight ring wrapped and lost the run's start (record with tsnode -obs-trace or a larger -flight)", p, seq)
+			case seq == s[i-1]:
+				return fail("process %d's seq %d appears twice", p, seq)
+			default:
+				return fail("process %d lacks seq %d", p, i)
+			}
+		}
+	}
+	return meta, events, nil
 }

@@ -22,12 +22,14 @@ const (
 	journalRecv     = "recv"
 	journalInternal = "internal"
 	journalRestart  = "restart"
+	// journalMeta heads an event file (flight.go); a journal never holds it.
+	journalMeta = "meta"
 )
 
 // recordKinds is the closed table of record kinds: the journal's own, then
 // the obs phases a flight dump records (an internal event shares
-// "internal"). A record's kind byte is its index here, so the table only
-// grows at the end; byte 0 is no kind.
+// "internal"), then the dump's meta record. A record's kind byte is its
+// index here, so the table only grows at the end; byte 0 is no kind.
 var recordKinds = [...]string{
 	1: journalSend,
 	2: journalRecv,
@@ -37,6 +39,7 @@ var recordKinds = [...]string{
 	6: obs.PhaseMerge.String(),
 	7: obs.PhaseAck.String(),
 	8: obs.PhaseAdopt.String(),
+	9: journalMeta,
 }
 
 // journalMagic opens every journal file: a name, a NUL no text file
@@ -63,7 +66,7 @@ const stampSlab = 4096
 // peer's retransmission completing it deterministically).
 type JournalRecord struct {
 	// Kind names the record: send, recv, internal or restart, or in a
-	// flight dump the obs phase (syn, merge, ack, adopt, internal).
+	// flight dump meta or the obs phase (syn, merge, ack, adopt, internal).
 	Kind  string
 	Proc  int
 	Peer  int

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"syncstamp/internal/vector"
+	"syncstamp/internal/wire"
 )
 
 // sampleRecords covers every field shape the record codec must round-trip:
@@ -121,7 +122,7 @@ func TestOpenJournalRejectsForeignFile(t *testing.T) {
 			_ = j.Close()
 			t.Errorf("%s: OpenJournal accepted it", tc.name)
 		}
-		if _, err := ReadFlightDump(path); err == nil {
+		if _, _, err := ReadFlightDump(path); err == nil {
 			t.Errorf("%s: ReadFlightDump accepted it", tc.name)
 		}
 		got, err := os.ReadFile(path)
@@ -143,6 +144,12 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(img)
 	f.Add(img[:len(img)-3])
 	f.Add(make([]byte, 16)) // the zero fill a crash can leave past the last fsync
+	// An event file's body: the meta record, then events.
+	f.Add(encodeRecords(f, []JournalRecord{
+		{Kind: journalMeta, Node: 1, Stamp: make(vector.V, 2*wire.KindMax), Note: "n 2\nstar 0 0 1\n"},
+		{Kind: "merge", Node: 1, Proc: 1, Peer: 0, Stamp: vector.V{1}},
+		{Kind: "internal", Node: 1, Proc: 1, Peer: -1, Seq: 1, Stamp: vector.V{1}, Note: "done"},
+	}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		recs, good, err := decodeJournal(append([]byte(journalMagic), body...))
 		if err != nil {

@@ -92,11 +92,11 @@ type Config struct {
 	// surface is created to host the rings; when Obs already has a
 	// recorder, that recorder is the one dumped.
 	FlightRecorder int
-	// FlightDump is the file the flight recorder dumps to — the ring's
-	// events in deterministic stamp order as binary journal records (read
-	// back by ReadFlightDump), written atomically (temp file, fsync, rename)
-	// so a reader never sees a torn dump. Empty keeps the ring in memory
-	// only (still served over /debug/flight).
+	// FlightDump is the event file the flight recorder dumps to — a meta
+	// record, then the ring's events in deterministic stamp order as binary
+	// journal records (read back by ReadFlightDump), written atomically
+	// (temp file, fsync, rename) so a reader never sees a torn dump. Empty
+	// keeps the ring in memory only (still served over /debug/flight).
 	FlightDump string
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and
@@ -849,19 +849,6 @@ type RunInfo struct {
 	PeerHealth map[int]string
 }
 
-// FrameMap renders a wire accounting as the obs.Meta frame table, omitting
-// kinds that never appeared.
-func FrameMap(s wire.Stats) map[string]obs.FrameStats {
-	m := make(map[string]obs.FrameStats)
-	for _, k := range wire.Kinds() {
-		if s.Frames[k] == 0 {
-			continue
-		}
-		m[k.String()] = obs.FrameStats{Frames: s.Frames[k], Bytes: s.Bytes[k]}
-	}
-	return m
-}
-
 // Run connects the data mesh, executes one program per hosted process (a
 // missing or nil entry means "immediately done"), and waits for every
 // hosted program and every peer node to finish. It returns the hosted
@@ -978,10 +965,11 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 	for i, p := range n.local {
 		info.Logs[p] = procs[i].log
 	}
-	// End-of-run dump: after a journal Restore re-primed the ring, this
-	// dump holds the incarnation's complete committed history — the
-	// post-mortem a kill -9'd predecessor could never write.
-	n.DumpFlight()
+	// End-of-run dump, the only one with the frame table: after a journal
+	// Restore re-primed the ring, it holds the incarnation's complete
+	// committed history — the post-mortem a kill -9'd predecessor could
+	// never write.
+	n.dumpFlight(info.Frames)
 
 	// Root cause: prefer a program's own error over the ErrStopped echoes
 	// of its neighbors, mirroring csp.Wait.

@@ -2,7 +2,10 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,11 +17,12 @@ import (
 	"syncstamp/internal/wire"
 )
 
-// exportClusterJSONL runs a fixed two-node computation over the Loop fabric
-// with per-node observability (fake clocks) and returns each node's JSONL
-// trace export.
-func exportClusterJSONL(t *testing.T) [][]byte {
+// exportClusterEventFiles runs a fixed two-node computation over the Loop
+// fabric with per-node observability (fake clocks) and returns each node's
+// event file, as tsnode -obs-trace writes it.
+func exportClusterEventFiles(t *testing.T) [][]byte {
 	t.Helper()
+	dir := t.TempDir()
 	dec := decomp.Approximate(graph.Path(2))
 	placement := []int{0, 1}
 	l := NewLoop(2)
@@ -67,19 +71,13 @@ func exportClusterJSONL(t *testing.T) [][]byte {
 			if info.Frames.Frames[wire.KindSyn] != 1 || info.Frames.Frames[wire.KindAck] != 1 {
 				t.Errorf("node %d frame stats: %+v", i, info.Frames)
 			}
-			meta, err := obs.NewMeta(i, dec)
-			if err != nil {
+			path := filepath.Join(dir, fmt.Sprintf("node%d.events", i))
+			meta := DumpMeta{Node: i, Dec: dec, Frames: info.Frames}
+			if err := WriteFlightDump(path, meta, oses[i].Recorder.Events()); err != nil {
 				errs[i] = err
 				return
 			}
-			meta.Frames = FrameMap(info.Frames)
-			meta.Overhead = &info.Overhead
-			var buf bytes.Buffer
-			if err := obs.WriteJSONL(&buf, meta, oses[i].Recorder.Events()); err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = buf.Bytes()
+			outs[i], errs[i] = os.ReadFile(path)
 		}(i)
 	}
 	wg.Wait()
@@ -91,16 +89,16 @@ func exportClusterJSONL(t *testing.T) [][]byte {
 	return outs
 }
 
-// TestNodeObsDeterministicJSONL: two full cluster runs (fresh fabrics, fresh
-// interleavings) export byte-identical per-node JSONL, wire accounting
-// included.
-func TestNodeObsDeterministicJSONL(t *testing.T) {
+// TestNodeObsDeterministicEventFiles: two full cluster runs (fresh fabrics,
+// fresh interleavings) export byte-identical per-node event files, wire
+// accounting included.
+func TestNodeObsDeterministicEventFiles(t *testing.T) {
 	leakCheck(t)
-	a := exportClusterJSONL(t)
-	b := exportClusterJSONL(t)
+	a := exportClusterEventFiles(t)
+	b := exportClusterEventFiles(t)
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
-			t.Errorf("node %d JSONL differs across runs:\n%s\n---\n%s", i, a[i], b[i])
+			t.Errorf("node %d's event file differs across runs:\n%x\n---\n%x", i, a[i], b[i])
 		}
 		if len(a[i]) == 0 {
 			t.Errorf("node %d exported an empty trace", i)

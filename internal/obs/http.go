@@ -73,13 +73,26 @@ func Handler(o *Obs) http.Handler {
 }
 
 // flightJSON is the /debug/flight response shape: the recorder's accounting
-// plus its held events in the deterministic flight-dump order, each in
-// the same record shape JSONL uses.
+// plus its held events in the deterministic flight-dump order.
 type flightJSON struct {
 	Recorded uint64   `json:"recorded"`
 	Held     int      `json:"held"`
 	Dumped   bool     `json:"dumped,omitempty"`
 	Events   []evJSON `json:"events"`
+}
+
+// evJSON is one event of a /debug/flight response. T is the event's
+// position in the flight order; wall clocks never appear.
+type evJSON struct {
+	K     string `json:"k"` // "ev"
+	T     int    `json:"t"`
+	Node  int    `json:"node"`
+	Proc  int    `json:"proc"`
+	Seq   int    `json:"seq"`
+	Phase string `json:"phase"`
+	Peer  int    `json:"peer"`
+	Stamp []int  `json:"stamp"`
+	Note  string `json:"note,omitempty"`
 }
 
 // Server is a running observability HTTP server.

@@ -1,9 +1,9 @@
 // Package obs is the observability layer of the two runtimes: a metrics
 // registry (counters, gauges, bounded histograms) and a structured event
 // recorder that both internal/csp and internal/node feed, plus the
-// exporters — a deterministic JSONL sink, a Chrome trace_event file, the
-// flight dump order, and the /metrics, /healthz, /debug/flight and pprof
-// HTTP endpoints cmd/tsnode serves.
+// exporters — a Chrome trace_event file, the flight order that internal/node
+// writes event files in, and the /metrics, /healthz, /debug/flight and
+// pprof HTTP endpoints cmd/tsnode serves.
 //
 // The design dogfoods the paper: every trace event carries the event's
 // vector stamp, and cross-process ordering in the exported views is derived
@@ -15,9 +15,9 @@
 //
 // # Determinism rules
 //
-//  1. Deterministic sinks (JSONL, Chrome) never contain wall-clock values:
-//     JSONL timestamps are logical positions in the canonical (proc, seq)
-//     order, Chrome timestamps are topological ranks of the stamps.
+//  1. Deterministic sinks (event files, Chrome) never contain wall-clock
+//     values: event files order events by stamp (SortFlight), Chrome
+//     timestamps are topological ranks of the stamps.
 //  2. time.Now() is forbidden in this package (enforced by the obsdet
 //     analyzer of cmd/tslint) except for the single Wall clock below, which
 //     only ever feeds in-memory latency metrics, never an exported file.

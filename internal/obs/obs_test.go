@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"syncstamp/internal/decomp"
 	"syncstamp/internal/vector"
 )
 
@@ -217,89 +216,6 @@ func sampleTrace() (*Recorder, *Recorder) {
 	t2.Record(b[1])
 	t2.Record(a[2])
 	return t1, t2
-}
-
-func TestJSONLByteIdenticalAcrossInterleavings(t *testing.T) {
-	meta, err := NewMeta(-1, decomp.Figure3a())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := sampleTrace()
-	var b1, b2 bytes.Buffer
-	if err := WriteJSONL(&b1, meta, t1.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&b2, meta, t2.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("JSONL not byte-identical across interleavings:\n%s\n---\n%s", b1.String(), b2.String())
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	dec := decomp.Figure3a()
-	meta, err := NewMeta(2, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta.Frames = map[string]FrameStats{"syn": {Frames: 3, Bytes: 120}}
-	tr, _ := sampleTrace()
-	want := tr.Events()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, meta, want); err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMeta.Version != MetaVersion || gotMeta.Node != 2 || gotMeta.N != dec.N() || gotMeta.D != dec.D() {
-		t.Fatalf("meta mismatch: %+v", gotMeta)
-	}
-	if gotMeta.Frames["syn"] != (FrameStats{Frames: 3, Bytes: 120}) {
-		t.Fatalf("frames mismatch: %+v", gotMeta.Frames)
-	}
-	rt, err := gotMeta.Decomposition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.N() != dec.N() || rt.D() != dec.D() {
-		t.Fatalf("decomposition round trip: n=%d d=%d", rt.N(), rt.D())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Node != w.Node || g.Proc != w.Proc || g.Peer != w.Peer || g.Seq != w.Seq ||
-			g.Phase != w.Phase || g.Note != w.Note || !vector.Eq(g.Stamp, w.Stamp) {
-			t.Errorf("event %d: got %+v, want %+v", i, g, w)
-		}
-	}
-}
-
-func TestReadJSONLErrors(t *testing.T) {
-	metaLine := `{"k":"meta","version":1,"node":0,"n":2,"d":2,"dec":""}`
-	cases := []struct {
-		name, in, wantErr string
-	}{
-		{"empty", "", "no meta record"},
-		{"event-first", `{"k":"ev","t":0,"node":0,"proc":0,"seq":0,"phase":"syn","peer":1,"stamp":[1,0]}`, "event before meta"},
-		{"duplicate-meta", metaLine + "\n" + metaLine, "duplicate meta"},
-		{"unknown-kind", metaLine + "\n" + `{"k":"wat"}`, "unknown record kind"},
-		{"bad-phase", metaLine + "\n" + `{"k":"ev","t":0,"node":0,"proc":0,"seq":0,"phase":"nope","peer":1,"stamp":[1,0]}`, "unknown phase"},
-		{"proc-range", metaLine + "\n" + `{"k":"ev","t":0,"node":0,"proc":9,"seq":0,"phase":"syn","peer":1,"stamp":[1,0]}`, "out of range"},
-		{"bad-json", "not json", "jsonl line 1"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := ReadJSONL(strings.NewReader(tc.in))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
-			}
-		})
-	}
 }
 
 func TestCausalLatencies(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // Recorder keeps a run's trace events, each process's in that process's own
 // log. Under the Figure 5 stamps a process's event sequence is the same for
 // every interleaving (Theorem 4), so the per-process logs are all a
-// deterministic export needs: JSONL and Chrome traces, the flight dump and
+// deterministic export needs: event files (flight dumps), Chrome traces and
 // /debug/flight all read the one recorder.
 //
 // The mode is fixed at construction: a recorder keeps either every event
