@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"io"
 
+	"syncstamp/internal/csp"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 )
 
-// runCriticalPath implements the critical-path subcommand: ingest one event
-// file per node, rebuild the happens-before DAG from the recorded stamps
-// alone (vector.Less is the causal order — Theorem 4), and print the
-// longest weighted causal chain with per-process slack and a ranked
-// rendezvous-link blame table. Weights are causal ticks, not wall clocks,
-// so the report is byte-identical across runs of the same computation.
+// runCriticalPath implements the critical-path subcommand: ingest every
+// node's event file, reconstruct the computation as trace-report does, and
+// print the longest weighted causal chain with per-process slack and a
+// ranked rendezvous-link blame table. Weights are causal ticks, not wall
+// clocks, so the report is byte-identical across runs of the same
+// computation.
 func runCriticalPath(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsanalyze critical-path", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -29,45 +30,60 @@ func runCriticalPath(args []string, stdout, stderr io.Writer) int {
 	if len(files) == 0 {
 		return fail(fmt.Errorf("critical-path needs at least one event file"))
 	}
-	metas, events, err := readTraces(files)
+	metas, _, res, err := readTraces(files)
 	if err != nil {
 		return fail(err)
 	}
 	printHeader(stdout, "critical-path", metas)
-	if err := obs.CriticalPath(events).WriteReport(stdout); err != nil {
+	if err := obs.CriticalPath(res.Trace, res.Stamps, metas[0].Dec.D()).WriteReport(stdout); err != nil {
 		return fail(err)
 	}
 	return 0
 }
 
 // readTraces loads and merges event files — tsnode -obs-trace files or
-// flight dumps — in canonical (proc, seq) order. Every file must carry the
-// same decomposition, and since each process is hosted by exactly one
-// node, no (proc, seq) pair may appear twice across the files.
-func readTraces(files []string) ([]node.DumpMeta, []obs.Event, error) {
+// flight dumps — in canonical (proc, seq) order, and reconstructs the
+// computation from them. Every file must carry the same decomposition, and
+// since each process is hosted by exactly one node, no (proc, seq) pair may
+// appear twice across the files, and every rendezvous peer's events must be
+// among them.
+func readTraces(files []string) ([]node.DumpMeta, []obs.Event, *csp.Result, error) {
 	var metas []node.DumpMeta
 	var events []obs.Event
 	read := make(map[[2]int]string)
 	for _, name := range files {
 		meta, evs, err := node.ReadFlightDump(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if len(metas) > 0 && (meta.Dec.N() != metas[0].Dec.N() || meta.Dec.String() != metas[0].Dec.String()) {
-			return nil, nil, fmt.Errorf("%s: topology/decomposition differs from %s", name, files[0])
+			return nil, nil, nil, fmt.Errorf("%s: topology/decomposition differs from %s", name, files[0])
 		}
 		for i, e := range evs {
 			key := [2]int{e.Proc, e.Seq}
 			if prev, dup := read[key]; dup {
-				return nil, nil, fmt.Errorf("%s record %d: process %d's seq %d was already read from %s", name, i+1, e.Proc, e.Seq, prev)
+				return nil, nil, nil, fmt.Errorf("%s record %d: process %d's seq %d was already read from %s", name, i+1, e.Proc, e.Seq, prev)
 			}
 			read[key] = name
 		}
 		metas = append(metas, meta)
 		events = append(events, evs...)
 	}
+	// A process's events start at seq 0 (node.ReadFlightDump checks), so a
+	// peer with no seq 0 is one no file carries.
+	for _, e := range events {
+		if _, ok := read[[2]int{e.Peer, 0}]; e.Peer >= 0 && !ok {
+			return nil, nil, nil, fmt.Errorf("%s: process %d is a rendezvous peer of process %d, but no file carries its events: pass every node's event file",
+				read[[2]int{e.Proc, e.Seq}], e.Peer, e.Proc)
+		}
+	}
+	dec := metas[0].Dec
 	obs.SortEvents(events)
-	return metas, events, nil
+	res, err := csp.Reconstruct(dec, csp.LogsFromEvents(dec.N(), events))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("reconstructing the computation from the trace: %w", err)
+	}
+	return metas, events, res, nil
 }
 
 // printHeader prints a subcommand's first line: the files' nodes and the

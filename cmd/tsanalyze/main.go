@@ -18,10 +18,11 @@
 //	tsanalyze trace-report -chrome run.chrome.json node0.events node1.events
 //
 // The "critical-path" subcommand profiles the same event files causally:
-// it rebuilds the happens-before DAG from the stamps, extracts the longest
-// weighted causal chain (in causal ticks, so the report is byte-identical
-// across runs), and prints per-process slack plus a ranked blame table of
-// rendezvous links:
+// it reconstructs the computation as trace-report does, walks it for the
+// longest weighted causal chain (in causal ticks, so the report is
+// byte-identical across runs), and prints per-process slack plus a ranked
+// blame table of rendezvous links. Both subcommands need every node's event
+// file, and refuse a set that names a rendezvous peer no file carries:
 //
 //	tsanalyze critical-path node0.events node1.events node2.events
 package main
@@ -99,8 +100,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	m := len(stamps)
-	stats := monitor.Stats(stamps)
 	pairs := monitor.ConcurrentMessages(stamps)
+	total := m * (m - 1) / 2
+	var ratio float64
+	if total > 0 {
+		ratio = float64(len(pairs)) / float64(total)
+	}
 	length, chain := monitor.CriticalPath(stamps)
 	sched, err := sim.Schedule(tr, sim.Uniform(1, 1))
 	if err != nil {
@@ -138,8 +143,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			OnlineD:          dec.D(),
 			OfflineWidth:     off.Width,
 			FMSize:           tr.N,
-			ConcurrentPairs:  stats.ConcurrentPairs,
-			ConcurrencyRatio: stats.ConcurrencyRatio,
+			ConcurrentPairs:  len(pairs),
+			ConcurrencyRatio: ratio,
 			CriticalPath:     chain,
 			Makespan:         sched.Makespan,
 			Speedup:          sched.Parallelism(),
@@ -162,7 +167,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "timestamps: online d=%d, offline width=%d (FM would use %d)\n",
 		dec.D(), off.Width, tr.N)
 	fmt.Fprintf(stdout, "concurrency: %d of %d message pairs concurrent (%.1f%%)\n",
-		stats.ConcurrentPairs, stats.ConcurrentPairs+stats.OrderedPairs, 100*stats.ConcurrencyRatio)
+		len(pairs), total, 100*ratio)
 	for i, p := range pairs {
 		if i >= *maxPairs {
 			fmt.Fprintf(stdout, "  ... and %d more\n", len(pairs)-*maxPairs)

@@ -99,20 +99,26 @@ func TestAnalyzeJSON(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	var report struct {
-		Processes    int     `json:"processes"`
-		Messages     int     `json:"messages"`
-		OnlineD      int     `json:"online_d"`
-		OfflineWidth int     `json:"offline_width"`
-		CriticalPath []int   `json:"critical_path"`
-		Speedup      float64 `json:"speedup"`
-		Lost         *int    `json:"lost"`
-		Orphans      []int   `json:"orphans"`
+		Processes        int     `json:"processes"`
+		Messages         int     `json:"messages"`
+		OnlineD          int     `json:"online_d"`
+		OfflineWidth     int     `json:"offline_width"`
+		ConcurrentPairs  int     `json:"concurrent_pairs"`
+		ConcurrencyRatio float64 `json:"concurrency_ratio"`
+		CriticalPath     []int   `json:"critical_path"`
+		Speedup          float64 `json:"speedup"`
+		Lost             *int    `json:"lost"`
+		Orphans          []int   `json:"orphans"`
 	}
 	if err := json.Unmarshal([]byte(out), &report); err != nil {
 		t.Fatalf("stdout not JSON: %v\n%s", err, out)
 	}
 	if report.Processes != 4 || report.Messages != 4 {
 		t.Fatalf("report = %+v", report)
+	}
+	// Only m1 ‖ m2 of the sample's 6 message pairs is concurrent.
+	if report.ConcurrentPairs != 1 || report.ConcurrencyRatio != 1.0/6 {
+		t.Fatalf("concurrency fields: %+v, want 1 of 6 pairs", report)
 	}
 	if report.Lost == nil || *report.Lost != 1 || len(report.Orphans) == 0 {
 		t.Fatalf("orphan fields: %+v", report)

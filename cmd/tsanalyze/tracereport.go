@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 	"syncstamp/internal/wire"
@@ -37,15 +36,11 @@ func runTraceReport(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("trace-report needs at least one event file"))
 	}
 
-	metas, events, err := readTraces(files)
+	metas, events, res, err := readTraces(files)
 	if err != nil {
 		return fail(err)
 	}
 	dec := metas[0].Dec
-	res, err := csp.Reconstruct(dec, csp.LogsFromEvents(dec.N(), events))
-	if err != nil {
-		return fail(fmt.Errorf("reconstructing the computation from the trace: %w", err))
-	}
 	printHeader(stdout, "trace-report", metas)
 	fmt.Fprintf(stdout, "events: %d records — %d messages, %d internal events\n",
 		len(events), res.Trace.NumMessages(), len(res.Internal))

@@ -178,6 +178,9 @@ func TestMalformedTraces(t *testing.T) {
 		{"wrapped ring", []string{write("wrapped", func(evs []obs.Event) []obs.Event {
 			return evs[1:] // process 0 lost its first event
 		})}, "process 0's events start at seq 1"},
+		{"one node's file of a multi-node run", []string{write("node0", func(evs []obs.Event) []obs.Event {
+			return slices.DeleteFunc(evs, func(e obs.Event) bool { return e.Proc != 0 })
+		})}, "process 1 is a rendezvous peer of process 0, but no file carries its events: pass every node's event file"},
 	}
 	for _, tc := range cases {
 		for _, cmd := range []string{"trace-report", "critical-path"} {

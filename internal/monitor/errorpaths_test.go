@@ -19,10 +19,6 @@ func TestEmptyStampSets(t *testing.T) {
 	if length, chain := CriticalPath(nil); length != 0 || chain != nil {
 		t.Errorf("CriticalPath(nil) = %d, %v, want 0, nil", length, chain)
 	}
-	s := Stats(nil)
-	if s.Messages != 0 || s.ConcurrencyRatio != 0 || s.CriticalPathLen != 0 {
-		t.Errorf("Stats(nil) = %+v, want zeros", s)
-	}
 	if got := Orphans(nil, []vector.V{{1, 0}}); len(got) != 0 {
 		t.Errorf("Orphans(no stamps) = %v, want none", got)
 	}
@@ -35,16 +31,6 @@ func TestEmptyStampSets(t *testing.T) {
 	conflicts, err := FindConflicts(nil, nil)
 	if err != nil || len(conflicts) != 0 {
 		t.Errorf("FindConflicts(nil, nil) = %v, %v, want none, nil", conflicts, err)
-	}
-}
-
-func TestSingleMessageStats(t *testing.T) {
-	s := Stats([]vector.V{{1, 1}})
-	if s.Messages != 1 || s.ConcurrentPairs != 0 || s.OrderedPairs != 0 || s.ConcurrencyRatio != 0 {
-		t.Errorf("Stats(one stamp) = %+v", s)
-	}
-	if s.CriticalPathLen != 1 {
-		t.Errorf("critical path of one message = %d, want 1", s.CriticalPathLen)
 	}
 }
 
@@ -62,10 +48,6 @@ func TestMismatchedStampLengths(t *testing.T) {
 	}
 	if got := Orphans(stamps, []vector.V{{1, 0}}); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Orphans with a mismatched-length stamp = %v, want [0]", got)
-	}
-	s := Stats(stamps)
-	if s.ConcurrentPairs != 1 || s.OrderedPairs != 0 {
-		t.Errorf("Stats over mismatched lengths = %+v", s)
 	}
 }
 

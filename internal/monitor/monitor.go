@@ -159,34 +159,3 @@ func Orphans(stamps []vector.V, lost []vector.V) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Statistics summarizes the concurrency structure of a stamped computation.
-type Statistics struct {
-	// Messages is the number of stamped messages.
-	Messages int
-	// ConcurrentPairs and OrderedPairs partition the unordered pairs.
-	ConcurrentPairs, OrderedPairs int
-	// ConcurrencyRatio is ConcurrentPairs / total pairs (0 for < 2 messages).
-	ConcurrencyRatio float64
-	// CriticalPathLen is the longest synchronous chain.
-	CriticalPathLen int
-}
-
-// Stats computes summary statistics from message timestamps alone.
-func Stats(stamps []vector.V) Statistics {
-	s := Statistics{Messages: len(stamps)}
-	for i := 0; i < len(stamps); i++ {
-		for j := i + 1; j < len(stamps); j++ {
-			if vector.Concurrent(stamps[i], stamps[j]) {
-				s.ConcurrentPairs++
-			} else {
-				s.OrderedPairs++
-			}
-		}
-	}
-	if total := s.ConcurrentPairs + s.OrderedPairs; total > 0 {
-		s.ConcurrencyRatio = float64(s.ConcurrentPairs) / float64(total)
-	}
-	s.CriticalPathLen, _ = CriticalPath(stamps)
-	return s
-}

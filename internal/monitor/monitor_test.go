@@ -292,24 +292,3 @@ func TestQuickSurvivorsDownwardClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStats(t *testing.T) {
-	stamps := stampFigure1(t)
-	s := Stats(stamps)
-	if s.Messages != 6 {
-		t.Fatalf("Messages = %d", s.Messages)
-	}
-	if s.ConcurrentPairs+s.OrderedPairs != 15 {
-		t.Fatalf("pairs = %d + %d, want 15", s.ConcurrentPairs, s.OrderedPairs)
-	}
-	if s.ConcurrencyRatio <= 0 || s.ConcurrencyRatio >= 1 {
-		t.Fatalf("ratio = %v", s.ConcurrencyRatio)
-	}
-	if s.CriticalPathLen < 4 {
-		t.Fatalf("critical path = %d", s.CriticalPathLen)
-	}
-	empty := Stats(nil)
-	if empty.Messages != 0 || empty.ConcurrencyRatio != 0 {
-		t.Fatalf("empty stats = %+v", empty)
-	}
-}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"syncstamp/internal/vector"
 )
 
 // chromeEvent is one record of the Chrome trace_event format (the JSON
@@ -29,83 +27,45 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// stampRanks topologically sorts the distinct stamps of the events on
-// vector.Less (Theorem 4: the vector order IS the causal order ↦, so any
-// linear extension of it is a valid display timeline) and returns each
-// stamp's rank. Kahn's algorithm with a deterministic tie-break — smallest
-// component sum first, then lexicographically smallest rendering — makes the
-// ranking, and hence the export, identical across runs.
+// stampRanks ranks the distinct stamps of the events by (stamp sum,
+// rendering). A stamp's vector.Less-predecessors all have strictly smaller
+// sums, so this is a linear extension of vector.Less — by Theorem 4 the
+// causal order ↦, hence a truthful display timeline — and it is the ranking
+// Kahn's algorithm with the same tie-break produces. It is identical across
+// runs.
 func stampRanks(events []Event) map[string]int {
-	var stamps []vector.V
-	var keys []string
-	index := make(map[string]int)
+	type stamp struct {
+		sum int64
+		key string
+	}
+	ranks := make(map[string]int)
+	var stamps []stamp
 	for _, e := range events {
 		k := e.Stamp.String()
-		if _, ok := index[k]; !ok {
-			index[k] = len(stamps)
-			stamps = append(stamps, e.Stamp)
-			keys = append(keys, k)
+		if _, ok := ranks[k]; !ok {
+			ranks[k] = 0
+			stamps = append(stamps, stamp{StampSum(e.Stamp), k})
 		}
 	}
-	n := len(stamps)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && vector.Less(stamps[i], stamps[j]) {
-				succ[i] = append(succ[i], j)
-				indeg[j]++
-			}
+	sort.Slice(stamps, func(i, j int) bool {
+		if stamps[i].sum != stamps[j].sum {
+			return stamps[i].sum < stamps[j].sum
 		}
-	}
-	sum := func(i int) int {
-		s := 0
-		for _, x := range stamps[i] {
-			s += x
-		}
-		return s
-	}
-	before := func(i, j int) bool {
-		si, sj := sum(i), sum(j)
-		if si != sj {
-			return si < sj
-		}
-		return keys[i] < keys[j]
-	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	ranks := make(map[string]int, n)
-	for rank := 0; rank < n; rank++ {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if before(ready[i], ready[best]) {
-				best = i
-			}
-		}
-		cur := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		ranks[keys[cur]] = rank
-		for _, s := range succ[cur] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
+		return stamps[i].key < stamps[j].key
+	})
+	for i, s := range stamps {
+		ranks[s.key] = i
 	}
 	return ranks
 }
 
-// tickUS spaces topological ranks out on the Chrome timeline so spans have
-// visible width.
+// tickUS spaces stamp ranks out on the Chrome timeline so spans have visible
+// width.
 const tickUS = 10
 
 // WriteChrome writes the events as a Chrome trace_event JSON file
-// (chrome://tracing, Perfetto). Timestamps are topological ranks of the
-// vector stamps, not wall clocks: causally ordered work is ordered on the
+// (chrome://tracing, Perfetto). Timestamps are the vector stamps' ranks
+// (stampRanks), not wall clocks: causally ordered work is ordered on the
 // timeline, concurrent work overlaps, and the file is byte-identical across
 // runs. Each process is a thread; completed sends render as one span from
 // SYN to adopt, receives as one span from merge to ACK, internal events as

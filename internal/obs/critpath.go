@@ -4,17 +4,18 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 )
 
-// This file is the causal critical-path profiler: given the recorded events
-// of a run (one node's trace or several merged), it reconstructs the
-// happens-before DAG of the completed work from the stamps alone —
-// Theorem 4 again: vector.Less IS the causal order — and extracts the
-// longest weighted causal chain, per-process and per-link slack, and a
-// ranked blame table of rendezvous links.
+// This file is the causal critical-path profiler: given a reconstructed run
+// (the computation csp.Reconstruct rebuilds from every node's event file,
+// with its message stamps), it walks the run's per-process operation order
+// and extracts the longest weighted causal chain, per-process and per-link
+// slack, and a ranked blame table of rendezvous links.
 //
 // Weights are causal ticks (stamp-sum growth), not wall clocks: the
 // deterministic sinks of this package never carry wall time, so the report
@@ -82,195 +83,128 @@ type CritPath struct {
 	Links []LinkBlame
 }
 
-// critNode is one distinct completed-work stamp in the happens-before DAG.
-type critNode struct {
-	stamp vector.V
-	sum   int64
-	key   string
-	// phase is PhaseAdopt for a rendezvous, PhaseInternal otherwise.
-	phase Phase
-	// from/to are sender→receiver for a rendezvous; proc/-1 for internal.
-	from, to int
-	// preds are the nodes the processes that reach this one held just
-	// before it: its candidate critical predecessors.
-	preds []int
-}
+// CriticalPath analyzes a reconstructed run: tr is the computation, in any
+// linearization, and stamps[k] is the agreed stamp of tr's k-th message
+// (aligned with tr.Messages()), in vectors of d components. The result
+// depends only on each process's order of operations and on the stamps, so
+// it is identical for every interleaving of the same computation.
+func CriticalPath(tr *trace.Trace, stamps []vector.V, d int) *CritPath {
+	msgs := tr.Messages()
+	sums := make([]int64, len(stamps))
+	for k, v := range stamps {
+		sums[k] = StampSum(v)
+	}
+	// pick returns the preferred of two messages (-1 is none): the larger
+	// sum, then the smaller rendering.
+	pick := func(a, b int) int {
+		switch {
+		case a < 0:
+			return b
+		case b < 0 || sums[a] > sums[b]:
+			return a
+		case sums[a] < sums[b] || stamps[b].String() < stamps[a].String():
+			return b
+		}
+		return a
+	}
 
-// CriticalPath analyzes the completed work of the given events (merged from
-// one or more traces; any order). Only completed-work phases — adopt,
-// merge, internal — define DAG nodes; the SYN's pre-merge vector and the
-// ACK's copy of the merged stamp are protocol intermediates, not work. The result is identical for every
-// interleaving of the same computation.
-func CriticalPath(events []Event) *CritPath {
-	evs := append([]Event(nil), events...)
-	SortEvents(evs)
-
-	// Collect the distinct completed-work stamps, remembering each one's
-	// classification and endpoints. A rendezvous stamp may also carry
-	// later internal events (internal events do not advance the clock);
-	// the rendezvous wins the classification. Events arrive in (proc, seq)
-	// order, so each process's previous node is at hand: it is a candidate
-	// predecessor of the process's next node.
-	index := make(map[string]int)
-	var nodes []critNode
-	lastProc, last := -1, -1
-	procEnd := make(map[int]int64) // proc -> max stamp sum it reached
-	linkMsgs := make(map[[2]int]int)
-	linkEnd := make(map[[2]int]int64)
-	note := func(proc int, sum int64) {
-		if sum > procEnd[proc] {
-			procEnd[proc] = sum
+	// One pass in trace order. A message's candidate critical predecessors
+	// are the messages its two participants took part in just before it.
+	// Sums strictly grow along a causal chain, and every message below m
+	// lies at or below one of the two, so the preferred candidate is the
+	// causally-preceding message with the largest sum: the tightest
+	// dependency, which attributes the smallest tick delta to each step and
+	// so yields the longest chain realizing the sink's clock.
+	prev := make([]int, tr.N) // each process's previous message; -1 = none yet
+	for p := range prev {
+		prev[p] = -1
+	}
+	early := make([]bool, tr.N) // an internal event before the process's first message
+	pred := make([]int, 0, len(msgs))
+	for _, op := range tr.Ops {
+		switch op.Kind {
+		case trace.OpMessage:
+			k := len(pred)
+			pred = append(pred, pick(prev[op.From], prev[op.To]))
+			prev[op.From], prev[op.To] = k, k
+		case trace.OpInternal:
+			early[op.Proc] = early[op.Proc] || prev[op.Proc] < 0
 		}
 	}
-	for _, e := range evs {
-		if e.Phase != PhaseAdopt && e.Phase != PhaseMerge && e.Phase != PhaseInternal {
-			continue
-		}
-		sum := StampSum(e.Stamp)
-		note(e.Proc, sum)
-		k := e.Stamp.String()
-		i, ok := index[k]
-		if !ok {
-			i = len(nodes)
-			index[k] = i
-			nodes = append(nodes, critNode{
-				stamp: e.Stamp, sum: sum, key: k,
-				phase: PhaseInternal, from: e.Proc, to: -1,
-			})
-		}
-		if e.Proc != lastProc {
-			lastProc, last = e.Proc, -1
-		}
-		if last >= 0 && last != i && vector.Less(nodes[last].stamp, e.Stamp) {
-			nodes[i].preds = append(nodes[i].preds, last)
-		}
-		last = i
-		if e.Phase == PhaseAdopt || e.Phase == PhaseMerge {
-			from, to := e.Proc, e.Peer
-			if e.Phase == PhaseMerge {
-				from, to = e.Peer, e.Proc
-			}
-			if nodes[i].phase != PhaseAdopt {
-				nodes[i].phase = PhaseAdopt
-				nodes[i].from, nodes[i].to = from, to
-			}
-		}
-	}
+
+	// The path's sink is the message with the largest sum: no chain can
+	// exceed it, so its sum is the end-to-end length. Walk back from it to
+	// a message with no candidate, the first of both its participants. The
+	// all-zero internal step opens the path when one of them recorded an
+	// internal event before it (the smaller id if both did); a run without
+	// messages is that step alone, on its smallest process.
 	cp := &CritPath{}
-	if len(nodes) == 0 {
-		return cp
-	}
-
-	// Per-link totals over all messages (each message = one distinct
-	// rendezvous stamp).
-	for _, nd := range nodes {
-		if nd.phase != PhaseAdopt {
-			continue
-		}
-		l := [2]int{nd.from, nd.to}
-		linkMsgs[l]++
-		if nd.sum > linkEnd[l] {
-			linkEnd[l] = nd.sum
-		}
-	}
-
-	// The path's sink: the maximum stamp sum (ties broken by smallest
-	// key — the stampRanks convention). Along any causal chain the sum
-	// strictly grows, so the sink's sum is the end-to-end length and no
-	// chain can exceed it.
-	sink := 0
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i].sum > nodes[sink].sum ||
-			(nodes[i].sum == nodes[sink].sum && nodes[i].key < nodes[sink].key) {
-			sink = i
-		}
-	}
-	cp.Length = nodes[sink].sum
-
-	// Walk the chain backwards: from each node, its critical predecessor
-	// is the causally-preceding node with the largest sum (smallest key on
-	// ties) — the tightest dependency, which attributes the smallest tick
-	// delta to each step and so yields the longest chain realizing the
-	// sink's clock. Sums strictly grow along a chain, and in a trace with
-	// every process's events, every node below X lies at or below the node
-	// some process reaching X held just before it. So that maximum is one
-	// of X's candidates, or, when X has none, the all-zero node that
-	// internal events before a process's first message record.
-	zero := -1
-	for i, nd := range nodes {
-		if nd.sum == 0 && vector.Eq(nd.stamp, vector.New(len(nd.stamp))) {
-			zero = i
-		}
+	sink := -1
+	for k := range msgs {
+		sink = pick(sink, k)
 	}
 	var chain []int
-	for cur := sink; ; {
+	for cur := sink; cur >= 0; cur = pred[cur] {
 		chain = append(chain, cur)
-		pred := -1
-		for _, j := range nodes[cur].preds {
-			if pred < 0 || nodes[j].sum > nodes[pred].sum ||
-				(nodes[j].sum == nodes[pred].sum && nodes[j].key < nodes[pred].key) {
-				pred = j
+	}
+	slices.Reverse(chain)
+	opener := slices.Index(early, true)
+	if len(chain) > 0 {
+		m := msgs[chain[0]]
+		opener = -1
+		for _, p := range [2]int{max(m.From, m.To), min(m.From, m.To)} {
+			if early[p] {
+				opener = p
 			}
 		}
-		if pred < 0 && zero >= 0 && vector.Less(nodes[zero].stamp, nodes[cur].stamp) {
-			pred = zero
-		}
-		if pred < 0 {
-			break
-		}
-		cur = pred
 	}
-	// chain is sink→source; reverse it and compute the tick deltas.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	if opener >= 0 {
+		cp.Steps = append(cp.Steps, CritStep{Phase: PhaseInternal, Proc: opener, Peer: -1, Stamp: vector.New(d)})
 	}
-	linkPathSteps := make(map[[2]int]int)
-	linkPathTicks := make(map[[2]int]int64)
+	if sink >= 0 {
+		cp.Length = sums[sink]
+	}
+
+	// Per-link totals over all messages, then the path's share of each.
+	link := make(map[[2]int]int) // (from, to) -> index in cp.Links
+	for k, m := range msgs {
+		i, ok := link[[2]int{m.From, m.To}]
+		if !ok {
+			i = len(cp.Links)
+			link[[2]int{m.From, m.To}] = i
+			cp.Links = append(cp.Links, LinkBlame{From: m.From, To: m.To, Slack: cp.Length})
+		}
+		cp.Links[i].Msgs++
+		cp.Links[i].Slack = min(cp.Links[i].Slack, cp.Length-sums[k])
+	}
 	var prevSum int64
-	for _, i := range chain {
-		nd := nodes[i]
-		step := CritStep{
-			Phase: nd.phase, Proc: nd.from, Peer: nd.to,
-			Stamp: nd.stamp, Ticks: nd.sum - prevSum,
-		}
-		prevSum = nd.sum
-		cp.Steps = append(cp.Steps, step)
-		if nd.phase == PhaseAdopt {
-			l := [2]int{nd.from, nd.to}
-			linkPathSteps[l]++
-			linkPathTicks[l] += step.Ticks
-		}
-	}
-
-	// Per-process slack, ordered by process id.
-	var procs []int
-	for p := range procEnd {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		cp.Procs = append(cp.Procs, ProcSlack{Proc: p, EndSum: procEnd[p], Slack: cp.Length - procEnd[p]})
-	}
-
-	// Blame table: every link, ranked by path ticks desc, slack asc, link.
-	var links [][2]int
-	for l := range linkMsgs {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i][0] != links[j][0] {
-			return links[i][0] < links[j][0]
-		}
-		return links[i][1] < links[j][1]
-	})
-	for _, l := range links {
-		cp.Links = append(cp.Links, LinkBlame{
-			From: l[0], To: l[1], Msgs: linkMsgs[l],
-			PathSteps: linkPathSteps[l], PathTicks: linkPathTicks[l],
-			Slack: cp.Length - linkEnd[l],
+	for _, k := range chain {
+		m := msgs[k]
+		cp.Steps = append(cp.Steps, CritStep{
+			Phase: PhaseAdopt, Proc: m.From, Peer: m.To,
+			Stamp: stamps[k], Ticks: sums[k] - prevSum,
 		})
+		prevSum = sums[k]
+		l := &cp.Links[link[[2]int{m.From, m.To}]]
+		l.PathSteps++
+		l.PathTicks += cp.Steps[len(cp.Steps)-1].Ticks
 	}
-	sort.SliceStable(cp.Links, func(i, j int) bool {
+
+	// Per-process slack, by process id, for every process with an event: a
+	// process's causally latest event is its last message, and one that
+	// never sent or received spans no ticks.
+	for p, k := range prev {
+		var end int64
+		if k >= 0 {
+			end = sums[k]
+		} else if !early[p] {
+			continue
+		}
+		cp.Procs = append(cp.Procs, ProcSlack{Proc: p, EndSum: end, Slack: cp.Length - end})
+	}
+
+	// Blame table: ranked by path ticks desc, slack asc, then link.
+	sort.Slice(cp.Links, func(i, j int) bool {
 		a, b := cp.Links[i], cp.Links[j]
 		if a.PathTicks != b.PathTicks {
 			return a.PathTicks > b.PathTicks
@@ -287,7 +221,7 @@ func CriticalPath(events []Event) *CritPath {
 }
 
 // WriteReport renders the analysis as the deterministic text report
-// `tsanalyze critical-path` prints: same events in, same bytes out.
+// `tsanalyze critical-path` prints: same computation in, same bytes out.
 func (c *CritPath) WriteReport(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "critical path: %d causal ticks end-to-end over %d steps\n", c.Length, len(c.Steps))

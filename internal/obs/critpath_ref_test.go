@@ -6,10 +6,24 @@ import (
 	"syncstamp/internal/vector"
 )
 
-// criticalPathQuadratic is CriticalPath as it was before the predecessor
-// search became linear: each step of the backward walk scans every node for
-// the causally-preceding one with the largest sum. It stays here as the
-// reference the differential test compares CriticalPath against.
+// critNode is one distinct completed-work stamp in the happens-before DAG
+// the reference walk rebuilds from the events.
+type critNode struct {
+	stamp vector.V
+	sum   int64
+	key   string
+	// phase is PhaseAdopt for a rendezvous, PhaseInternal otherwise.
+	phase Phase
+	// from/to are sender→receiver for a rendezvous; proc/-1 for internal.
+	from, to int
+}
+
+// criticalPathQuadratic is the critical-path analysis of a run's events
+// before it became a walk over the reconstructed run: it rebuilds the
+// happens-before DAG from the stamps alone, and each step of the backward
+// walk scans every node for the causally-preceding one with the largest
+// sum. It stays here as the reference the differential test compares
+// CriticalPath against.
 func criticalPathQuadratic(events []Event) *CritPath {
 	evs := append([]Event(nil), events...)
 	SortEvents(evs)
@@ -23,9 +37,13 @@ func criticalPathQuadratic(events []Event) *CritPath {
 	procEnd := make(map[int]int64) // proc -> max stamp sum it reached
 	linkMsgs := make(map[[2]int]int)
 	linkEnd := make(map[[2]int]int64)
+	early := make(map[int]bool) // procs with an internal event before their first message
 	note := func(proc int, sum int64) {
-		if sum > procEnd[proc] {
+		if end, ok := procEnd[proc]; !ok || sum > end {
 			procEnd[proc] = sum
+		}
+		if sum == 0 {
+			early[proc] = true
 		}
 	}
 	for _, e := range evs {
@@ -90,13 +108,19 @@ func criticalPathQuadratic(events []Event) *CritPath {
 	// is the causally-preceding node with the largest sum (smallest key on
 	// ties) — the tightest dependency, which attributes the smallest tick
 	// delta to each step and so yields the longest chain realizing the
-	// sink's clock.
+	// sink's clock. The all-zero node of internal events before a first
+	// message precedes a message only when one of its participants
+	// recorded such an event, and is then named for the smaller such one.
 	var chain []int
 	for cur := sink; ; {
 		chain = append(chain, cur)
 		pred := -1
+		from, to := nodes[cur].from, nodes[cur].to
 		for j := range nodes {
 			if j == cur || !vector.Less(nodes[j].stamp, nodes[cur].stamp) {
+				continue
+			}
+			if nodes[j].sum == 0 && !early[from] && !early[to] {
 				continue
 			}
 			if pred < 0 || nodes[j].sum > nodes[pred].sum ||
@@ -106,6 +130,12 @@ func criticalPathQuadratic(events []Event) *CritPath {
 		}
 		if pred < 0 {
 			break
+		}
+		if nodes[pred].sum == 0 {
+			nodes[pred].from = from
+			if !early[from] || (early[to] && to < from) {
+				nodes[pred].from = to
+			}
 		}
 		cur = pred
 	}

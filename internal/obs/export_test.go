@@ -1,5 +1,10 @@
 package obs
 
-// CriticalPathQuadratic exposes the reference walk to the external test
-// package, which runs csp computations (csp imports obs).
-var CriticalPathQuadratic = criticalPathQuadratic
+// The external test package runs csp computations (csp imports obs), so it
+// reaches the reference implementations and the Chrome ranking through
+// these.
+var (
+	CriticalPathQuadratic = criticalPathQuadratic
+	StampRanks            = stampRanks
+	StampRanksKahn        = stampRanksKahn
+)

@@ -7,17 +7,17 @@
 //
 // The design dogfoods the paper: every trace event carries the event's
 // vector stamp, and cross-process ordering in the exported views is derived
-// by topologically sorting on vector.Less (Theorem 4: v(m1) < v(m2) ⟺
-// m1 ↦ m2) rather than on wall clocks. That makes the trace viewer itself an
-// application of the timestamps it displays — and it makes the exports
-// reproducible, because the stamps of a synchronous computation are
-// interleaving-independent.
+// from the stamps (Theorem 4: v(m1) < v(m2) ⟺ m1 ↦ m2, and the stamp sum
+// strictly grows along ↦) rather than from wall clocks. That makes the
+// trace viewer itself an application of the timestamps it displays — and it
+// makes the exports reproducible, because the stamps of a synchronous
+// computation are interleaving-independent.
 //
 // # Determinism rules
 //
 //  1. Deterministic sinks (event files, Chrome) never contain wall-clock
 //     values: event files order events by stamp (SortFlight), Chrome
-//     timestamps are topological ranks of the stamps.
+//     timestamps are the stamps' ranks in (sum, rendering) order.
 //  2. time.Now() is forbidden in this package (enforced by the obsdet
 //     analyzer of cmd/tslint) except for the single Wall clock below, which
 //     only ever feeds in-memory latency metrics, never an exported file.

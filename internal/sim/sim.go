@@ -2,8 +2,8 @@
 // rendezvous occupies both participants for its duration, and an operation
 // starts as soon as all of its participants are free. The resulting makespan
 // equals the longest weighted chain through the computation's ▷ structure —
-// the timed counterpart of the logical critical path monitoring tools derive
-// from timestamps (monitor.CriticalPath). The paper itself is untimed; this
+// the timed counterpart of the causal critical path obs.CriticalPath walks
+// over the same trace in stamp-sum ticks. The paper itself is untimed; this
 // package is the profiling application its introduction motivates.
 package sim
 
