@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 )
@@ -47,7 +47,7 @@ func runCriticalPath(args []string, stdout, stderr io.Writer) int {
 // since each process is hosted by exactly one node, no (proc, seq) pair may
 // appear twice across the files, and every rendezvous peer's events must be
 // among them.
-func readTraces(files []string) ([]node.DumpMeta, []obs.Event, *csp.Result, error) {
+func readTraces(files []string) ([]node.DumpMeta, []obs.Event, *core.Result, error) {
 	var metas []node.DumpMeta
 	var events []obs.Event
 	read := make(map[[2]int]string)
@@ -79,7 +79,7 @@ func readTraces(files []string) ([]node.DumpMeta, []obs.Event, *csp.Result, erro
 	}
 	dec := metas[0].Dec
 	obs.SortEvents(events)
-	res, err := csp.Reconstruct(dec, csp.LogsFromEvents(dec.N(), events))
+	res, err := core.Reconstruct(dec, node.LogsFromEvents(dec.N(), events))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("reconstructing the computation from the trace: %w", err)
 	}

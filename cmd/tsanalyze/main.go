@@ -9,8 +9,8 @@
 //	tsanalyze -trace run.trace -lost 3 -diagram
 //
 // The "trace-report" subcommand instead ingests event files — the flight
-// dumps tsnode writes with -obs-trace or -flight-dump, or that a test
-// writes from csp.RunObs with node.WriteFlightDump — verifies the recorded
+// dumps tsnode writes with -obs-trace or -flight-dump, or that
+// node.WriteFlightDump writes from any recorded run — verifies the recorded
 // spans against a full reconstruction of the computation, and summarizes
 // causal latency and wire traffic. A file from a flight ring that wrapped
 // is refused, since it lacks the run's start:

@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/load"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
@@ -182,7 +182,7 @@ func controlReplay(res *load.Result) error {
 		return fmt.Errorf("no logs retained")
 	}
 	dec := res.Dec
-	r, err := csp.Reconstruct(dec, res.Logs)
+	r, err := core.Reconstruct(dec, res.Logs)
 	if err != nil {
 		return err
 	}

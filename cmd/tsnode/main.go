@@ -462,6 +462,9 @@ func parseProgram(spec string, procs int) (map[int][]progOp, error) {
 				if err != nil || q < 0 || q >= procs {
 					return nil, fmt.Errorf("bad peer %q in %q", words[1], field)
 				}
+				if q == p {
+					return nil, fmt.Errorf("%q in process %d's script names the process itself", strings.TrimSpace(field), p)
+				}
 				op.arg = q
 			case "recv":
 				if len(words) != 1 {

@@ -44,6 +44,8 @@ func TestParseProgramRejects(t *testing.T) {
 		"7: recv",            // process out of range
 		"0: internal",        // note missing
 		"0:",                 // empty script
+		"1: send 1",          // sends to itself
+		"2: recvfrom 2",      // receives from itself
 	}
 	for _, c := range cases {
 		if _, err := parseProgram(c, 3); err == nil {

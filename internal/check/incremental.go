@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/vector"
 	"syncstamp/internal/wire"
@@ -135,14 +135,14 @@ func (v *ShardVerifier) fail(format string, args ...any) error {
 // Ingest feeds process proc's next record, in program order, and checks the
 // streaming invariants. The first violation is returned and remembered; the
 // record is still counted so summaries stay honest about volume.
-func (v *ShardVerifier) Ingest(proc int, rec csp.Record) error {
+func (v *ShardVerifier) Ingest(proc int, rec core.Record) error {
 	switch rec.Kind {
-	case csp.RecordInternal:
+	case core.RecordInternal:
 		v.internals++
 		return v.err
-	case csp.RecordSend:
+	case core.RecordSend:
 		v.sends++
-	case csp.RecordRecv:
+	case core.RecordRecv:
 		v.recvs++
 	default:
 		return v.fail("shard %d: process %d logs unknown record kind %v", v.leaf, proc, rec.Kind)
@@ -176,7 +176,7 @@ func (v *ShardVerifier) Ingest(proc int, rec csp.Record) error {
 		v.acc[g] = a
 	}
 	h := stampHash(g, s)
-	if rec.Kind == csp.RecordSend {
+	if rec.Kind == core.RecordSend {
 		a.sendCount++
 		a.sendXor ^= h
 	} else {

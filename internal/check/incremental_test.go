@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/wire"
 )
@@ -13,23 +12,23 @@ import (
 // logsFromTrace builds per-process rendezvous logs carrying the sequential
 // replay oracle's own stamps — exactly what a correct distributed run
 // delivers to a collector.
-func logsFromTrace(t *testing.T, in *Input) [][]csp.Record {
+func logsFromTrace(t *testing.T, in *Input) [][]core.Record {
 	t.Helper()
 	stamps, err := core.StampTrace(in.Trace, in.Dec)
 	if err != nil {
 		t.Fatalf("seed %d: StampTrace: %v", in.Seed, err)
 	}
-	logs := make([][]csp.Record, in.Topo.N())
+	logs := make([][]core.Record, in.Topo.N())
 	mi := 0
 	for _, op := range in.Trace.Ops {
 		switch op.Kind {
 		case trace.OpMessage:
 			s := stamps[mi]
 			mi++
-			logs[op.From] = append(logs[op.From], csp.Record{Kind: csp.RecordSend, Peer: op.To, Stamp: s})
-			logs[op.To] = append(logs[op.To], csp.Record{Kind: csp.RecordRecv, Peer: op.From, Stamp: s})
+			logs[op.From] = append(logs[op.From], core.Record{Kind: core.RecordSend, Peer: op.To, Stamp: s})
+			logs[op.To] = append(logs[op.To], core.Record{Kind: core.RecordRecv, Peer: op.From, Stamp: s})
 		case trace.OpInternal:
-			logs[op.Proc] = append(logs[op.Proc], csp.Record{Kind: csp.RecordInternal, Note: "tick"})
+			logs[op.Proc] = append(logs[op.Proc], core.Record{Kind: core.RecordInternal, Note: "tick"})
 		}
 	}
 	return logs
@@ -37,7 +36,7 @@ func logsFromTrace(t *testing.T, in *Input) [][]csp.Record {
 
 // treeVerdict shards the logs proc % leaves, streams each shard through its
 // own verifier, and combines the summaries at the root.
-func treeVerdict(topo Topology, leaves int, logs [][]csp.Record) *wire.Verdict {
+func treeVerdict(topo Topology, leaves int, logs [][]core.Record) *wire.Verdict {
 	vers := make([]*ShardVerifier, leaves)
 	for i := range vers {
 		vers[i] = NewShardVerifier(topo, i)
@@ -81,10 +80,10 @@ func TestIncrementalMatchesSequentialReplay(t *testing.T) {
 
 // pickStarMessage finds a log position holding a send on a star group, so
 // mutations can target records the density invariant guards.
-func pickStarMessage(topo Topology, logs [][]csp.Record) (proc, idx int, ok bool) {
+func pickStarMessage(topo Topology, logs [][]core.Record) (proc, idx int, ok bool) {
 	for p, log := range logs {
 		for i, rec := range log {
-			if rec.Kind != csp.RecordSend {
+			if rec.Kind != core.RecordSend {
 				continue
 			}
 			g, covered := topo.GroupOf(p, rec.Peer)
@@ -98,10 +97,10 @@ func pickStarMessage(topo Topology, logs [][]csp.Record) (proc, idx int, ok bool
 
 // cloneLogs deep-copies logs so a mutation cannot leak through the shared
 // stamp slices both halves of a rendezvous carry.
-func cloneLogs(logs [][]csp.Record) [][]csp.Record {
-	out := make([][]csp.Record, len(logs))
+func cloneLogs(logs [][]core.Record) [][]core.Record {
+	out := make([][]core.Record, len(logs))
 	for p, log := range logs {
-		out[p] = make([]csp.Record, len(log))
+		out[p] = make([]core.Record, len(log))
 		for i, rec := range log {
 			out[p][i] = rec
 			if rec.Stamp != nil {
@@ -140,7 +139,7 @@ func TestIncrementalDetectsCorruption(t *testing.T) {
 		stamp := logs[p][i].Stamp
 		dropRecv := cloneLogs(logs)
 		for j, rec := range dropRecv[peer] {
-			if rec.Kind == csp.RecordRecv && rec.Peer == p && vectorEq(rec.Stamp, stamp) {
+			if rec.Kind == core.RecordRecv && rec.Peer == p && vectorEq(rec.Stamp, stamp) {
 				dropRecv[peer] = append(dropRecv[peer][:j], dropRecv[peer][j+1:]...)
 				break
 			}
@@ -152,7 +151,7 @@ func TestIncrementalDetectsCorruption(t *testing.T) {
 		dropBoth := cloneLogs(logs)
 		dropBoth[p] = append(dropBoth[p][:i], dropBoth[p][i+1:]...)
 		for j, rec := range dropBoth[peer] {
-			if rec.Kind == csp.RecordRecv && rec.Peer == p && vectorEq(rec.Stamp, stamp) {
+			if rec.Kind == core.RecordRecv && rec.Peer == p && vectorEq(rec.Stamp, stamp) {
 				dropBoth[peer] = append(dropBoth[peer][:j], dropBoth[peer][j+1:]...)
 				break
 			}
@@ -224,7 +223,7 @@ func TestShardVerifierChainChecks(t *testing.T) {
 	// probe record must come from a non-root process (a root's first stamp
 	// on its group is pinned to component 1 by density).
 	var topo *DecompTopology
-	var logs [][]csp.Record
+	var logs [][]core.Record
 	p, i, g := 0, 0, 0
 	ok := false
 	for seed := int64(0); seed < 100 && !ok; seed++ {
@@ -233,7 +232,7 @@ func TestShardVerifierChainChecks(t *testing.T) {
 		topo = NewDecompTopology(in.Dec)
 		for lp, log := range logs {
 			for li, rec := range log {
-				if rec.Kind != csp.RecordSend {
+				if rec.Kind != core.RecordSend {
 					continue
 				}
 				lg, covered := topo.GroupOf(lp, rec.Peer)
@@ -263,7 +262,7 @@ func TestShardVerifierChainChecks(t *testing.T) {
 	v = NewShardVerifier(topo, 0)
 	high := rec.Stamp.Clone()
 	high[g] += 5
-	if err := v.Ingest(p, csp.Record{Kind: csp.RecordSend, Peer: rec.Peer, Stamp: high}); err != nil {
+	if err := v.Ingest(p, core.Record{Kind: core.RecordSend, Peer: rec.Peer, Stamp: high}); err != nil {
 		t.Fatalf("ingest high stamp: %v", err)
 	}
 	if err := v.Ingest(p, rec); err == nil {
@@ -275,7 +274,7 @@ func TestShardVerifierChainChecks(t *testing.T) {
 	root, rootIdx, okRoot := 0, 0, false
 	for rp, log := range logs {
 		for ri, r := range log {
-			if r.Kind == csp.RecordInternal {
+			if r.Kind == core.RecordInternal {
 				continue
 			}
 			if rg, covered := topo.GroupOf(rp, r.Peer); covered && topo.StarRoot(rg) == rp {
@@ -289,7 +288,7 @@ func TestShardVerifierChainChecks(t *testing.T) {
 		rg, _ := topo.GroupOf(root, r.Peer)
 		jump[rg] += 7
 		v = NewShardVerifier(topo, 0)
-		if err := v.Ingest(root, csp.Record{Kind: r.Kind, Peer: r.Peer, Stamp: jump}); err == nil || !strings.Contains(err.Error(), "densely") {
+		if err := v.Ingest(root, core.Record{Kind: r.Kind, Peer: r.Peer, Stamp: jump}); err == nil || !strings.Contains(err.Error(), "densely") {
 			t.Fatalf("root jump not caught as density violation: %v", err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"syncstamp/internal/chainclock"
 	"syncstamp/internal/cluster"
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/offline"
 	"syncstamp/internal/order"
@@ -152,7 +151,7 @@ func ExactMatch(tr *trace.Trace, precedes PrecedesFunc) error {
 // core.StampTrace assigns that message under dec. Internal-event stamps need
 // no comparison of their own: a run and the replay both derive them from
 // the message stamps through core.EventStamps.
-func Replay(res *csp.Result, dec *decomp.Decomposition) error {
+func Replay(res *core.Result, dec *decomp.Decomposition) error {
 	seq, err := core.StampTrace(res.Trace, dec)
 	if err != nil {
 		return err
@@ -170,7 +169,7 @@ func Replay(res *csp.Result, dec *decomp.Decomposition) error {
 
 // Verify is the correctness contract of a run: Replay, then Theorem 4 —
 // the run's stamps characterize its message order exactly (ExactMatch).
-func Verify(res *csp.Result, dec *decomp.Decomposition) error {
+func Verify(res *core.Result, dec *decomp.Decomposition) error {
 	if err := Replay(res, dec); err != nil {
 		return err
 	}

@@ -28,8 +28,9 @@ import (
 
 // Clock is the per-process state of the online algorithm: the local vector
 // v_i and the shared edge decomposition. It is the component a process
-// embeds into its messaging runtime (internal/csp drives Clocks from real
-// goroutines). Clock is not safe for concurrent use; each process owns one.
+// embeds into its messaging runtime (internal/node, which csp runs on,
+// drives Clocks from real goroutines). Clock is not safe for concurrent use;
+// each process owns one.
 type Clock struct {
 	proc int
 	dec  *decomp.Decomposition
@@ -80,8 +81,8 @@ func (c *Clock) Merge(remote vector.V, peer int) (vector.V, error) {
 }
 
 // Adopt sets the clock to the agreed stamp of a rendezvous with peer that
-// the other side computed (the ACK of internal/node and internal/csp
-// carries the merged stamp rather than the pre-merge vector). Adopting is
+// the other side computed (internal/node's ACK carries the merged stamp
+// rather than the pre-merge vector). Adopting is
 // equivalent to the symmetric merge of Figure 5: the stamp is
 // max(v_self, v_peer) with the channel's component incremented, so it
 // dominates the local vector componentwise — Adopt rejects a stamp that

@@ -1,9 +1,8 @@
-package csp
+package core
 
 import (
 	"fmt"
 
-	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
@@ -34,11 +33,11 @@ func (k RecordKind) String() string {
 }
 
 // Record is one operation in a process's private rendezvous log, in program
-// order. It is the unit both runtimes (internal/csp over channels,
-// internal/node over real transports) persist per process: a completed send
-// or receive carries the agreed message stamp v(m), an internal event
-// carries its note. Per-process logs are all a synchronous computation
-// leaves behind, and Reconstruct merges them back into a global trace.
+// order. It is the unit the runtime (internal/node, which internal/csp runs
+// on) keeps per process: a completed send or receive carries the agreed
+// message stamp v(m), an internal event carries its note. Per-process logs
+// are all a synchronous computation leaves behind, and Reconstruct merges
+// them back into a global trace.
 type Record struct {
 	// Kind is the operation.
 	Kind RecordKind
@@ -52,6 +51,26 @@ type Record struct {
 	Note any
 }
 
+// InternalEvent is an internal event observed in a run, with its Section 5
+// stamp.
+type InternalEvent struct {
+	Note  any
+	Stamp EventStamp
+}
+
+// Result is the outcome of a completed run.
+type Result struct {
+	// Trace is the reconstructed global computation (a valid linearization
+	// of the run).
+	Trace *trace.Trace
+	// Stamps are the observed message timestamps aligned with
+	// Trace.Messages().
+	Stamps []vector.V
+	// Internal are the observed internal events with resolved stamps, in
+	// Trace order.
+	Internal []InternalEvent
+}
+
 // Reconstruct merges per-process rendezvous logs (logs[p] is process p's log
 // in program order) into a valid global linearization of the synchronous
 // computation, under the decomposition the run used. At every step the
@@ -60,8 +79,8 @@ type Record struct {
 // rendezvous that completed earliest in real time does); entries are
 // matched by their timestamps, which both participants logged identically.
 // The internal events' Section 5 stamps then follow from the trace and its
-// message stamps through core.EventStamps, the derivation the sequential
-// replay uses.
+// message stamps through EventStamps, the derivation the sequential replay
+// uses.
 //
 // The reconstruction is always possible for logs of a real synchronous run;
 // an error indicates logs from different runs, a truncated log, or a
@@ -117,12 +136,12 @@ func Reconstruct(dec *decomp.Decomposition, logs [][]Record) (*Result, error) {
 			break
 		}
 		if !matched {
-			return nil, fmt.Errorf("csp: inconsistent logs: no matchable rendezvous among %d remaining entries", remaining)
+			return nil, fmt.Errorf("core: inconsistent logs: no matchable rendezvous among %d remaining entries", remaining)
 		}
 	}
-	stamps, err := core.EventStamps(res.Trace, res.Stamps, dec.D())
+	stamps, err := EventStamps(res.Trace, res.Stamps, dec.D())
 	if err != nil {
-		return nil, fmt.Errorf("csp: %w", err)
+		return nil, err
 	}
 	for k, st := range stamps {
 		res.Internal = append(res.Internal, InternalEvent{Note: notes[k], Stamp: st})

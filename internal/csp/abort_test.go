@@ -45,21 +45,22 @@ func TestStopUnblocksRecv(t *testing.T) {
 func TestOpsAfterStop(t *testing.T) {
 	sys := NewSystem(decomp.Approximate(graph.Complete(3)))
 	ops := make(chan error, 3)
+	stopped := make(chan struct{}) // closed once sys.Stop has returned
 	err := sys.Start([]func(*Process) error{
 		func(p *Process) error {
-			<-p.sys.stop
+			<-stopped
 			_, err := p.Send(1, nil)
 			ops <- err
 			return err
 		},
 		func(p *Process) error {
-			<-p.sys.stop
+			<-stopped
 			_, err := p.Recv()
 			ops <- err
 			return err
 		},
 		func(p *Process) error {
-			<-p.sys.stop
+			<-stopped
 			_, err := p.RecvFrom(0)
 			ops <- err
 			return err
@@ -69,6 +70,7 @@ func TestOpsAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Stop()
+	close(stopped)
 	for i := 0; i < 3; i++ {
 		select {
 		case err := <-ops:

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -335,26 +336,8 @@ func TestE14ReplayMatchesSequential(t *testing.T) {
 		if !SameProjections(tr, res.Trace) {
 			t.Fatalf("round %d: reconstructed trace is a different computation", round)
 		}
-		seq, err := core.StampTrace(res.Trace, dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq) != len(res.Stamps) {
-			t.Fatalf("round %d: %d vs %d stamps", round, len(seq), len(res.Stamps))
-		}
-		for i := range seq {
-			if !vector.Eq(seq[i], res.Stamps[i]) {
-				t.Fatalf("round %d msg %d: concurrent stamp %v != sequential %v",
-					round, i, res.Stamps[i], seq[i])
-			}
-		}
-		p := order.MessagePoset(res.Trace)
-		for i := range res.Stamps {
-			for j := range res.Stamps {
-				if i != j && vector.Less(res.Stamps[i], res.Stamps[j]) != p.Less(i, j) {
-					t.Fatalf("round %d: Theorem 4 violated for (%d,%d)", round, i, j)
-				}
-			}
+		if err := check.Verify(res, dec); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }

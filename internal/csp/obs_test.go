@@ -156,25 +156,3 @@ func TestAckCarriesMergedStamp(t *testing.T) {
 		t.Fatalf("%d acks and %d adopts, want 3 of each (one per message)", acks, adopts)
 	}
 }
-
-// TestObsDisabledHookAllocs pins the acceptance criterion that a system
-// without SetObs pays zero allocations for the instrumentation added to the
-// rendezvous paths (the exact call sequence Send/complete/Recv execute).
-func TestObsDisabledHookAllocs(t *testing.T) {
-	sys := NewSystem(decomp.Approximate(graph.Path(2)))
-	stamp := vector.V{1, 2}
-	allocs := testing.AllocsPerRun(200, func() {
-		sys.obsv.Rendezvous(-1, 0, 1, obs.PhaseSyn, stamp)
-		t0 := sys.obsv.Now()
-		sys.ins.SendBlockNS.Observe(sys.obsv.Now() - t0)
-		sys.ins.SynAckNS.Observe(0)
-		sys.ins.RecvBlockNS.Observe(0)
-		sys.obsv.Rendezvous(-1, 0, 1, obs.PhaseAdopt, stamp)
-		sys.ins.Rendezvous.Add(1)
-		sys.ins.Proc(0).Add(1)
-		sys.ins.InternalEvents.Add(1)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled obs hooks allocated %v times per run, want 0", allocs)
-	}
-}

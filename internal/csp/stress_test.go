@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"syncstamp/internal/core"
+	"syncstamp/internal/check"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/order"
@@ -86,14 +86,8 @@ func TestStressManyReplays(t *testing.T) {
 		if !SameProjections(tr, res.Trace) {
 			t.Fatalf("round %d: different computation reconstructed", round)
 		}
-		seq, err := core.StampTrace(res.Trace, dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range seq {
-			if !vector.Eq(seq[i], res.Stamps[i]) {
-				t.Fatalf("round %d: stamp %d differs", round, i)
-			}
+		if err := check.Verify(res, dec); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }

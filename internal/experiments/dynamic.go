@@ -5,12 +5,11 @@ import (
 	"io"
 	"time"
 
-	"syncstamp/internal/csp"
-
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
+	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
-	"syncstamp/internal/order"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 )
@@ -44,17 +43,7 @@ func e18() Experiment {
 
 			t := newTable(w)
 			t.row("clients", "N", "d (online)", "FM would need", "stamps so far", "exact across joins", "")
-			check := func() bool {
-				p := order.MessagePoset(full)
-				for i := range stamps {
-					for j := range stamps {
-						if i != j && vector.Less(stamps[i], stamps[j]) != p.Less(i, j) {
-							return false
-						}
-					}
-				}
-				return true
-			}
+			exact := func() bool { return check.ExactMatch(full, check.VectorPrecedes(stamps)) == nil }
 
 			if err := stampMsg(2, 0); err != nil {
 				return err
@@ -62,7 +51,7 @@ func e18() Experiment {
 			if err := stampMsg(2, 1); err != nil {
 				return err
 			}
-			ok := check()
+			ok := exact()
 			t.row(1, dec.N(), s.D(), dec.N(), len(stamps), ok, checkMark(ok))
 
 			for join := 0; join < 6; join++ {
@@ -84,7 +73,7 @@ func e18() Experiment {
 				if err := stampMsg(v, 1); err != nil {
 					return err
 				}
-				ok := check()
+				ok := exact()
 				t.row(join+2, dec.N(), s.D(), dec.N(), len(stamps), ok, checkMark(ok))
 			}
 			if err := t.flush(); err != nil {
@@ -149,17 +138,9 @@ func liveJoinDemo() (int, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	p := order.MessagePoset(res.Trace)
-	ok := true
-	for i := range res.Stamps {
-		if len(res.Stamps[i]) != 2 {
-			ok = false
-		}
-		for j := range res.Stamps {
-			if i != j && vector.Less(res.Stamps[i], res.Stamps[j]) != p.Less(i, j) {
-				ok = false
-			}
-		}
+	ok := check.ExactMatch(res.Trace, check.VectorPrecedes(res.Stamps)) == nil
+	for _, st := range res.Stamps {
+		ok = ok && len(st) == 2
 	}
 	return res.Trace.NumMessages(), ok, nil
 }

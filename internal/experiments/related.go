@@ -6,11 +6,11 @@ import (
 	"math/rand"
 
 	"syncstamp/internal/chainclock"
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/offline"
-	"syncstamp/internal/order"
 	"syncstamp/internal/trace"
 	"syncstamp/internal/vclock"
 	"syncstamp/internal/vector"
@@ -57,22 +57,9 @@ func e17() Experiment {
 				}
 				sk := vclock.Simulate(tr)
 
-				p := order.MessagePoset(tr)
 				exact := true
-				for i := 0; i < p.N() && exact; i++ {
-					for j := 0; j < p.N(); j++ {
-						if i == j {
-							continue
-						}
-						want := p.Less(i, j)
-						if vector.Less(online[i], online[j]) != want ||
-							vector.Less(off.Stamps[i], off.Stamps[j]) != want ||
-							vector.Less(cc.Stamps[i], cc.Stamps[j]) != want ||
-							vector.Less(sk.Stamps[i], sk.Stamps[j]) != want {
-							exact = false
-							break
-						}
-					}
+				for _, stamps := range [][]vector.V{online, off.Stamps, cc.Stamps, sk.Stamps} {
+					exact = exact && check.ExactMatch(tr, check.VectorPrecedes(stamps)) == nil
 				}
 				t.row(c.name, c.g.N(), c.msgs, c.g.N(), dec.D(), off.Width, cc.Chains,
 					fmt.Sprintf("%.2f", sk.MeanEntries()), exact, checkMark(exact))

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -324,14 +325,9 @@ func e11() Experiment {
 				if err != nil {
 					return err
 				}
-				exact := true
-				for i := range res.Stamps {
-					for j := range res.Stamps {
-						if i != j && offline.Precedes(res.Stamps[i], res.Stamps[j]) != res.Poset.Less(i, j) {
-							exact = false
-						}
-					}
-				}
+				exact := check.ExactMatch(tr, func(i, j int) bool {
+					return offline.Precedes(res.Stamps[i], res.Stamps[j])
+				}) == nil
 				d := decomp.Best(c.g).D()
 				ok := res.Width <= tr.N/2 && exact
 				t.row(c.name, tr.N, tr.NumMessages(), res.Width, tr.N/2, d, exact, checkMark(ok))

@@ -5,9 +5,10 @@ import (
 	"go/types"
 )
 
-// goroPaths are the packages whose goroutines must be joinable: node and
-// csp host the runtime goroutines of a run (readers, accept loops, program
-// goroutines, recovery drivers), and a leaked one outlives Run/Wait with a
+// goroPaths are the packages whose goroutines must be joinable: node hosts
+// the runtime goroutines of a run (readers, accept loops, program
+// goroutines, recovery drivers) and csp the goroutine that drives a
+// one-node run from Start to Wait; a leaked one outlives Run/Wait with a
 // live reference to connection or clock state — the class of bug a kill -9
 // soak cannot see because the process dies before the leak matters. load's
 // workers and the collector-tree leaves hold spill journals and pipe ends,

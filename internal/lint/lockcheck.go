@@ -6,13 +6,14 @@ import (
 )
 
 // lockedPaths lists the packages whose mutex discipline lockcheck audits for
-// Lock/Unlock pairing: csp and node host the concurrent rendezvous runtimes,
-// monitor is documented as safe for concurrent readers, and obs's registry
-// and recorder are shared by every process goroutine of a run. fault's
-// injector serializes per-link state under the same discipline. load's
-// workers rendezvous through per-client and per-server mutexes at driver
-// scale, where an unpaired Lock stalls every subsequent request on that
-// client or server. (Copying a lock by value is checked module-wide.)
+// Lock/Unlock pairing: node hosts the rendezvous runtime and csp the System
+// state its Start, Join, Stop and Wait share, monitor is documented as safe
+// for concurrent readers, and obs's registry and recorder are shared by
+// every process goroutine of a run. fault's injector serializes per-link
+// state under the same discipline. load's workers rendezvous through
+// per-client and per-server mutexes at driver scale, where an unpaired Lock
+// stalls every subsequent request on that client or server. (Copying a lock
+// by value is checked module-wide.)
 var lockedPaths = []string{
 	"syncstamp/internal/csp",
 	"syncstamp/internal/monitor",

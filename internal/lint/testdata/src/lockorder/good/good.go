@@ -47,7 +47,7 @@ func (s *System) finish() { close(s.done) }
 
 // Launch holds mu while spawning a goroutine whose body re-acquires mu: the
 // spawned body is not part of Launch's synchronous flow, so there is no
-// self-cycle (the csp.System.launch shape).
+// self-cycle (the node.Node.launch shape).
 func (s *System) Launch(f func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 
 	"syncstamp/internal/check"
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
@@ -65,8 +64,8 @@ func RunGnp(cfg GnpConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_ = tree.Ingest(from, csp.Record{Kind: csp.RecordSend, Peer: to, Stamp: stamp})
-		_ = tree.Ingest(to, csp.Record{Kind: csp.RecordRecv, Peer: from, Stamp: stamp})
+		_ = tree.Ingest(from, core.Record{Kind: core.RecordSend, Peer: to, Stamp: stamp})
+		_ = tree.Ingest(to, core.Record{Kind: core.RecordRecv, Peer: from, Stamp: stamp})
 		latency.Observe(time.Since(t0).Nanoseconds())
 		achieved.Add(1)
 	}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/node"
@@ -103,7 +102,7 @@ type Result struct {
 	// records and the decomposition to replay them under — the control-run
 	// inputs for cross-checking the streaming verdict against the
 	// sequential oracle.
-	Logs [][]csp.Record
+	Logs [][]core.Record
 	Dec  *decomp.Decomposition
 }
 
@@ -307,8 +306,8 @@ func rendezvous(st *core.Stamper, c *clientState, s *serverState, tree *node.Col
 	stamp, _ := st.StampMessage(e.client, e.server) // a client-server channel: never refused
 	// The server's receive half is ingested under its lock so the tree
 	// sees the server's records in the order its clock advanced.
-	_ = tree.Ingest(e.server, csp.Record{Kind: csp.RecordRecv, Peer: e.client, Stamp: stamp})
+	_ = tree.Ingest(e.server, core.Record{Kind: core.RecordRecv, Peer: e.client, Stamp: stamp})
 	s.mu.Unlock()
-	_ = tree.Ingest(e.client, csp.Record{Kind: csp.RecordSend, Peer: e.server, Stamp: stamp})
+	_ = tree.Ingest(e.client, core.Record{Kind: core.RecordSend, Peer: e.server, Stamp: stamp})
 	c.mu.Unlock()
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/node"
 	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
@@ -16,7 +16,7 @@ import (
 func controlCrossCheck(t *testing.T, topo *Topology, res *Result) {
 	t.Helper()
 	dec := topo.Decomposition()
-	r, err := csp.Reconstruct(dec, res.Logs)
+	r, err := core.Reconstruct(dec, res.Logs)
 	if err != nil {
 		t.Fatalf("reconstruct: %v", err)
 	}

@@ -25,7 +25,7 @@ import (
 	"sync"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/wire"
 )
 
@@ -44,7 +44,7 @@ type TreeConfig struct {
 	// exceeds it.
 	SegmentRecords int
 	// KeepLogs retains every record in memory, so Logs() can feed
-	// csp.Reconstruct afterwards — the control-run mode that cross-checks
+	// core.Reconstruct afterwards — the control-run mode that cross-checks
 	// the streaming verdict against the whole-trace replay oracle. Defeats
 	// the bounded-memory point at scale; for small runs only.
 	KeepLogs bool
@@ -91,7 +91,7 @@ func (v *TreeVerdict) String() string {
 // procRec is one routed record.
 type procRec struct {
 	proc int
-	rec  csp.Record
+	rec  core.Record
 }
 
 // CollectorTree is a 2-level streaming collector: leaf goroutines verify
@@ -116,7 +116,7 @@ type leafCollector struct {
 	seg      []JournalRecord
 	segCap   int
 	keepLogs bool
-	logs     map[int][]csp.Record
+	logs     map[int][]core.Record
 
 	records     int64
 	segments    int64
@@ -155,7 +155,7 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 			keepLogs: cfg.KeepLogs,
 		}
 		if cfg.KeepLogs {
-			l.logs = make(map[int][]csp.Record)
+			l.logs = make(map[int][]core.Record)
 		}
 		if cfg.crashAfter > 0 && cfg.crashLeaf == i {
 			l.crashAfter = cfg.crashAfter
@@ -204,7 +204,7 @@ func SpillPath(dir string, leaf int) string {
 // order for the process. Safe for concurrent use; callers must preserve
 // per-process ordering themselves (hold the process's lock across the
 // call).
-func (t *CollectorTree) Ingest(proc int, rec csp.Record) error {
+func (t *CollectorTree) Ingest(proc int, rec core.Record) error {
 	t.chans[proc%len(t.chans)] <- procRec{proc: proc, rec: rec}
 	return nil
 }
@@ -240,9 +240,9 @@ func (t *CollectorTree) Finish() (*TreeVerdict, error) {
 }
 
 // Logs merges the leaves' retained logs (KeepLogs mode) into the
-// per-process slice csp.Reconstruct takes.
-func (t *CollectorTree) Logs() [][]csp.Record {
-	logs := make([][]csp.Record, t.topo.N())
+// per-process slice core.Reconstruct takes.
+func (t *CollectorTree) Logs() [][]core.Record {
+	logs := make([][]core.Record, t.topo.N())
 	for _, l := range t.leaves {
 		for p := 0; p < len(logs); p++ {
 			if log, ok := l.logs[p]; ok {
@@ -291,11 +291,11 @@ func (l *leafCollector) ingest(pr procRec) {
 	}
 	jr := JournalRecord{Proc: pr.proc, Peer: pr.rec.Peer, Stamp: pr.rec.Stamp}
 	switch pr.rec.Kind {
-	case csp.RecordSend:
+	case core.RecordSend:
 		jr.Kind = journalSend
-	case csp.RecordRecv:
+	case core.RecordRecv:
 		jr.Kind = journalRecv
-	case csp.RecordInternal:
+	case core.RecordInternal:
 		jr.Kind = journalInternal
 		jr.Peer = 0
 		jr.Stamp = nil
@@ -330,8 +330,8 @@ func (l *leafCollector) flushSegment() {
 // so a tree killed mid-segment restores the complete prefix of every
 // shard's verified stream. It only reads; the shard files are left as they
 // were.
-func ReadSpill(dir string, leaves, n int) ([][]csp.Record, error) {
-	logs := make([][]csp.Record, n)
+func ReadSpill(dir string, leaves, n int) ([][]core.Record, error) {
+	logs := make([][]core.Record, n)
 	for leaf := 0; leaf < leaves; leaf++ {
 		recs, err := readJournal(SpillPath(dir, leaf))
 		if err != nil {
@@ -341,14 +341,14 @@ func ReadSpill(dir string, leaves, n int) ([][]csp.Record, error) {
 			if rec.Proc < 0 || rec.Proc >= n {
 				return nil, fmt.Errorf("node: spill shard %d names process %d, out of range", leaf, rec.Proc)
 			}
-			var cr csp.Record
+			var cr core.Record
 			switch rec.Kind {
 			case journalSend:
-				cr = csp.Record{Kind: csp.RecordSend, Peer: rec.Peer, Stamp: rec.Stamp}
+				cr = core.Record{Kind: core.RecordSend, Peer: rec.Peer, Stamp: rec.Stamp}
 			case journalRecv:
-				cr = csp.Record{Kind: csp.RecordRecv, Peer: rec.Peer, Stamp: rec.Stamp}
+				cr = core.Record{Kind: core.RecordRecv, Peer: rec.Peer, Stamp: rec.Stamp}
 			case journalInternal:
-				cr = csp.Record{Kind: csp.RecordInternal, Note: rec.Note}
+				cr = core.Record{Kind: core.RecordInternal, Note: rec.Note}
 			default:
 				return nil, fmt.Errorf("node: spill shard %d holds unknown record kind %q", leaf, rec.Kind)
 			}

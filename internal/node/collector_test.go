@@ -10,7 +10,6 @@ import (
 
 	"syncstamp/internal/check"
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/trace"
@@ -20,23 +19,23 @@ import (
 // oracleLogs builds per-process rendezvous logs carrying the sequential
 // replay oracle's stamps for a generated computation — the input a correct
 // distributed run hands a collector.
-func oracleLogs(t *testing.T, in *check.Input) [][]csp.Record {
+func oracleLogs(t *testing.T, in *check.Input) [][]core.Record {
 	t.Helper()
 	stamps, err := core.StampTrace(in.Trace, in.Dec)
 	if err != nil {
 		t.Fatalf("seed %d: StampTrace: %v", in.Seed, err)
 	}
-	logs := make([][]csp.Record, in.Topo.N())
+	logs := make([][]core.Record, in.Topo.N())
 	mi := 0
 	for _, op := range in.Trace.Ops {
 		switch op.Kind {
 		case trace.OpMessage:
 			s := stamps[mi]
 			mi++
-			logs[op.From] = append(logs[op.From], csp.Record{Kind: csp.RecordSend, Peer: op.To, Stamp: s})
-			logs[op.To] = append(logs[op.To], csp.Record{Kind: csp.RecordRecv, Peer: op.From, Stamp: s})
+			logs[op.From] = append(logs[op.From], core.Record{Kind: core.RecordSend, Peer: op.To, Stamp: s})
+			logs[op.To] = append(logs[op.To], core.Record{Kind: core.RecordRecv, Peer: op.From, Stamp: s})
 		case trace.OpInternal:
-			logs[op.Proc] = append(logs[op.Proc], csp.Record{Kind: csp.RecordInternal, Note: "tick"})
+			logs[op.Proc] = append(logs[op.Proc], core.Record{Kind: core.RecordInternal, Note: "tick"})
 		}
 	}
 	return logs
@@ -44,11 +43,11 @@ func oracleLogs(t *testing.T, in *check.Input) [][]csp.Record {
 
 // feedTree streams logs into a tree, each process in program order,
 // processes concurrently — the access pattern a live collect produces.
-func feedTree(tree *CollectorTree, logs [][]csp.Record) {
+func feedTree(tree *CollectorTree, logs [][]core.Record) {
 	var wg sync.WaitGroup
 	for p, log := range logs {
 		wg.Add(1)
-		go func(p int, log []csp.Record) {
+		go func(p int, log []core.Record) {
 			defer wg.Done()
 			for _, rec := range log {
 				_ = tree.Ingest(p, rec)
@@ -110,7 +109,7 @@ func TestCollectorTreeMatchesReplay(t *testing.T) {
 
 	// The streaming verdict must agree with the whole-trace replay oracle
 	// over the retained logs.
-	res, err := csp.Reconstruct(in.Dec, tree.Logs())
+	res, err := core.Reconstruct(in.Dec, tree.Logs())
 	if err != nil {
 		t.Fatalf("reconstruct retained logs: %v", err)
 	}
@@ -144,7 +143,7 @@ func TestCollectorTreeCorruptStamp(t *testing.T) {
 corrupt:
 	for p := range logs {
 		for i, rec := range logs[p] {
-			if rec.Kind == csp.RecordSend {
+			if rec.Kind == core.RecordSend {
 				logs[p][i].Stamp = rec.Stamp.Clone()
 				logs[p][i].Stamp[len(rec.Stamp)-1] += 2
 				break corrupt

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
@@ -18,7 +19,7 @@ import (
 // file (journal.go's records) holding one meta record, then the events in
 // the deterministic flight order (obs.SortFlight: stamp sum, proc, seq),
 // each a record whose kind is its phase (peer -1 for an internal event).
-// The meta record's node is the emitting node (-1 in-process), its note the
+// The meta record's node is the emitting node (-1 if none), its note the
 // decomposition in decomp.WriteText form, and its stamp the frame table:
 // frame counts, then byte counts, indexed by wire.Kind. A dump lands
 // atomically — written and fsynced to a temp file, then renamed over the
@@ -30,11 +31,12 @@ import (
 // A kill -9 leaves no dump from the dying incarnation — nothing can — but
 // the journal does the remembering: Restore re-emits every committed
 // operation through the obs hooks, so a restarted node's end-of-run dump is
-// a causal post-mortem of the run, oracle-checkable via csp.LogsFromEvents.
+// a causal post-mortem of the run, oracle-checkable via LogsFromEvents.
 
 // DumpMeta is an event file's meta record.
 type DumpMeta struct {
-	// Node is the emitting node, or -1 for the in-process runtime.
+	// Node is the emitting node (a csp run is node 0), or -1 for events
+	// written outside any node.
 	Node int
 	// Dec is the run's edge decomposition; it fixes N and d.
 	Dec *decomp.Decomposition
@@ -181,4 +183,33 @@ func ReadFlightDump(path string) (DumpMeta, []obs.Event, error) {
 		}
 	}
 	return meta, events, nil
+}
+
+// LogsFromEvents rebuilds per-process rendezvous logs from recorded events.
+// Only the phases that mean a completed operation carry log-equivalent
+// information — PhaseAdopt is the sender's completed send, PhaseMerge the
+// receiver's completed receive, both stamped with the agreed v(m);
+// PhaseInternal is an internal event — so events read back from event files
+// (ReadFlightDump) feed core.Reconstruct exactly like a run's own logs. This
+// is how tsanalyze trace-report oracle-checks a trace: reconstruct the
+// computation from the events alone and compare the stamps they claim
+// against the poset.
+func LogsFromEvents(n int, events []obs.Event) [][]core.Record {
+	evs := append([]obs.Event(nil), events...)
+	obs.SortEvents(evs)
+	logs := make([][]core.Record, n)
+	for _, e := range evs {
+		if e.Proc < 0 || e.Proc >= n {
+			continue
+		}
+		switch e.Phase {
+		case obs.PhaseAdopt:
+			logs[e.Proc] = append(logs[e.Proc], core.Record{Kind: core.RecordSend, Peer: e.Peer, Stamp: e.Stamp.Clone()})
+		case obs.PhaseMerge:
+			logs[e.Proc] = append(logs[e.Proc], core.Record{Kind: core.RecordRecv, Peer: e.Peer, Stamp: e.Stamp.Clone()})
+		case obs.PhaseInternal:
+			logs[e.Proc] = append(logs[e.Proc], core.Record{Kind: core.RecordInternal, Note: e.Note})
+		}
+	}
+	return logs
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
@@ -523,7 +522,7 @@ func (j *Journal) Close() error {
 // resumeState is a hosted process's state rebuilt from the journal.
 type resumeState struct {
 	clock *core.Clock
-	log   []csp.Record
+	log   []core.Record
 	seq   uint64
 	ops   int
 }
@@ -575,7 +574,7 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 			if err := st.clock.Adopt(rec.Stamp, rec.Peer); err != nil {
 				return nil, fmt.Errorf("node %d: journal replay, process %d send to %d: %w", n.cfg.Node, p, rec.Peer, err)
 			}
-			st.log = append(st.log, csp.Record{Kind: csp.RecordSend, Peer: rec.Peer, Stamp: rec.Stamp})
+			st.log = append(st.log, core.Record{Kind: core.RecordSend, Peer: rec.Peer, Stamp: rec.Stamp})
 			if rec.Seq > st.seq {
 				st.seq = rec.Seq
 			}
@@ -584,13 +583,13 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 			if err := st.clock.Adopt(rec.Stamp, rec.Peer); err != nil {
 				return nil, fmt.Errorf("node %d: journal replay, process %d recv from %d: %w", n.cfg.Node, p, rec.Peer, err)
 			}
-			st.log = append(st.log, csp.Record{Kind: csp.RecordRecv, Peer: rec.Peer, Stamp: rec.Stamp})
+			st.log = append(st.log, core.Record{Kind: core.RecordRecv, Peer: rec.Peer, Stamp: rec.Stamp})
 			if rec.Peer >= 0 && rec.Peer < len(n.cfg.Placement) && n.cfg.Placement[rec.Peer] != n.cfg.Node {
 				n.noteMerged(rec.Peer, rec.Seq, p, rec.Stamp)
 			}
 			n.cfg.Obs.Rendezvous(n.cfg.Node, p, rec.Peer, obs.PhaseMerge, rec.Stamp)
 		case journalInternal:
-			st.log = append(st.log, csp.Record{Kind: csp.RecordInternal, Note: rec.Note})
+			st.log = append(st.log, core.Record{Kind: core.RecordInternal, Note: rec.Note})
 			if n.cfg.Obs.Recording() {
 				n.cfg.Obs.Internal(n.cfg.Node, p, st.clock.Current(), rec.Note)
 			}

@@ -1,11 +1,13 @@
 // Package node hosts processes of a synchronous computation behind a real
 // transport, speaking the internal/wire rendezvous protocol between nodes.
-// It is the distributed counterpart of internal/csp: the same program shape
-// (func(*Process) error), the same Figure 5 clock discipline, the same
-// per-process rendezvous logs — but processes are placed on nodes, nodes
+// It is the repository's one implementation of the Figure 5 rendezvous:
+// programs (func(*Process) error) run as goroutines, each process keeps its
+// clock and its rendezvous log, processes are placed on nodes, nodes
 // exchange length-prefixed frames over a Transport (TCP in production, an
 // in-memory loop in tests), and the piggybacked vectors travel
-// delta-compressed with exact overhead accounting.
+// delta-compressed with exact overhead accounting. internal/csp is this
+// runtime on one node: every process on node 0 and no peers, which is also
+// the only shape that admits Join.
 //
 // # Rendezvous over the wire
 //
@@ -31,7 +33,7 @@
 // digest of the edge decomposition plus placement — nodes configured with
 // different topologies refuse to talk. After its programs finish, a node
 // streams its rendezvous logs to a collector node, which reconstructs the
-// global computation with csp.Reconstruct.
+// global computation with core.Reconstruct.
 package node
 
 import (
@@ -44,7 +46,6 @@ import (
 	"time"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
@@ -67,9 +68,10 @@ const (
 type Config struct {
 	// Node is this node's index in [0, nodes).
 	Node int
-	// Placement maps each process to the node hosting it. Its length must
-	// equal Dec.N(), and every node index up to the maximum must host at
-	// least one process.
+	// Placement maps each process to the node hosting it. It covers the
+	// Dec.N() processes, and every node index up to the maximum must host at
+	// least one process. A node that hosts every process may list more:
+	// the processes past Dec.N() are slots that Join fills.
 	Placement []int
 	// Dec is the edge decomposition all clocks run under.
 	Dec *decomp.Decomposition
@@ -78,7 +80,9 @@ type Config struct {
 	HandshakeTimeout time.Duration
 	// RendezvousTimeout bounds how long a Send waits for its ACK (or local
 	// reply). Exceeding it aborts the run: a synchronous computation cannot
-	// proceed past a lost rendezvous partner. Zero means the default.
+	// proceed past a lost rendezvous partner. Zero means the default;
+	// math.MaxInt64 never expires, so it arms no timer (csp's runs, which
+	// Wait bounds as a whole, use it).
 	RendezvousTimeout time.Duration
 	// Obs is the node's observability surface. Nil disables it; the
 	// rendezvous hot paths then cost nothing extra.
@@ -111,10 +115,11 @@ type Config struct {
 // into it; a remote sender parks on the ACK frame the receiver's node
 // sends back, which the sender's read loop answers into the same slot.
 type inbound struct {
-	from  int
-	seq   uint64
-	vec   vector.V
-	reply chan answer // the local sender's reply slot; nil for remote senders
+	from    int
+	seq     uint64
+	vec     vector.V
+	payload any         // a local sender's payload; nil for remote senders
+	reply   chan answer // the local sender's reply slot; nil for remote senders
 }
 
 // peerConn is one established data connection to a peer node. The encoder
@@ -247,17 +252,22 @@ type Node struct {
 	failErr error
 
 	mu         sync.Mutex
-	conns      []*peerConn   // indexed by peer node; nil until connected
-	waiters    []chan answer // indexed by hosted process: its reply slot, set by Run
-	waiterSeq  []uint64      // the sequence number each parked remote sender awaits; 0 when none is
-	retired    []*peerConn   // replaced or dead connections, kept for accounting
-	epochs     []int         // highest HELLO epoch used/seen per peer
-	excluded   []bool        // peers removed from the run (PeerLossExclude)
-	byeSeen    []bool        // peers that announced completion
-	byeFailed  []bool        // peers our own BYE provably did not reach
-	recovering []bool        // peers with a recoverPeer goroutine in flight
-	byeSent    bool          // this node announced completion
-	exclCh     chan struct{} // closed+replaced on each exclusion (broadcast)
+	dec        *decomp.Decomposition // the current decomposition: cfg.Dec, grown by each Join
+	procs      []*Process            // hosted processes, registered by Run and Join
+	started    bool                  // Run has started the registered programs
+	running    int                   // programs started and not yet returned
+	drained    chan struct{}         // closed once a started run has no program left
+	conns      []*peerConn           // indexed by peer node; nil until connected
+	waiters    []chan answer         // indexed by hosted process: its reply slot, set by addProcess
+	waiterSeq  []uint64              // the sequence number each parked remote sender awaits; 0 when none is
+	retired    []*peerConn           // replaced or dead connections, kept for accounting
+	epochs     []int                 // highest HELLO epoch used/seen per peer
+	excluded   []bool                // peers removed from the run (PeerLossExclude)
+	byeSeen    []bool                // peers that announced completion
+	byeFailed  []bool                // peers our own BYE provably did not reach
+	recovering []bool                // peers with a recoverPeer goroutine in flight
+	byeSent    bool                  // this node announced completion
+	exclCh     chan struct{}         // closed+replaced on each exclusion (broadcast)
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
 
@@ -311,7 +321,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 	if cfg.Dec == nil {
 		return nil, errors.New("node: nil decomposition")
 	}
-	if len(cfg.Placement) != cfg.Dec.N() {
+	if len(cfg.Placement) < cfg.Dec.N() {
 		return nil, fmt.Errorf("node: placement covers %d processes, decomposition has %d", len(cfg.Placement), cfg.Dec.N())
 	}
 	nodes := cfg.Node + 1
@@ -325,6 +335,9 @@ func New(cfg Config, tr Transport) (*Node, error) {
 	}
 	if cfg.Node < 0 {
 		return nil, fmt.Errorf("node: negative node index %d", cfg.Node)
+	}
+	if len(cfg.Placement) > cfg.Dec.N() && nodes > 1 {
+		return nil, fmt.Errorf("node: placement covers %d processes, decomposition has %d (only a one-node run reserves Join slots)", len(cfg.Placement), cfg.Dec.N())
 	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = DefaultHandshakeTimeout
@@ -347,36 +360,43 @@ func New(cfg Config, tr Transport) (*Node, error) {
 		rc.Async = &ac
 		cfg.Recovery = &rc
 	}
+	procs := len(cfg.Placement)
 	n := &Node{
 		cfg:        cfg,
 		nodes:      nodes,
-		digest:     wire.Digest(cfg.Dec, cfg.Placement),
 		tr:         tr,
 		stop:       make(chan struct{}),
+		dec:        cfg.Dec,
+		drained:    make(chan struct{}),
 		conns:      make([]*peerConn, nodes),
-		waiters:    make([]chan answer, cfg.Dec.N()),
-		waiterSeq:  make([]uint64, cfg.Dec.N()),
+		waiters:    make([]chan answer, procs),
+		waiterSeq:  make([]uint64, procs),
 		epochs:     make([]int, nodes),
 		excluded:   make([]bool, nodes),
 		byeSeen:    make([]bool, nodes),
 		byeFailed:  make([]bool, nodes),
 		recovering: make([]bool, nodes),
 		exclCh:     make(chan struct{}),
-		mailboxes:  make([]chan inbound, cfg.Dec.N()),
+		mailboxes:  make([]chan inbound, procs),
 		reports:    make(chan *reportConn, nodes),
 		regCh:      make(chan int, nodes),
 		connDone:   make(chan struct{}),
 		rec:        cfg.Recovery,
-		dedup:      make([]dedupEntry, cfg.Dec.N()),
+		dedup:      make([]dedupEntry, procs),
 		restored:   make(map[int]*resumeState),
 		peerEvent:  make(chan struct{}, 1),
 	}
+	if nodes > 1 {
+		n.digest = wire.Digest(cfg.Dec, cfg.Placement) // a one-node run speaks no HELLO
+	}
 	for p, host := range cfg.Placement {
 		if host == cfg.Node {
-			n.local = append(n.local, p)
+			if p < cfg.Dec.N() {
+				n.local = append(n.local, p)
+			}
 			// One slot per potential sender keeps any valid computation's
 			// senders from blocking on mailbox insertion.
-			n.mailboxes[p] = make(chan inbound, cfg.Dec.N())
+			n.mailboxes[p] = make(chan inbound, procs)
 		}
 	}
 	if cfg.FlightRecorder > 0 {
@@ -391,7 +411,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 		}
 		n.cfg.Obs.Recorder.SetDumpHook(func() { n.DumpFlight() })
 	}
-	n.ins = obs.NewInstruments(n.cfg.Obs.Registry(), cfg.Dec.N())
+	n.ins = obs.NewInstruments(n.cfg.Obs.Registry(), procs)
 	if r := n.cfg.Obs.Registry(); r != nil {
 		for _, k := range wire.Kinds() {
 			fn, bn := obs.FrameMetrics(k.String())
@@ -632,8 +652,11 @@ func (n *Node) dialPeer(j, epoch int) error {
 }
 
 // connect establishes the full data mesh: dial every lower node, await a
-// dial from every higher one.
+// dial from every higher one. A one-node run has no mesh to build.
 func (n *Node) connect() error {
+	if n.nodes == 1 {
+		return nil
+	}
 	n.start()
 	n.mu.Lock()
 	epoch := n.baseEpoch // 0, or the restart stride after a journal Restore
@@ -803,7 +826,7 @@ func (n *Node) connTo(node int) (*peerConn, error) {
 // RunInfo is the local outcome of a completed run.
 type RunInfo struct {
 	// Logs holds each hosted process's rendezvous log, keyed by process.
-	Logs map[int][]csp.Record
+	Logs map[int][]core.Record
 	// Overhead is the exact piggyback accounting over this node's data
 	// connections (local rendezvous cost no wire bytes and are excluded).
 	Overhead core.Overhead
@@ -859,34 +882,33 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		n.fail(err)
 		return nil, err
 	}
-	procs := make([]*Process, len(n.local))
-	errs := make([]error, len(n.local))
-	var wg sync.WaitGroup
-	for i, p := range n.local {
+	n.mu.Lock()
+	joined := n.procs // processes a Join registered before Run
+	n.procs = nil
+	for _, p := range n.local {
+		proc := &Process{id: p, n: n, prog: programs[p], reply: make(chan answer, 1)}
 		if st := n.restored[p]; st != nil {
 			// Resume from the journal: the clock, log, and send sequence
 			// counter continue where the previous incarnation committed.
-			procs[i] = &Process{id: p, n: n, clock: st.clock, log: st.log, seq: st.seq, reply: make(chan answer, 1)}
+			proc.clock, proc.log, proc.seq = st.clock, st.log, st.seq
 		} else {
-			procs[i] = &Process{id: p, n: n, clock: core.NewClock(p, n.cfg.Dec), reply: make(chan answer, 1)}
+			proc.clock = core.NewClock(p, n.cfg.Dec)
 		}
-		n.mu.Lock()
-		n.waiters[p] = procs[i].reply
-		n.mu.Unlock()
-		prog := programs[p]
-		if prog == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, proc *Process, prog func(*Process) error) {
-			defer wg.Done()
-			if err := prog(proc); err != nil {
-				errs[i] = err
-				n.fail(fmt.Errorf("node %d: process %d: %w", n.cfg.Node, proc.id, err))
-			}
-		}(i, procs[i], prog)
+		n.addProcess(proc)
 	}
-	wg.Wait()
+	n.procs = append(n.procs, joined...)
+	n.started = true
+	for _, proc := range n.procs {
+		n.launch(proc)
+	}
+	if n.running == 0 {
+		close(n.drained)
+	}
+	n.mu.Unlock()
+	<-n.drained
+	n.mu.Lock()
+	procs := n.procs
+	n.mu.Unlock()
 	for _, proc := range procs {
 		if proc.timer != nil {
 			proc.timer.Stop() // every Send has returned; leave no timer armed past Run
@@ -935,7 +957,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		n.readersWG.Wait()
 	}
 
-	info := &RunInfo{Logs: make(map[int][]csp.Record, len(n.local))}
+	info := &RunInfo{Logs: make(map[int][]core.Record, len(procs))}
 	n.mu.Lock()
 	conns := append(append([]*peerConn(nil), n.conns...), n.retired...)
 	n.mu.Unlock()
@@ -962,8 +984,8 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 			r.Gauge(obs.MetricJournalSyncs).Set(js.Syncs)
 		}
 	}
-	for i, p := range n.local {
-		info.Logs[p] = procs[i].log
+	for _, proc := range procs {
+		info.Logs[proc.id] = proc.log
 	}
 	// End-of-run dump, the only one with the frame table: after a journal
 	// Restore re-primed the ring, it holds the incarnation's complete
@@ -972,24 +994,86 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 	n.dumpFlight(info.Frames)
 
 	// Root cause: prefer a program's own error over the ErrStopped echoes
-	// of its neighbors, mirroring csp.Wait.
-	pick := -1
-	for i, err := range errs {
-		if err == nil {
+	// of its neighbors, the lowest process id first.
+	var pick *Process
+	for _, proc := range procs {
+		if proc.err == nil {
 			continue
 		}
-		if pick == -1 || (errors.Is(errs[pick], ErrStopped) && !errors.Is(err, ErrStopped)) {
-			pick = i
+		if pick == nil || (errors.Is(pick.err, ErrStopped) && !errors.Is(proc.err, ErrStopped)) {
+			pick = proc
 		}
 	}
-	if pick >= 0 && !errors.Is(errs[pick], ErrStopped) {
-		return info, fmt.Errorf("node %d: process %d: %w", n.cfg.Node, n.local[pick], errs[pick])
+	if pick != nil && !errors.Is(pick.err, ErrStopped) {
+		return info, fmt.Errorf("node %d: process %d: %w", n.cfg.Node, pick.id, pick.err)
 	}
 	if err := n.failure(); err != nil {
 		return info, err
 	}
-	if pick >= 0 {
-		return info, fmt.Errorf("node %d: process %d: %w", n.cfg.Node, n.local[pick], errs[pick])
+	if pick != nil {
+		return info, fmt.Errorf("node %d: process %d: %w", n.cfg.Node, pick.id, pick.err)
 	}
 	return info, nil
+}
+
+// addProcess adds a hosted process to the run; the caller holds n.mu.
+func (n *Node) addProcess(proc *Process) {
+	n.procs = append(n.procs, proc)
+	n.waiters[proc.id] = proc.reply
+}
+
+// launch starts a registered process's program, if it has one; the caller
+// holds n.mu. The goroutine that returns last closes n.drained.
+func (n *Node) launch(proc *Process) {
+	if proc.prog == nil {
+		return
+	}
+	n.running++
+	go func() {
+		err := proc.prog(proc)
+		if err != nil {
+			n.fail(fmt.Errorf("node %d: process %d: %w", n.cfg.Node, proc.id, err))
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		proc.err = err
+		n.running--
+		if n.running == 0 {
+			close(n.drained)
+		}
+	}()
+}
+
+// Join adds one process to a node that hosts every process: grown must
+// extend the node's current decomposition by exactly that process (same d,
+// old channels unchanged — decomp.Extends), and Placement must hold a slot
+// for it. The new process runs program; Join returns its id. Before Run,
+// the process waits to start with the others; once every program has
+// returned, Join refuses. Running processes adopt the grown decomposition
+// lazily, on the first exchange their clock's snapshot does not cover, so
+// all timestamps stay mutually comparable.
+func (n *Node) Join(grown *decomp.Decomposition, program func(*Process) error) (int, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch {
+	case n.nodes != 1:
+		return 0, fmt.Errorf("node %d: Join needs a node that hosts every process, and this run spans %d nodes", n.cfg.Node, n.nodes)
+	case n.started && n.running == 0:
+		return 0, fmt.Errorf("node %d: Join after the run drained", n.cfg.Node)
+	case grown.N() != n.dec.N()+1:
+		return 0, fmt.Errorf("node %d: Join adds one process; decomposition grows %d -> %d", n.cfg.Node, n.dec.N(), grown.N())
+	case grown.N() > len(n.cfg.Placement):
+		return 0, fmt.Errorf("node %d: all %d process slots are taken", n.cfg.Node, len(n.cfg.Placement))
+	}
+	if err := decomp.Extends(n.dec, grown); err != nil {
+		return 0, fmt.Errorf("node %d: %w", n.cfg.Node, err)
+	}
+	n.dec = grown
+	id := grown.N() - 1
+	proc := &Process{id: id, n: n, clock: core.NewClock(id, grown), prog: program, reply: make(chan answer, 1)}
+	n.addProcess(proc)
+	if n.started {
+		n.launch(proc)
+	}
+	return id, nil
 }

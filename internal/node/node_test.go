@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,7 +10,7 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/vector"
@@ -47,10 +48,10 @@ type clusterResult struct {
 // has every non-zero node report its logs to node 0, and returns node 0's
 // reconstruction alongside each node's run outcome.
 func runCluster(dec *decomp.Decomposition, placement []int, transports []Transport,
-	programs map[int]func(*Process) error, cfg Config) (*csp.Result, []clusterResult, error) {
+	programs map[int]func(*Process) error, cfg Config) (*core.Result, []clusterResult, error) {
 	nodes := len(transports)
 	results := make([]clusterResult, nodes)
-	var collected *csp.Result
+	var collected *core.Result
 	var collectErr error
 	var wg sync.WaitGroup
 	for i := 0; i < nodes; i++ {
@@ -123,7 +124,7 @@ func pingPong(rounds int) map[int]func(*Process) error {
 
 // verifyAgainstSequential checks the reconstructed run against the
 // sequential Figure 5 replay, stamp for stamp, and against Theorem 4.
-func verifyAgainstSequential(t *testing.T, res *csp.Result, dec *decomp.Decomposition, wantMessages int) {
+func verifyAgainstSequential(t *testing.T, res *core.Result, dec *decomp.Decomposition, wantMessages int) {
 	t.Helper()
 	if got := res.Trace.NumMessages(); got != wantMessages {
 		t.Fatalf("reconstructed %d messages, want %d", got, wantMessages)
@@ -326,6 +327,132 @@ func TestStopUnblocksParkedOps(t *testing.T) {
 		if opErr := <-opErrs; !errors.Is(opErr, ErrStopped) {
 			t.Fatalf("parked operation returned %v, want ErrStopped", opErr)
 		}
+	}
+}
+
+// TestRecvFromImpossibleSenderFails: RecvFrom from the process itself or
+// from a process outside the placement can never complete, so it must fail
+// at once, as Send does, instead of parking until Stop. Only Send has a
+// rendezvous deadline, so without the check both receivers would outlive it.
+func TestRecvFromImpossibleSenderFails(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	n, err := New(Config{Placement: []int{0, 0}, Dec: dec, RendezvousTimeout: 200 * time.Millisecond}, NewLoop(1).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	opErrs := make(chan error, 2)
+	recvFrom := func(from int) func(*Process) error {
+		return func(p *Process) error {
+			_, err := p.RecvFrom(from)
+			opErrs <- err
+			return nil
+		}
+	}
+	go func() { _, _ = n.Run(map[int]func(*Process) error{0: recvFrom(0), 1: recvFrom(7)}) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-opErrs:
+			if err == nil || errors.Is(err, ErrStopped) {
+				t.Fatalf("RecvFrom an impossible sender returned %v, want its own error", err)
+			}
+		case <-time.After(2 * time.Second):
+			n.Stop()
+			t.Fatalf("RecvFrom an impossible sender still parked after 2s")
+		}
+	}
+}
+
+// TestLocalPayload: a payload sent to a process on the same node reaches
+// its Message through RecvFrom and, stashed meanwhile, through Recv.
+func TestLocalPayload(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Star(3, 0))
+	n, err := New(Config{Placement: []int{0, 0, 0}, Dec: dec}, NewLoop(1).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var first, second Message
+	_, err = n.Run(map[int]func(*Process) error{
+		0: func(p *Process) error {
+			var err error
+			if first, err = p.RecvFrom(2); err != nil {
+				return err
+			}
+			second, err = p.Recv()
+			return err
+		},
+		1: func(p *Process) error {
+			_, err := p.SendPayload(0, "one")
+			return err
+		},
+		2: func(p *Process) error {
+			_, err := p.SendPayload(0, 2)
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.From != 2 || first.Payload != 2 || second.From != 1 || second.Payload != "one" {
+		t.Fatalf("received %+v then %+v, want payload 2 from 2, then \"one\" from 1", first, second)
+	}
+}
+
+// TestPayloadToOtherNodeRefused: the wire carries no payload, so a non-nil
+// payload to a process on another node is an error; the run goes on.
+func TestPayloadToOtherNodeRefused(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	programs := map[int]func(*Process) error{
+		0: func(p *Process) error {
+			if _, err := p.SendPayload(1, "lost"); err == nil || !strings.Contains(err.Error(), "payload") {
+				return fmt.Errorf("payload to node 1: %v, want a refusal", err)
+			}
+			_, err := p.SendPayload(1, nil)
+			return err
+		},
+		1: func(p *Process) error {
+			_, err := p.RecvFrom(0)
+			return err
+		},
+	}
+	res, results, err := runCluster(dec, []int{0, 1}, loopTransports(2), programs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("node %d: %v", i, r.err)
+		}
+	}
+	verifyAgainstSequential(t, res, dec, 1)
+}
+
+// TestJoinNeedsOneNode: only a node that hosts every process may Join; a
+// node with peers refuses, as does a placement reserving slots across
+// nodes.
+func TestJoinNeedsOneNode(t *testing.T) {
+	dec, err := decomp.FromVertexCover(graph.Star(2, 0), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, _, err := dec.GrowStarVertex([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Placement: []int{0, 1}, Dec: dec}, NewLoop(2).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Join(grown, func(*Process) error { return nil }); err == nil {
+		t.Fatal("a node with a peer accepted Join")
+	}
+	if _, err := New(Config{Placement: []int{0, 1, 0}, Dec: dec}, NewLoop(2).Transport(0)); err == nil {
+		t.Fatal("a two-node placement reserved a Join slot")
 	}
 }
 

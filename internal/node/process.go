@@ -2,22 +2,24 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
 	"syncstamp/internal/vector"
 	"syncstamp/internal/wire"
 )
 
-// Message is one received rendezvous: who sent it and the agreed timestamp.
-// The wire protocol carries no application payload — timestamps are the
-// subject of the system; payload transport is the application's concern.
+// Message is one received rendezvous: who sent it, the payload a sender on
+// this node passed to SendPayload, and the agreed timestamp. The wire
+// protocol carries no application payload — timestamps are the subject of
+// the system — so a message from another node has a nil Payload.
 type Message struct {
-	From  int
-	Stamp vector.V
+	From    int
+	Payload any
+	Stamp   vector.V
 }
 
 // Process is the handle a program uses to communicate. Each Process is
@@ -27,7 +29,7 @@ type Process struct {
 	id    int
 	n     *Node
 	clock *core.Clock
-	log   []csp.Record
+	log   []core.Record
 	// seq numbers this process's sends (local and remote alike), starting
 	// at 1. It is what makes retransmission and receiver-side dedup sound:
 	// Send blocks until its ACK, so at most one sequence number is ever
@@ -44,6 +46,10 @@ type Process struct {
 	// timer bounds each Send's wait; every Send re-arms it (armTimer), and
 	// Run stops it once every program has returned.
 	timer *time.Timer
+	// prog is the process's program (nil: immediately done) and err what it
+	// returned, set under the node's mu.
+	prog func(*Process) error
+	err  error
 }
 
 // answer is one reply to a send: the agreed stamp, tagged with the
@@ -90,7 +96,12 @@ func (p *Process) Clock() vector.V { return p.clock.Current() }
 // the message, then returns the agreed timestamp. The rendezvous deadline
 // bounds the wait; exceeding it aborts the run (a synchronous computation
 // cannot outlive a lost partner).
-func (p *Process) Send(q int) (vector.V, error) {
+func (p *Process) Send(q int) (vector.V, error) { return p.SendPayload(q, nil) }
+
+// SendPayload is Send with a payload for the receiver's Message. Only a
+// process on this node can receive one: the wire carries stamps alone, so
+// a non-nil payload to a process on another node is refused.
+func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	if q == p.id {
 		return nil, fmt.Errorf("node: process %d sending to itself", p.id)
 	}
@@ -100,6 +111,9 @@ func (p *Process) Send(q int) (vector.V, error) {
 	n := p.n
 	target := n.cfg.Placement[q]
 	remote := target != n.cfg.Node
+	if remote && payload != nil {
+		return nil, fmt.Errorf("node: process %d -> %d: a payload cannot travel to node %d", p.id, q, target)
+	}
 	// With recovery on a remote send, the synchronizer paces retransmissions
 	// of the self-contained SYN (dedup on the far side makes them
 	// idempotent), and the exclusion broadcast wakes the wait if the
@@ -118,7 +132,11 @@ func (p *Process) Send(q int) (vector.V, error) {
 		lastWall = sendWall
 		wait = min(wait, peer.RetryIn(0))
 	}
-	p.armTimer(wait)
+	var deadline <-chan time.Time // nil: a wait that never expires arms no timer
+	if wait != math.MaxInt64 {
+		p.armTimer(wait)
+		deadline = p.timer.C
+	}
 
 	pre := p.clock.Current()
 	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
@@ -127,10 +145,10 @@ func (p *Process) Send(q int) (vector.V, error) {
 	var syn *wire.Frame
 	if !remote {
 		select {
-		case n.mailboxes[q] <- inbound{from: p.id, seq: seq, vec: pre, reply: p.reply}:
+		case n.mailboxes[q] <- inbound{from: p.id, seq: seq, vec: pre, payload: payload, reply: p.reply}:
 		case <-n.stop:
 			return nil, ErrStopped
-		case <-p.timer.C:
+		case <-deadline:
 			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
 			n.fail(err)
 			return nil, err
@@ -181,7 +199,11 @@ func (p *Process) Send(q int) (vector.V, error) {
 					n.peerRTT[target].Observe(now.Sub(sendWall).Nanoseconds())
 				}
 			}
-			if err := p.clock.Adopt(stamp, q); err != nil {
+			err := p.clock.Adopt(stamp, q)
+			if err != nil && p.rebase() {
+				err = p.clock.Adopt(stamp, q)
+			}
+			if err != nil {
 				err = fmt.Errorf("node: process %d -> %d: %w", p.id, q, err)
 				p.n.fail(err)
 				return nil, err
@@ -195,14 +217,14 @@ func (p *Process) Send(q int) (vector.V, error) {
 			if n.ins.CausalTicks != nil {
 				n.ins.CausalTicks.Observe(obs.StampSum(stamp) - obs.StampSum(pre))
 			}
-			p.log = append(p.log, csp.Record{Kind: csp.RecordSend, Peer: q, Stamp: stamp})
+			p.log = append(p.log, core.Record{Kind: core.RecordSend, Peer: q, Stamp: stamp})
 			return stamp, nil
 		case <-n.stop:
 			if remote {
 				n.clearWaiter(p.id)
 			}
 			return nil, ErrStopped
-		case <-p.timer.C:
+		case <-deadline:
 			if peer == nil || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
 				if remote {
 					n.clearWaiter(p.id)
@@ -262,8 +284,16 @@ func (p *Process) Recv() (Message, error) {
 // leaving requests from other senders pending (their senders remain
 // parked, exactly as with one rendezvous channel per process pair).
 // Replaying the per-process projections of a synchronous computation with
-// RecvFrom is deadlock-free; with the any-source Recv it need not be.
+// RecvFrom is deadlock-free; with the any-source Recv it need not be. A
+// sender that cannot exist — the process itself, or one outside the
+// placement — is an error, as it is for Send.
 func (p *Process) RecvFrom(from int) (Message, error) {
+	if from == p.id {
+		return Message{}, fmt.Errorf("node: process %d receiving from itself", p.id)
+	}
+	if from < 0 || from >= len(p.n.cfg.Placement) {
+		return Message{}, fmt.Errorf("node: source %d out of range [0,%d)", from, len(p.n.cfg.Placement))
+	}
 	for i, in := range p.stash {
 		if in.from == from {
 			p.stash = append(p.stash[:i], p.stash[i+1:]...)
@@ -274,7 +304,7 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 	// that sender's node gets excluded — otherwise the receiver would park
 	// until the rendezvous deadline for a partner that is never coming.
 	var exclC chan struct{}
-	if p.n.rec != nil && from >= 0 && from < len(p.n.cfg.Placement) && p.n.cfg.Placement[from] != p.n.cfg.Node {
+	if p.n.rec != nil && p.n.cfg.Placement[from] != p.n.cfg.Node {
 		if p.n.isExcluded(p.n.cfg.Placement[from]) {
 			return Message{}, fmt.Errorf("node: process %d recvfrom %d: %w", p.id, from, ErrPeerLost)
 		}
@@ -304,9 +334,17 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 
 // complete performs the receiver's half of the rendezvous: the Figure 5
 // merge yields the stamp, which goes back to the sender — over the reply
-// channel for a local sender, on an ACK frame for a remote one.
+// channel for a local sender, on an ACK frame for a remote one. A stopped
+// node completes nothing, so a receive after Stop fails even when a
+// request is already waiting.
 func (p *Process) complete(in inbound) (Message, error) {
+	if p.n.stopped() {
+		return Message{}, ErrStopped
+	}
 	stamp, err := p.clock.Merge(in.vec, in.from)
+	if err != nil && p.rebase() {
+		stamp, err = p.clock.Merge(in.vec, in.from)
+	}
 	if err != nil {
 		err = fmt.Errorf("node: process %d receiving from %d: %w", p.id, in.from, err)
 		p.n.fail(err)
@@ -351,22 +389,46 @@ func (p *Process) complete(in inbound) (Message, error) {
 	p.n.cfg.Obs.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseAck, stamp)
 	p.n.ins.Rendezvous.Add(1)
 	p.n.ins.Proc(p.id).Add(1)
-	p.log = append(p.log, csp.Record{Kind: csp.RecordRecv, Peer: in.from, Stamp: stamp})
-	return Message{From: in.from, Stamp: stamp}, nil
+	p.log = append(p.log, core.Record{Kind: core.RecordRecv, Peer: in.from, Stamp: stamp})
+	return Message{From: in.from, Payload: in.payload, Stamp: stamp}, nil
+}
+
+// rebase switches the clock to the node's current decomposition, which a
+// Join may have grown past the clock's snapshot, and reports whether it
+// could. Merge and Adopt retry once after it: a channel to a process that
+// joined later is the one failure a rebase cures; any other leaves the
+// caller's first error standing.
+func (p *Process) rebase() bool {
+	p.n.mu.Lock()
+	dec := p.n.dec
+	p.n.mu.Unlock()
+	return p.clock.Rebase(dec) == nil
 }
 
 // Internal records an internal event carrying note (Section 5). Its full
 // (prev, succ, c) stamp is resolved at reconstruction time, when the next
-// message, if any, is known. Note travels the wire as a string.
-func (p *Process) Internal(note string) {
-	// Journal failures fail the run via journalCommit; the in-memory record
-	// is still appended so the log stays consistent with the clock.
-	_ = p.n.journalCommit(JournalRecord{Kind: journalInternal, Proc: p.id, Note: note})
-	p.log = append(p.log, csp.Record{Kind: csp.RecordInternal, Note: note})
-	p.n.ins.InternalEvents.Add(1)
-	// Guarded so the clock snapshot (a clone) only happens when a recorder
-	// is on.
-	if p.n.cfg.Obs.Recording() {
-		p.n.cfg.Obs.Internal(p.n.cfg.Node, p.id, p.clock.Current(), note)
+// message, if any, is known. The log keeps note as given; the journal, the
+// event recorder and the wire carry its fmt.Sprint rendering.
+func (p *Process) Internal(note any) {
+	if p.n.rec != nil && p.n.rec.Journal != nil {
+		// Journal failures fail the run via journalCommit; the in-memory
+		// record is still appended so the log stays consistent with the
+		// clock.
+		_ = p.n.journalCommit(JournalRecord{Kind: journalInternal, Proc: p.id, Note: noteText(note)})
 	}
+	p.log = append(p.log, core.Record{Kind: core.RecordInternal, Note: note})
+	p.n.ins.InternalEvents.Add(1)
+	// Guarded so the clock snapshot (a clone) and the rendering only happen
+	// when a recorder is on.
+	if p.n.cfg.Obs.Recording() {
+		p.n.cfg.Obs.Internal(p.n.cfg.Node, p.id, p.clock.Current(), noteText(note))
+	}
+}
+
+// noteText renders an internal event's note; a string is its own rendering.
+func noteText(note any) string {
+	if s, ok := note.(string); ok {
+		return s
+	}
+	return fmt.Sprint(note)
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/obs"
@@ -283,7 +282,7 @@ func TestJournalRestoreResume(t *testing.T) {
 		if live[i].Kind != st.log[i].Kind || live[i].Peer != st.log[i].Peer {
 			t.Fatalf("log record %d: restored %+v, live %+v", i, st.log[i], live[i])
 		}
-		if live[i].Kind != csp.RecordInternal && !vector.Eq(live[i].Stamp, st.log[i].Stamp) {
+		if live[i].Kind != core.RecordInternal && !vector.Eq(live[i].Stamp, st.log[i].Stamp) {
 			t.Fatalf("log record %d: restored stamp %v, live %v", i, st.log[i].Stamp, live[i].Stamp)
 		}
 	}

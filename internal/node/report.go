@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/wire"
 )
 
@@ -38,11 +38,11 @@ func (n *Node) SendReport(collector int, info *RunInfo) error {
 		for _, rec := range info.Logs[p] {
 			var f *wire.Frame
 			switch rec.Kind {
-			case csp.RecordSend:
+			case core.RecordSend:
 				f = &wire.Frame{Kind: wire.KindSyn, From: p, To: rec.Peer, Vec: rec.Stamp}
-			case csp.RecordRecv:
+			case core.RecordRecv:
 				f = &wire.Frame{Kind: wire.KindAck, From: rec.Peer, To: p, Vec: rec.Stamp}
-			case csp.RecordInternal:
+			case core.RecordInternal:
 				f = &wire.Frame{Kind: wire.KindInternal, Proc: p, Note: fmt.Sprint(rec.Note)}
 			default:
 				return fmt.Errorf("node %d: process %d log holds unknown record kind %v", n.cfg.Node, p, rec.Kind)
@@ -72,10 +72,10 @@ func (n *Node) SendReport(collector int, info *RunInfo) error {
 
 // Collect receives the peer nodes' log reports, joins them with this
 // node's own logs, and reconstructs the global computation with
-// csp.Reconstruct — the distributed run's oracle-checkable outcome. It
+// core.Reconstruct — the distributed run's oracle-checkable outcome. It
 // must be called on exactly one node, after Run, with that node's RunInfo;
 // timeout bounds the whole collection.
-func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*csp.Result, error) {
+func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*core.Result, error) {
 	logs, err := n.collectStream(info, timeout)
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*csp.Result, error
 	if err := n.finishRollup(info); err != nil {
 		return nil, err
 	}
-	res, err := csp.Reconstruct(n.cfg.Dec, logs)
+	res, err := core.Reconstruct(n.cfg.Dec, logs)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", n.cfg.Node, err)
 	}
@@ -93,9 +93,9 @@ func (n *Node) Collect(info *RunInfo, timeout time.Duration) (*csp.Result, error
 // collectStream gathers the run's per-process logs, appending this node's
 // own records and then every peer report's as its frames decode, each
 // process's records in program order.
-func (n *Node) collectStream(info *RunInfo, timeout time.Duration) ([][]csp.Record, error) {
+func (n *Node) collectStream(info *RunInfo, timeout time.Duration) ([][]core.Record, error) {
 	n.start()
-	logs := make([][]csp.Record, n.cfg.Dec.N())
+	logs := make([][]core.Record, n.cfg.Dec.N())
 	seen := make([]bool, n.cfg.Dec.N())
 	reported := make([]bool, n.nodes)
 	reported[n.cfg.Node] = true
@@ -167,7 +167,7 @@ func missingNodes(reported []bool) []int {
 }
 
 // readReport appends one report to logs, frame by frame.
-func (n *Node) readReport(rc *reportConn, logs [][]csp.Record, seen []bool) error {
+func (n *Node) readReport(rc *reportConn, logs [][]core.Record, seen []bool) error {
 	for _, p := range rc.procs {
 		if p < 0 || p >= len(seen) {
 			return fmt.Errorf("node %d: report from node %d claims process %d, out of range", n.cfg.Node, rc.node, p)
@@ -190,17 +190,17 @@ func (n *Node) readReport(rc *reportConn, logs [][]csp.Record, seen []bool) erro
 			if !owns(f.From) {
 				return fmt.Errorf("node %d: report from node %d logs a send by foreign process %d", n.cfg.Node, rc.node, f.From)
 			}
-			logs[f.From] = append(logs[f.From], csp.Record{Kind: csp.RecordSend, Peer: f.To, Stamp: f.Vec})
+			logs[f.From] = append(logs[f.From], core.Record{Kind: core.RecordSend, Peer: f.To, Stamp: f.Vec})
 		case wire.KindAck:
 			if !owns(f.To) {
 				return fmt.Errorf("node %d: report from node %d logs a receive by foreign process %d", n.cfg.Node, rc.node, f.To)
 			}
-			logs[f.To] = append(logs[f.To], csp.Record{Kind: csp.RecordRecv, Peer: f.From, Stamp: f.Vec})
+			logs[f.To] = append(logs[f.To], core.Record{Kind: core.RecordRecv, Peer: f.From, Stamp: f.Vec})
 		case wire.KindInternal:
 			if !owns(f.Proc) {
 				return fmt.Errorf("node %d: report from node %d logs an internal event of foreign process %d", n.cfg.Node, rc.node, f.Proc)
 			}
-			logs[f.Proc] = append(logs[f.Proc], csp.Record{Kind: csp.RecordInternal, Note: f.Note})
+			logs[f.Proc] = append(logs[f.Proc], core.Record{Kind: core.RecordInternal, Note: f.Note})
 		case wire.KindMetrics:
 			if f.Metrics == nil {
 				return fmt.Errorf("node %d: empty METRICS frame in report from node %d", n.cfg.Node, rc.node)

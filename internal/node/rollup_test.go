@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/csp"
+	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
 	"syncstamp/internal/obs"
@@ -33,7 +33,7 @@ func TestCollectClusterRollup(t *testing.T) {
 		h.Observe(int64(1000 * (i + 1))) // overflow bucket on both
 	}
 
-	var collected *csp.Result
+	var collected *core.Result
 	var info0 *RunInfo
 	var collectErr error
 	results := make([]clusterResult, 2)
@@ -270,7 +270,7 @@ func TestRunWritesFlightDumpAndReplays(t *testing.T) {
 		}
 		merged = append(merged, events...)
 	}
-	res, err := csp.Reconstruct(dec, csp.LogsFromEvents(dec.N(), merged))
+	res, err := core.Reconstruct(dec, LogsFromEvents(dec.N(), merged))
 	if err != nil {
 		t.Fatalf("reconstructing from flight dumps: %v", err)
 	}

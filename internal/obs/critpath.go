@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the causal critical-path profiler: given a reconstructed run
-// (the computation csp.Reconstruct rebuilds from every node's event file,
+// (the computation core.Reconstruct rebuilds from every node's event file,
 // with its message stamps), it walks the run's per-process operation order
 // and extracts the longest weighted causal chain, per-process and per-link
 // slack, and a ranked blame table of rendezvous links.

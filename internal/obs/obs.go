@@ -1,6 +1,6 @@
-// Package obs is the observability layer of the two runtimes: a metrics
+// Package obs is the observability layer of the runtime: a metrics
 // registry (counters, gauges, bounded histograms) and a structured event
-// recorder that both internal/csp and internal/node feed, plus the
+// recorder that internal/node feeds (and so every csp run), plus the
 // exporters — a Chrome trace_event file, the flight order that internal/node
 // writes event files in, and the /metrics, /healthz, /debug/flight and
 // pprof HTTP endpoints cmd/tsnode serves.
@@ -117,7 +117,7 @@ func (o *Obs) Now() int64 {
 // Rendezvous records one rendezvous phase of process proc with peer,
 // carrying the vector the phase established (the pre-merge vector for
 // PhaseSyn, the agreed stamp for PhaseMerge/PhaseAck/PhaseAdopt). node is
-// the hosting node, or -1 for the in-process runtime.
+// the hosting node; a csp run is one node, node 0.
 func (o *Obs) Rendezvous(node, proc, peer int, ph Phase, stamp vector.V) {
 	if o.Recording() {
 		o.Recorder.Record(Event{Node: node, Proc: proc, Peer: peer, Phase: ph, Stamp: stamp})

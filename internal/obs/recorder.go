@@ -22,7 +22,8 @@ import (
 // events are recorded only by its own goroutine, or by a journal Restore
 // before the run starts, so the mutex of its log is contended only by
 // readers. The log index is copy-on-write, which lets a process that joins
-// mid-run (csp's Join) record its first event while others run.
+// mid-run (node's Join, behind csp's) record its first event while others
+// run.
 //
 // A nil *Recorder is the disabled state: every method is a no-op that
 // performs zero allocations.

@@ -68,7 +68,7 @@ func ParsePhase(s string) (Phase, error) {
 // per-process total order (Seq); cross-process order is recovered from the
 // Stamps, never from wall clocks.
 type Event struct {
-	// Node is the hosting node, or -1 for the in-process csp runtime.
+	// Node is the hosting node; a csp run is one node, node 0.
 	Node int
 	// Proc is the acting process.
 	Proc int
