@@ -68,7 +68,9 @@ obs-test:
 
 # Fault-injection gate: the deterministic injector, the synchronizer and
 # the loss-tolerant protocol under the race detector — the internal/sync
-# estimator/backoff/health units; the chaos matrix and the full async chaos
+# estimator/backoff/health units; the wire relay the injector re-encodes
+# delivered frames with, ten times over, its idle reorder flush racing a
+# writer included; the chaos matrix and the full async chaos
 # matrix (every topology family × 8 seeds × loss to 20% × the three jitter
 # profiles, stamps byte-equal to the sequential oracle); resets, exclusion
 # by connection loss and by suspicion with its property-level check;
@@ -79,6 +81,7 @@ obs-test:
 # the sequential oracle; a scheduled crash that never fires fails it).
 chaos-test:
 	$(GO) test -race ./internal/sync
+	$(GO) test -race -count=10 -run Relay ./internal/wire ./internal/fault
 	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -timeout 30m ./internal/fault
 	$(GO) test -race -run 'TestJournal|TestRestore|TestLateAck|TestDialClassification|TestAsync|TestRecoveryRunsTheSynchronizer' ./internal/node
 	$(GO) test -race -run 'TestE2EFaultPlanDeterministicTraces|TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
@@ -114,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCompare -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzStampTrace -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzRelay -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -fuzz=FuzzNolint -fuzztime=10s ./internal/lint
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/node

@@ -32,17 +32,19 @@
 // cluster rollup after a collect: every reporting node's registry (and
 // every collector-tree leaf's shard registry) merged into one view.
 //
-// Chaos and recovery: -fault-plan wraps the transport with the deterministic
-// internal/fault injector (same plan + seed → same faults), and
-// -jitter-profile adds seeded link latency to it; -journal names a
-// crash-recovery journal so a killed node, restarted with identical flags,
-// replays its committed operations and resumes the run; -on-peer-loss picks
-// what survivors do about a peer that stays gone or unresponsive (abort,
-// wait, exclude). Any of these flags enables the loss-tolerant protocol:
-// dedup, session-resuming reconnects, and SYN retransmission paced by the
-// internal/sync synchronizer — a per-peer adaptive RTO, floored at
-// -retransmit-min, and a per-peer health FSM whose summary prints after the
-// run.
+// Chaos and recovery: every node speaks the loss-tolerant protocol — dedup,
+// session-resuming reconnects, and SYN retransmission paced by the
+// internal/sync synchronizer, vectors delta-encoded on every connection.
+// -fault-plan wraps the transport with the deterministic internal/fault
+// injector (same plan + seed → same faults), and -jitter-profile adds
+// seeded link latency to it; -journal names a crash-recovery journal so a
+// killed node, restarted with identical flags, replays its committed
+// operations and resumes the run; -on-peer-loss picks what survivors do
+// about a peer that stays gone or unresponsive (abort, wait, exclude). Any
+// of these flags floors the per-peer adaptive RTO at -retransmit-min and
+// prints the per-peer health FSM's summary after the run; without them the
+// floor is -rendezvous-timeout, so a run over lossless TCP never
+// retransmits and any connection error aborts it.
 package main
 
 import (
@@ -89,12 +91,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	collectWait := fs.Duration("collect-timeout", 30*time.Second, "with -collect: deadline for all reports")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, and pprof on this address (e.g. 127.0.0.1:0)")
 	obsTrace := fs.String("obs-trace", "", "write this node's event file (every event, for tsanalyze) here after the run")
-	faultPlanFlag := fs.String("fault-plan", "", "JSON fault-injection plan; wraps the transport with the deterministic internal/fault injector (implies recovery)")
-	journalFlag := fs.String("journal", "", "crash-recovery journal file; a restarted node replays it and resumes the session (implies recovery)")
+	faultPlanFlag := fs.String("fault-plan", "", "JSON fault-injection plan; wraps the transport with the deterministic internal/fault injector (floors the RTO at -retransmit-min)")
+	journalFlag := fs.String("journal", "", "crash-recovery journal file; a restarted node replays it and resumes the session (floors the RTO at -retransmit-min)")
 	onPeerLoss := fs.String("on-peer-loss", "abort", "policy for a peer unreachable past -reconnect-window: abort, wait, or exclude")
 	reconnectWindow := fs.Duration("reconnect-window", 10*time.Second, "how long a lost peer may stay unreachable before -on-peer-loss applies")
 	retransmitMin := fs.Duration("retransmit-min", tssync.DefaultRTOMin, "floor of the adaptive SYN retransmission timeout")
-	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector and recovery)`)
+	jitterProfile := fs.String("jitter-profile", "", `inject link latency jitter: "fixed|lognormal|pareto[:meanMs[:shape]]" (implies the fault injector)`)
 	flight := fs.Int("flight", 4096, "flight recorder capacity in events, split evenly into one ring per hosted process (0 disables it)")
 	flightDump := fs.String("flight-dump", "", "dump the flight recorder here (an event file, for tsanalyze) on failure, peer loss, SIGQUIT, and end of run")
 	if err := fs.Parse(args); err != nil {
@@ -209,8 +211,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr = ftr
 	}
 
-	// Any chaos/recovery flag turns on the loss-tolerant protocol; the plain
-	// invocation keeps the original fail-stop semantics.
+	// Any chaos/recovery flag tunes the loss-tolerant protocol. The plain
+	// invocation leaves Recovery nil: abort on peer loss, and an RTO floored
+	// at the rendezvous deadline, so lossless TCP sees no retransmission.
 	var rec *node.RecoveryConfig
 	if *journalFlag != "" || plan != nil || policy != node.PeerLossAbort {
 		rec = &node.RecoveryConfig{

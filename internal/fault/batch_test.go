@@ -58,10 +58,6 @@ func TestBatchedWriteDropsSingleFrame(t *testing.T) {
 	}
 	enc := wire.NewEncoder(c, d)
 	enc.SetBatch(true)
-	// Loss-tolerant streams encode dense, like the runtime does whenever
-	// recovery is armed: a dropped delta frame must not desync its
-	// successors.
-	enc.SelfContained = true
 
 	// The HELLO flushes alone: it binds the connection's role so the SYNs
 	// behind it are injectable.
@@ -101,6 +97,11 @@ func TestBatchedWriteDropsSingleFrame(t *testing.T) {
 	for _, f := range res.frames {
 		if f.Kind == wire.KindSyn {
 			seqs = append(seqs, f.Seq)
+			// SYN 3 travelled as a delta against SYN 2, which the far side
+			// never saw; the injector's relay must re-encode it.
+			if f.Vec[0] != int(f.Seq) {
+				t.Errorf("SYN %d carried %v, want component 0 = %d", f.Seq, f.Vec, f.Seq)
+			}
 		}
 	}
 	if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 3 {

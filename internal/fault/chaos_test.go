@@ -183,8 +183,9 @@ func verifyTree(results []chaosResult, dec *decomp.Decomposition, wantMessages i
 // under an at-least-once fault schedule (drop + duplicate + reorder on
 // every link) must produce exactly the stamps of a fault-free sequential
 // replay. Retransmission masks the drops, dedup masks the duplicates and
-// the retransmissions' own duplicates, and the self-contained codec keeps
-// frames decodable out of order.
+// the retransmissions' own duplicates, and the injector's relay re-encodes
+// every frame it delivers against its receiver's delta baselines, so
+// vectors decode exactly out of order.
 func TestChaosMatrixStampsMatchSequential(t *testing.T) {
 	families := []struct {
 		name string

@@ -92,7 +92,7 @@ func (t *Transport) Dial(node int, deadline time.Time) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fc := &faultConn{Conn: c, t: t}
+	fc := &faultConn{Conn: c, t: t, relay: wire.NewRelay()}
 	fc.peer.Store(int64(node))
 	fc.sniffDone = true // peer known from the dial target
 	return fc, nil
@@ -105,7 +105,7 @@ func (t *Transport) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fc := &faultConn{Conn: c, t: t}
+	fc := &faultConn{Conn: c, t: t, relay: wire.NewRelay()}
 	fc.peer.Store(-1)
 	return fc, nil
 }
@@ -164,8 +164,8 @@ type link struct {
 	drops   map[int]bool // deterministic drop indices
 	resets  []int        // pending reset thresholds, ascending
 	partEnd int          // partition window end (frames < partEnd after start drop)
-	held    []byte       // reorder: frame waiting to be overtaken
-	heldC   net.Conn     // the raw conn the held frame belongs to
+	held    wire.Frame   // reorder: frame waiting to be overtaken, with its own vector
+	heldC   *faultConn   // the connection that held it; nil when nothing is held
 	timer   *time.Timer  // idle flush for the held frame
 }
 
@@ -261,6 +261,8 @@ func (lk *link) jitter(j *JitterSpec) time.Duration {
 // faultConn wraps one stream. Egress writes are reassembled into frames
 // and run through the link schedule; ingress reads pass through, with the
 // first inbound frame sniffed on accepted connections to learn the peer.
+// Frames that meet a fate reach the peer through the connection's relay,
+// re-encoded against the delta baselines the peer's decoder holds.
 type faultConn struct {
 	net.Conn
 	t    *Transport
@@ -271,6 +273,9 @@ type faultConn struct {
 	role      byte
 	roleKnown bool
 	exempt    bool // egress stopped parsing as frames; bytes pass through raw
+	relay     *wire.Relay
+	f         wire.Frame // the frame being relayed
+	out       []byte     // the relay's output for one frame
 
 	rmu       sync.Mutex
 	rbuf      []byte
@@ -342,9 +347,11 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 		return len(p), nil
 	}
-	c.wbuf = append(c.wbuf, p...)
-	for len(c.wbuf) > 0 {
-		size, n := binary.Uvarint(c.wbuf)
+	buf := append(c.wbuf, p...)
+	off := 0
+	var err error
+	for off < len(buf) && err == nil {
+		size, n := binary.Uvarint(buf[off:])
 		if n == 0 {
 			break // incomplete header; wait for more bytes
 		}
@@ -353,22 +360,24 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			// would otherwise stall (and buffer) this stream forever. Stop
 			// injecting and pass everything through raw.
 			c.exempt = true
-			buffered := c.wbuf
 			c.wbuf = nil
-			if _, err := c.Conn.Write(buffered); err != nil {
+			if _, err := c.Conn.Write(buf[off:]); err != nil {
 				return 0, err
 			}
 			return len(p), nil
 		}
-		if uint64(len(c.wbuf)-n) < size {
+		if uint64(len(buf)-off-n) < size {
 			break // incomplete payload; wait for more bytes
 		}
 		total := n + int(size)
-		frame := append([]byte(nil), c.wbuf[:total]...)
-		c.wbuf = c.wbuf[total:]
-		if err := c.writeFrame(frame); err != nil {
-			return 0, err
-		}
+		// Parsed in place: writeFrame keeps no reference to the bytes.
+		err = c.writeFrame(buf[off : off+total])
+		off += total
+	}
+	// Keep the fragment, if any, at the front of the reused buffer.
+	c.wbuf = buf[:copy(buf, buf[off:])]
+	if err != nil {
+		return 0, err
 	}
 	return len(p), nil
 }
@@ -407,7 +416,12 @@ func (c *faultConn) writeFrame(frame []byte) error {
 		defer t.CrashFn()
 	}
 	if lk.rule == nil {
+		// Every frame passes: the peer's decoder keeps the writer's baselines.
 		_, err := c.Conn.Write(frame)
+		return err
+	}
+	// Every frame the encoder wrote advances its baselines, dropped or not.
+	if err := c.relay.Parse(frame, &c.f); err != nil {
 		return err
 	}
 
@@ -419,45 +433,37 @@ func (c *faultConn) writeFrame(frame []byte) error {
 		t.delayed.Add(1)
 		time.Sleep(f.delay)
 	}
-	var out [][]byte
+	c.out = c.out[:0]
 	if f.drop {
 		t.dropped.Add(1)
-	} else if lk.held != nil {
-		// A frame is waiting to be overtaken: this one goes first.
-		out = append(out, frame)
+	} else if !f.reorder || lk.heldC != nil {
+		c.out = c.relay.Emit(c.out, &c.f)
 		if f.dup {
 			t.duplicated.Add(1)
-			out = append(out, frame)
+			c.out = c.relay.Emit(c.out, &c.f)
 		}
-		out = append(out, lk.held)
-		lk.held = nil
-		if lk.timer != nil {
+		if lk.heldC != nil {
+			// A frame was waiting to be overtaken: this one went first.
+			c.out = c.relay.Emit(c.out, &lk.held)
+			lk.heldC = nil
 			lk.timer.Stop()
-			lk.timer = nil
 		}
-	} else if f.reorder {
+	} else {
 		t.reordered.Add(1)
-		lk.held = frame
-		lk.heldC = c.Conn
-		lk.timer = time.AfterFunc(reorderFlush, func() { lk.flushHeld() })
+		vec := append(lk.held.Vec[:0], c.f.Vec...)
+		lk.held = c.f
+		lk.held.Vec = vec
+		lk.heldC = c
+		lk.timer = time.AfterFunc(reorderFlush, func() { c.flushHeld(lk) })
 		if f.dup {
 			// The duplicate travels now; the original arrives late.
 			t.duplicated.Add(1)
-			out = append(out, frame)
-		}
-	} else {
-		out = append(out, frame)
-		if f.dup {
-			t.duplicated.Add(1)
-			out = append(out, frame)
+			c.out = c.relay.Emit(c.out, &c.f)
 		}
 	}
 	var werr error
-	for _, b := range out {
-		if _, err := c.Conn.Write(b); err != nil {
-			werr = err
-			break
-		}
+	if len(c.out) > 0 {
+		_, werr = c.Conn.Write(c.out)
 	}
 	lk.mu.Unlock()
 	if werr != nil {
@@ -471,18 +477,23 @@ func (c *faultConn) writeFrame(frame []byte) error {
 }
 
 // flushHeld emits a reorder-held frame that was never overtaken (the link
-// went idle). A write error here is ignored: the connection is dying, and
-// the held frame becomes an ordinary loss for the recovery protocol.
-func (lk *link) flushHeld() {
+// went idle). It takes the connection's write lock before the link's, as
+// Write does, so the relay encodes and writes frames in one order: a frame
+// encoded here but written after a concurrent writer's would reach the peer
+// behind a delta computed against it. A write error is ignored: the
+// connection is dying, and the held frame becomes an ordinary loss for the
+// recovery protocol.
+func (c *faultConn) flushHeld(lk *link) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	lk.mu.Lock()
-	b, conn := lk.held, lk.heldC
-	lk.held = nil
-	lk.heldC = nil
-	lk.timer = nil
-	lk.mu.Unlock()
-	if b != nil && conn != nil {
-		_, _ = conn.Write(b)
+	defer lk.mu.Unlock()
+	if lk.heldC != c {
+		return // overtaken already, or now holding another connection's frame
 	}
+	lk.heldC = nil
+	c.out = c.relay.Emit(c.out[:0], &lk.held)
+	_, _ = c.Conn.Write(c.out)
 }
 
 // frameKind extracts the wire kind of a complete length-prefixed frame.

@@ -8,8 +8,8 @@ import (
 	tssync "syncstamp/internal/sync"
 )
 
-// The synchronizer from internal/sync threaded through the recovery
-// runtime: the retransmission timer of every remote Send adapts to a
+// The synchronizer from internal/sync threaded through the runtime: the
+// retransmission timer of every remote Send adapts to a
 // per-peer Jacobson RTT estimate, and a per-peer health FSM (healthy →
 // degraded → suspect → excluded) lets the OnPeerLoss policy act on
 // suspicion — an unresponsive peer — rather than waiting for a connection
@@ -36,10 +36,10 @@ type RTTStats struct {
 	Suspicions int64
 }
 
-// initAsync builds the synchronizer state after the Node's sizes are known.
-// Called from New for every recovery run, before any connection exists.
-func (n *Node) initAsync() {
-	cfg := *n.rec.Async
+// initAsync builds the synchronizer state from its normalized config after
+// the Node's sizes are known. Called from New for every node with peers,
+// before any connection exists.
+func (n *Node) initAsync(cfg tssync.Config) {
 	// The synchronizer's jitter seed doubles as the per-node identity salt,
 	// so two nodes of one run never share a jitter stream.
 	cfg.Seed = cfg.Seed*1_000_003 + int64(n.cfg.Node)
@@ -61,11 +61,8 @@ func (n *Node) initAsync() {
 // noteAlive is the synchronizer's receive hook, called by the read loop for
 // every frame a peer delivers: the frame itself is liveness evidence, which
 // heals the health FSM (suspect → healthy on a late ACK); the healed state
-// is mirrored into the health gauge. A fail-stop node has no synchronizer.
+// is mirrored into the health gauge.
 func (n *Node) noteAlive(peer int) {
-	if n.coord == nil {
-		return
-	}
 	p := n.coord.Peer(peer)
 	if p == nil {
 		return
@@ -158,9 +155,10 @@ func (n *Node) setHealthGauge(peer int, st tssync.State) {
 	n.peerHealth[peer].Set(int64(st))
 }
 
-// asyncInfo fills RunInfo's synchronizer fields at end of run.
+// asyncInfo fills RunInfo's synchronizer fields at end of run. A node
+// without peers runs no synchronizer and leaves them zero.
 func (n *Node) asyncInfo(info *RunInfo) {
-	if n.coord == nil {
+	if n.nodes == 1 {
 		return
 	}
 	info.Spurious = n.spurious.Load()

@@ -527,11 +527,11 @@ type resumeState struct {
 	ops   int
 }
 
-// journalCommit appends one record under recovery, failing the run if the
-// journal cannot be made durable (continuing would break the write-ahead
-// guarantee).
+// journalCommit appends one record to the journal, if there is one,
+// failing the run if it cannot be made durable (continuing would break the
+// write-ahead guarantee).
 func (n *Node) journalCommit(rec JournalRecord) error {
-	if n.rec == nil || n.rec.Journal == nil {
+	if n.rec.Journal == nil {
 		return nil
 	}
 	if err := n.rec.Journal.Append(rec); err != nil {
@@ -552,8 +552,11 @@ func (n *Node) journalCommit(rec JournalRecord) error {
 // number of committed operations per hosted process — the prefix of each
 // program a resuming caller must skip.
 func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
-	if n.rec == nil || n.rec.Journal == nil {
+	if n.rec.Journal == nil {
 		return nil, errors.New("node: Restore requires Config.Recovery with a Journal")
+	}
+	if n.restored == nil {
+		n.restored = make(map[int]*resumeState)
 	}
 	counts := make(map[int]int)
 	for _, rec := range recs {

@@ -102,10 +102,13 @@ type Config struct {
 	// (temp file, fsync, rename) so a reader never sees a torn dump. Empty
 	// keeps the ring in memory only (still served over /debug/flight).
 	FlightDump string
-	// Recovery, when non-nil, enables the loss-tolerant protocol:
+	// Recovery tunes the loss-tolerant protocol every node with peers speaks:
 	// retransmission, dedup, reconnection, degradation policy, and
-	// (optionally) crash-recovery journaling. Nil keeps the original
-	// fail-stop semantics: any connection error aborts the run.
+	// (optionally) crash-recovery journaling. Nil means
+	// RecoveryConfig{OnPeerLoss: PeerLossAbort} with the retransmission
+	// timeout floored at RendezvousTimeout: over a lossless transport a
+	// retransmission could only be spurious, so such a run sends none, and
+	// any connection error aborts it.
 	Recovery *RecoveryConfig
 }
 
@@ -251,6 +254,9 @@ type Node struct {
 	failMu  sync.Mutex
 	failErr error
 
+	// New builds the per-peer tables and channels below, the dedup slots
+	// and the synchronizer only for a node with peers: a one-node run pays
+	// for none of them.
 	mu         sync.Mutex
 	dec        *decomp.Decomposition // the current decomposition: cfg.Dec, grown by each Join
 	procs      []*Process            // hosted processes, registered by Run and Join
@@ -258,7 +264,7 @@ type Node struct {
 	running    int                   // programs started and not yet returned
 	drained    chan struct{}         // closed once a started run has no program left
 	conns      []*peerConn           // indexed by peer node; nil until connected
-	waiters    []chan answer         // indexed by hosted process: its reply slot, set by addProcess
+	waiters    []chan answer         // indexed by hosted process: a parked remote sender's reply slot
 	waiterSeq  []uint64              // the sequence number each parked remote sender awaits; 0 when none is
 	retired    []*peerConn           // replaced or dead connections, kept for accounting
 	epochs     []int                 // highest HELLO epoch used/seen per peer
@@ -271,17 +277,18 @@ type Node struct {
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
 
-	// Recovery state (rec nil means fail-stop).
-	rec        *RecoveryConfig
-	dedup      []dedupEntry // per sender process, guarded by mu
+	// Recovery state: rec is Config.Recovery normalized (New hands its
+	// Async, normalized too, to the synchronizer).
+	rec        RecoveryConfig
+	dedup      []dedupEntry // per sender process, each with its own lock
 	restored   map[int]*resumeState
 	baseEpoch  int
 	peerEvent  chan struct{}
 	recoveryWG sync.WaitGroup
 
-	// Synchronizer state (coord is nil exactly when rec is; see async.go).
-	// suspectWatch (guarded by mu) marks peers with a suspicion watchdog in
-	// flight.
+	// Synchronizer state (see async.go; coord is nil only on a node without
+	// peers). suspectWatch (guarded by mu) marks peers with a suspicion
+	// watchdog in flight.
 	coord        *tssync.Coordinator
 	suspectWatch []bool
 	peerRTT      []*obs.Histogram
@@ -345,49 +352,47 @@ func New(cfg Config, tr Transport) (*Node, error) {
 	if cfg.RendezvousTimeout <= 0 {
 		cfg.RendezvousTimeout = DefaultRendezvousTimeout
 	}
+	// Normalized copies; the caller's structs stay untouched.
+	rec, async := RecoveryConfig{OnPeerLoss: PeerLossAbort}, tssync.Config{RTOMin: cfg.RendezvousTimeout}
 	if cfg.Recovery != nil {
-		rc := *cfg.Recovery // normalized copy; the caller's struct stays untouched
-		if rc.ReconnectWindow <= 0 {
-			rc.ReconnectWindow = cfg.HandshakeTimeout
+		rec, async = *cfg.Recovery, tssync.Config{}
+		if rec.Async != nil {
+			async = *rec.Async
 		}
-		var ac tssync.Config
-		if rc.Async != nil {
-			ac = *rc.Async
-		}
-		if err := ac.Validate(); err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-		rc.Async = &ac
-		cfg.Recovery = &rc
+	}
+	if rec.ReconnectWindow <= 0 {
+		rec.ReconnectWindow = cfg.HandshakeTimeout
+	}
+	if err := async.Validate(); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	procs := len(cfg.Placement)
 	n := &Node{
-		cfg:        cfg,
-		nodes:      nodes,
-		tr:         tr,
-		stop:       make(chan struct{}),
-		dec:        cfg.Dec,
-		drained:    make(chan struct{}),
-		conns:      make([]*peerConn, nodes),
-		waiters:    make([]chan answer, procs),
-		waiterSeq:  make([]uint64, procs),
-		epochs:     make([]int, nodes),
-		excluded:   make([]bool, nodes),
-		byeSeen:    make([]bool, nodes),
-		byeFailed:  make([]bool, nodes),
-		recovering: make([]bool, nodes),
-		exclCh:     make(chan struct{}),
-		mailboxes:  make([]chan inbound, procs),
-		reports:    make(chan *reportConn, nodes),
-		regCh:      make(chan int, nodes),
-		connDone:   make(chan struct{}),
-		rec:        cfg.Recovery,
-		dedup:      make([]dedupEntry, procs),
-		restored:   make(map[int]*resumeState),
-		peerEvent:  make(chan struct{}, 1),
+		cfg:       cfg,
+		nodes:     nodes,
+		tr:        tr,
+		stop:      make(chan struct{}),
+		dec:       cfg.Dec,
+		drained:   make(chan struct{}),
+		mailboxes: make([]chan inbound, procs),
+		rec:       rec,
 	}
 	if nodes > 1 {
 		n.digest = wire.Digest(cfg.Dec, cfg.Placement) // a one-node run speaks no HELLO
+		n.conns = make([]*peerConn, nodes)
+		n.waiters = make([]chan answer, procs)
+		n.waiterSeq = make([]uint64, procs)
+		n.epochs = make([]int, nodes)
+		n.excluded = make([]bool, nodes)
+		n.byeSeen = make([]bool, nodes)
+		n.byeFailed = make([]bool, nodes)
+		n.recovering = make([]bool, nodes)
+		n.exclCh = make(chan struct{})
+		n.reports = make(chan *reportConn, nodes)
+		n.regCh = make(chan int, nodes)
+		n.connDone = make(chan struct{})
+		n.dedup = make([]dedupEntry, procs)
+		n.peerEvent = make(chan struct{}, 1)
 	}
 	for p, host := range cfg.Placement {
 		if host == cfg.Node {
@@ -419,8 +424,8 @@ func New(cfg Config, tr Transport) (*Node, error) {
 			n.wireBytes[k] = r.Counter(bn)
 		}
 	}
-	if n.rec != nil {
-		n.initAsync()
+	if nodes > 1 {
+		n.initAsync(async)
 	}
 	return n, nil
 }
@@ -533,7 +538,6 @@ func (n *Node) handleAccept(c net.Conn) error {
 	switch f.Role {
 	case wire.RoleData:
 		enc := wire.NewEncoder(c, n.cfg.Dec.D())
-		enc.SelfContained = n.rec != nil
 		hello := &wire.Frame{Kind: wire.KindHello, Role: wire.RoleData, Node: n.cfg.Node, Procs: n.local, Digest: n.digest, Epoch: f.Epoch}
 		if err := enc.Encode(hello); err != nil {
 			return fmt.Errorf("node %d: handshake reply to node %d: %w", n.cfg.Node, f.Node, err)
@@ -626,7 +630,6 @@ func (n *Node) dialPeer(j, epoch int) error {
 	}
 	_ = c.SetDeadline(deadline)
 	enc := wire.NewEncoder(c, n.cfg.Dec.D())
-	enc.SelfContained = n.rec != nil
 	hello := &wire.Frame{Kind: wire.KindHello, Role: wire.RoleData, Node: n.cfg.Node, Procs: n.local, Digest: n.digest, Epoch: epoch}
 	if err := enc.Encode(hello); err != nil {
 		_ = c.Close()
@@ -688,22 +691,16 @@ func (n *Node) connect() error {
 
 // readLoop demultiplexes one data connection: SYNs go to the target
 // process's mailbox, ACKs release the parked sender, BYE announces the
-// peer's clean completion. Any protocol violation or transport error while
-// the run is live aborts the node.
+// peer's clean completion. A protocol violation aborts the node; a
+// transport error while the run is live is a peer loss (peerLost).
 func (n *Node) readLoop(pc *peerConn) {
 	defer n.readersWG.Done()
 	var f wire.Frame // reused: only the decoded vector is fresh per frame
 	for {
 		if err := pc.dec.DecodeInto(&f); err != nil {
-			if n.stopped() {
-				return
-			}
-			if n.rec != nil {
-				// Loss-tolerant mode: the connection died, the run need not.
+			if !n.stopped() {
 				n.peerLost(pc, err)
-				return
 			}
-			n.fail(fmt.Errorf("node %d: connection to node %d: %w", n.cfg.Node, pc.node, err))
 			return
 		}
 		n.noteAlive(pc.node)
@@ -713,27 +710,29 @@ func (n *Node) readLoop(pc *peerConn) {
 				n.fail(fmt.Errorf("node %d: SYN from node %d targets process %d, not hosted here", n.cfg.Node, pc.node, f.To))
 				return
 			}
-			if n.rec != nil {
-				reack, deliver := n.dedupCheck(&f)
-				if !deliver {
-					if reack != nil {
-						// The merge committed but its ACK was lost: answer
-						// the retransmission from the cache, idempotently.
-						// Asynchronously — the read loop is this connection's
-						// only drain, and two nodes re-ACKing each other over
-						// unbuffered streams would deadlock if either blocked
-						// here. The goroutine unblocks when the peer reads or
-						// the connection dies; readersWG makes it joinable at
-						// Close, which closes the conn first so send cannot
-						// block forever.
-						n.readersWG.Add(1)
-						go func() {
-							defer n.readersWG.Done()
-							_ = pc.send(reack)
-						}()
-					}
-					continue
+			if f.From < 0 || f.From >= len(n.cfg.Placement) || n.cfg.Placement[f.From] != pc.node {
+				n.fail(fmt.Errorf("node %d: SYN from node %d names sender process %d, not hosted there", n.cfg.Node, pc.node, f.From))
+				return
+			}
+			reack, deliver := n.dedupCheck(&f)
+			if !deliver {
+				if reack != nil {
+					// The merge committed but its ACK was lost: answer the
+					// retransmission from the cache, idempotently.
+					// Asynchronously — the read loop is this connection's
+					// only drain, and two nodes re-ACKing each other over
+					// unbuffered streams would deadlock if either blocked
+					// here. The goroutine unblocks when the peer reads or the
+					// connection dies; readersWG makes it joinable at Close,
+					// which closes the conn first so send cannot block
+					// forever.
+					n.readersWG.Add(1)
+					go func() {
+						defer n.readersWG.Done()
+						_ = pc.send(reack)
+					}()
 				}
+				continue
 			}
 			select {
 			case n.mailboxes[f.To] <- inbound{from: f.From, seq: f.Seq, vec: f.Vec}:
@@ -769,15 +768,11 @@ func (n *Node) readLoop(pc *peerConn) {
 			n.byeSeen[pc.node] = true
 			n.mu.Unlock()
 			n.notePeerEvent()
-			if n.rec != nil {
-				// Keep draining: at-least-once delivery means retransmissions,
-				// duplicates, and reorder stragglers can trail the peer's BYE,
-				// and a parked writer on the far side needs them consumed (and
-				// lost-ACK retransmissions still answered from the dedup
-				// cache). The loop ends when the connection is torn down.
-				continue
-			}
-			return
+			// Keep draining: at-least-once delivery means retransmissions,
+			// duplicates, and reorder stragglers can trail the peer's BYE,
+			// and a parked writer on the far side needs them consumed (and
+			// lost-ACK retransmissions still answered from the dedup cache).
+			// The loop ends when the connection is torn down.
 		default:
 			// HELLO or INTERNAL frames do not belong on an established data
 			// stream; count and drop them rather than killing the run.
@@ -797,10 +792,12 @@ func (n *Node) noteDropped() {
 func (n *Node) DroppedFrames() int64 { return n.dropped.Load() }
 
 // registerWaiter parks a remote sender: the first ACK addressed to proc
-// and echoing seq lands in proc's reply slot, and clears the registration.
-// Must be called before the SYN is written, or the ACK could race past.
-func (n *Node) registerWaiter(proc int, seq uint64) {
+// and echoing seq lands in reply, proc's reply slot, and clears the
+// registration. Must be called before the SYN is written, or the ACK could
+// race past.
+func (n *Node) registerWaiter(proc int, reply chan answer, seq uint64) {
 	n.mu.Lock()
+	n.waiters[proc] = reply
 	n.waiterSeq[proc] = seq
 	n.mu.Unlock()
 }
@@ -811,16 +808,6 @@ func (n *Node) clearWaiter(proc int) {
 	n.mu.Lock()
 	n.waiterSeq[proc] = 0
 	n.mu.Unlock()
-}
-
-// connTo returns the data connection to a peer node.
-func (n *Node) connTo(node int) (*peerConn, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if node < 0 || node >= len(n.conns) || n.conns[node] == nil {
-		return nil, fmt.Errorf("node %d: no connection to node %d", n.cfg.Node, node)
-	}
-	return n.conns[node], nil
 }
 
 // RunInfo is the local outcome of a completed run.
@@ -838,7 +825,7 @@ type RunInfo struct {
 	// on a data connection.
 	Dropped int64
 	// Retransmits counts SYN frames re-sent after a retransmission timeout
-	// expired without the ACK (recovery mode only).
+	// expired without the ACK.
 	Retransmits int64
 	// Reconnects counts data connections re-established after a peer loss.
 	Reconnects int64
@@ -848,9 +835,9 @@ type RunInfo struct {
 	// PeerLossExclude, ascending. Empty on a fully healthy run.
 	Excluded []int
 	// JournalAppends and JournalSyncs count committed journal records and
-	// the fsync batches that made them durable (recovery mode with a
-	// journal only; both zero otherwise). Syncs well below Appends is group
-	// commit doing its job.
+	// the fsync batches that made them durable (with a journal only; both
+	// zero otherwise). Syncs well below Appends is group commit doing its
+	// job.
 	JournalAppends int64
 	JournalSyncs   int64
 	// Rollup is the cluster-wide metrics view the collector assembled
@@ -860,14 +847,14 @@ type RunInfo struct {
 	// totals are folded into the node's live registry, so /metrics serves
 	// the merged cluster view.
 	Rollup *obs.Snapshot
-	// Spurious and Suspicions are synchronizer totals (recovery mode only):
-	// retransmissions the Eifel-style detector proved unnecessary, and
-	// transitions of any peer's health FSM into the suspect state.
+	// Spurious and Suspicions are synchronizer totals: retransmissions the
+	// Eifel-style detector proved unnecessary, and transitions of any peer's
+	// health FSM into the suspect state.
 	Spurious   int64
 	Suspicions int64
 	// PeerRTT and PeerHealth are the synchronizer's per-peer view, keyed by
 	// peer node id: the RTT estimator and histogram quantiles, and the
-	// health FSM's final state name. Nil without recovery.
+	// health FSM's final state name. Nil on a node without peers.
 	PeerRTT    map[int]RTTStats
 	PeerHealth map[int]string
 }
@@ -894,7 +881,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		} else {
 			proc.clock = core.NewClock(p, n.cfg.Dec)
 		}
-		n.addProcess(proc)
+		n.procs = append(n.procs, proc)
 	}
 	n.procs = append(n.procs, joined...)
 	n.started = true
@@ -915,11 +902,9 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		}
 	}
 
-	// Announce completion; peers' readers exit on our BYE, ours exit on
-	// theirs. Without recovery, waiting for the readers is the run's global
-	// barrier; with it, readers die and are replaced across reconnects, so
-	// the barrier is instead "every peer said BYE or was excluded" (a
-	// reconnect registered after this point re-announces, see register).
+	// Announce completion. Readers die and are replaced across reconnects,
+	// so the run's global barrier is "every peer said BYE or was excluded"
+	// (a reconnect registered after this point re-announces, see register).
 	if !n.stopped() {
 		n.mu.Lock()
 		n.byeSent = true
@@ -930,19 +915,13 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 				continue
 			}
 			if pc == nil {
-				if n.rec != nil {
-					// The peer is mid-reconnect: our BYE has no connection to
-					// travel on. Recovery re-announces it on the resumed
-					// session; until then the peer may be parked on our BYE.
-					n.noteByeFailed(j)
-				}
+				// The peer is mid-reconnect: our BYE has no connection to
+				// travel on. Recovery re-announces it on the resumed session;
+				// until then the peer may be parked on our BYE.
+				n.noteByeFailed(j)
 				continue
 			}
 			if err := pc.send(&wire.Frame{Kind: wire.KindBye}); err != nil && !n.stopped() {
-				if n.rec == nil {
-					n.fail(fmt.Errorf("node %d: closing connection to node %d: %w", n.cfg.Node, pc.node, err))
-					continue
-				}
 				// The connection died under our BYE; the peer never saw it
 				// and its end-of-run barrier is now waiting on us. Mark the
 				// debt so our own barrier holds until a resumed session
@@ -951,11 +930,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 			}
 		}
 	}
-	if n.rec != nil {
-		n.awaitPeersDone()
-	} else {
-		n.readersWG.Wait()
-	}
+	n.awaitPeersDone()
 
 	info := &RunInfo{Logs: make(map[int][]core.Record, len(procs))}
 	n.mu.Lock()
@@ -975,7 +950,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 	info.Deduped = n.deduped.Load()
 	info.Excluded = n.excludedList()
 	n.asyncInfo(info)
-	if n.rec != nil && n.rec.Journal != nil {
+	if n.rec.Journal != nil {
 		js := n.rec.Journal.Stats()
 		info.JournalAppends = js.Appends
 		info.JournalSyncs = js.Syncs
@@ -1014,12 +989,6 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		return info, fmt.Errorf("node %d: process %d: %w", n.cfg.Node, pick.id, pick.err)
 	}
 	return info, nil
-}
-
-// addProcess adds a hosted process to the run; the caller holds n.mu.
-func (n *Node) addProcess(proc *Process) {
-	n.procs = append(n.procs, proc)
-	n.waiters[proc.id] = proc.reply
 }
 
 // launch starts a registered process's program, if it has one; the caller
@@ -1071,7 +1040,7 @@ func (n *Node) Join(grown *decomp.Decomposition, program func(*Process) error) (
 	n.dec = grown
 	id := grown.N() - 1
 	proc := &Process{id: id, n: n, clock: core.NewClock(id, grown), prog: program, reply: make(chan answer, 1)}
-	n.addProcess(proc)
+	n.procs = append(n.procs, proc)
 	if n.started {
 		n.launch(proc)
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,7 +109,8 @@ func TestNodeObsDeterministicEventFiles(t *testing.T) {
 
 // TestReadLoopCountsDroppedFrames feeds a data connection a stray INTERNAL
 // frame and an ACK no send is waiting for: both are counted and dropped, the
-// reader survives to the BYE, and the counter surfaces in the registry.
+// reader survives past the BYE until the stream ends, and the counter
+// surfaces in the registry.
 func TestReadLoopCountsDroppedFrames(t *testing.T) {
 	leakCheck(t)
 	dec := decomp.Approximate(graph.Path(2))
@@ -137,6 +139,8 @@ func TestReadLoopCountsDroppedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The reader keeps draining after BYE; ending the stream ends it.
+	_ = client.Close()
 	n.readersWG.Wait()
 
 	if got := n.DroppedFrames(); got != 2 {
@@ -147,6 +151,38 @@ func TestReadLoopCountsDroppedFrames(t *testing.T) {
 	}
 	if err := n.failure(); err != nil {
 		t.Errorf("dropped frames must not fail the node: %v", err)
+	}
+}
+
+// TestReadLoopRefusesForeignSender feeds node 0's data connection from node
+// 1 a SYN whose sender is out of range, then one whose sender is placed on
+// node 0 itself. The receive path keeps one dedup slot per sender, so each
+// frame must fail the run with an error naming the sender, not index past
+// the table or deliver a rendezvous node 1 cannot have started.
+func TestReadLoopRefusesForeignSender(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Approximate(graph.Path(2))
+	for _, from := range []int{7, 0} {
+		n, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: dec}, NewLoop(2).Transport(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		pc := &peerConn{n: n, node: 1, c: server, dec: wire.NewDecoder(server, dec.D()), enc: wire.NewEncoder(server, dec.D())}
+		n.readersWG.Add(1)
+		go n.readLoop(pc)
+		syn := &wire.Frame{Kind: wire.KindSyn, From: from, To: 0, Seq: 1, Vec: vector.New(dec.D())}
+		if err := wire.NewEncoder(client, dec.D()).Encode(syn); err != nil {
+			t.Fatal(err)
+		}
+		_ = client.Close()
+		n.readersWG.Wait()
+		err = n.failure()
+		n.Close()
+		_ = server.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sender process %d", from)) {
+			t.Errorf("SYN from process %d: node failure %v, want one naming the sender", from, err)
+		}
 	}
 }
 

@@ -114,18 +114,17 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	if remote && payload != nil {
 		return nil, fmt.Errorf("node: process %d -> %d: a payload cannot travel to node %d", p.id, q, target)
 	}
-	// With recovery on a remote send, the synchronizer paces retransmissions
-	// of the self-contained SYN (dedup on the far side makes them
-	// idempotent), and the exclusion broadcast wakes the wait if the
-	// partner's node is removed from the run. One timer serves both the
-	// retries and the deadline: it fires at the next retry or at the
-	// rendezvous deadline, whichever comes first.
+	// On a remote send, the synchronizer paces retransmissions of the SYN
+	// (dedup on the far side makes them idempotent), and the exclusion
+	// broadcast wakes the wait if the partner's node is removed from the
+	// run. One timer serves both the retries and the deadline: it fires at
+	// the next retry or at the rendezvous deadline, whichever comes first.
 	wait := n.cfg.RendezvousTimeout
 	var peer *tssync.Peer
 	var exclC chan struct{}
 	var sendWall, lastWall time.Time
 	var attempts int
-	if remote && n.rec != nil {
+	if remote {
 		peer = n.coord.Peer(target)
 		exclC = n.exclusionCh()
 		sendWall = time.Now()
@@ -155,21 +154,12 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 		}
 		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 	} else {
-		n.registerWaiter(p.id, seq)
+		n.registerWaiter(p.id, p.reply, seq)
 		syn = &wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
-		if err := n.sendToPeer(target, syn); err != nil {
-			if n.rec == nil {
-				n.clearWaiter(p.id)
-				if n.stopped() {
-					return nil, ErrStopped
-				}
-				err = fmt.Errorf("node: process %d -> %d: %w", p.id, q, err)
-				n.fail(err)
-				return nil, err
-			}
-			// Recovery mode: the link may be down mid-reconnect; the
-			// retransmissions below cover the lost first transmission.
-		}
+		// Best effort: the link may be down mid-reconnect, and the
+		// retransmissions below cover a lost first transmission. A dead
+		// connection under PeerLossAbort fails the run from its read loop.
+		_ = n.sendToPeer(target, syn)
 		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 	}
 
@@ -185,18 +175,19 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 			}
 			stamp := a.stamp
 			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
-			if peer != nil {
+			if remote {
 				// Feed the estimator. Karn's rule and the Eifel-style spurious
 				// check live in OnAck; an accepted sample is the full
-				// first-transmission round trip.
-				now := time.Now()
-				sampled, spurious := peer.OnAck(now.Sub(sendWall), now.Sub(lastWall), attempts)
+				// first-transmission round trip. time.Since reads only the
+				// monotonic clock, where time.Now reads the wall clock too.
+				rtt := time.Since(sendWall)
+				sampled, spurious := peer.OnAck(rtt, rtt-lastWall.Sub(sendWall), attempts)
 				if spurious {
 					n.spurious.Add(1)
 					n.ins.Spurious.Add(1)
 				}
 				if sampled && n.peerRTT != nil && n.peerRTT[target] != nil {
-					n.peerRTT[target].Observe(now.Sub(sendWall).Nanoseconds())
+					n.peerRTT[target].Observe(rtt.Nanoseconds())
 				}
 			}
 			err := p.clock.Adopt(stamp, q)
@@ -225,7 +216,7 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 			}
 			return nil, ErrStopped
 		case <-deadline:
-			if peer == nil || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
+			if !remote || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
 				if remote {
 					n.clearWaiter(p.id)
 				}
@@ -300,15 +291,15 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 			return p.complete(in)
 		}
 	}
-	// Under recovery, a wait on a specific remote sender must also wake if
-	// that sender's node gets excluded — otherwise the receiver would park
-	// until the rendezvous deadline for a partner that is never coming.
+	// A wait on a specific remote sender must also wake if that sender's
+	// node gets excluded — otherwise the receiver would park until the
+	// rendezvous deadline for a partner that is never coming.
 	var exclC chan struct{}
-	if p.n.rec != nil && p.n.cfg.Placement[from] != p.n.cfg.Node {
-		if p.n.isExcluded(p.n.cfg.Placement[from]) {
+	if p.n.cfg.Placement[from] != p.n.cfg.Node {
+		exclC = p.n.exclusionCh()
+		if exclC != nil && p.n.isExcluded(p.n.cfg.Placement[from]) {
 			return Message{}, fmt.Errorf("node: process %d recvfrom %d: %w", p.id, from, ErrPeerLost)
 		}
-		exclC = p.n.exclusionCh()
 	}
 	t0 := p.n.cfg.Obs.Now()
 	for {
@@ -366,25 +357,14 @@ func (p *Process) complete(in inbound) (Message, error) {
 			return Message{}, ErrStopped
 		}
 	} else {
-		if p.n.rec != nil {
-			p.n.noteMerged(in.from, in.seq, p.id, stamp)
+		p.n.noteMerged(in.from, in.seq, p.id, stamp)
+		ack := &wire.Frame{Kind: wire.KindAck, From: p.id, To: in.from, Seq: in.seq, Vec: stamp}
+		if err := p.n.sendToPeer(p.n.cfg.Placement[in.from], ack); err != nil && p.n.stopped() {
+			return Message{}, ErrStopped
 		}
-		pc, err := p.n.connTo(p.n.cfg.Placement[in.from])
-		if err == nil {
-			err = pc.send(&wire.Frame{Kind: wire.KindAck, From: p.id, To: in.from, Seq: in.seq, Vec: stamp})
-		}
-		if err != nil {
-			if p.n.stopped() {
-				return Message{}, ErrStopped
-			}
-			if p.n.rec == nil {
-				err = fmt.Errorf("node: process %d acking %d: %w", p.id, in.from, err)
-				p.n.fail(err)
-				return Message{}, err
-			}
-			// The ACK died with the connection; the sender's retransmission
-			// will be answered from the dedup cache once the session resumes.
-		}
+		// An ACK that died with its connection is not lost: the sender's
+		// retransmission is answered from the dedup cache once the session
+		// resumes.
 	}
 	p.n.cfg.Obs.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseAck, stamp)
 	p.n.ins.Rendezvous.Add(1)
@@ -410,7 +390,7 @@ func (p *Process) rebase() bool {
 // message, if any, is known. The log keeps note as given; the journal, the
 // event recorder and the wire carry its fmt.Sprint rendering.
 func (p *Process) Internal(note any) {
-	if p.n.rec != nil && p.n.rec.Journal != nil {
+	if p.n.rec.Journal != nil {
 		// Journal failures fail the run via journalCommit; the in-memory
 		// record is still appended so the log stays consistent with the
 		// clock.

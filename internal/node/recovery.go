@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	tssync "syncstamp/internal/sync"
@@ -21,11 +22,11 @@ var ErrPeerLost = errors.New("node: peer lost")
 type PeerLossPolicy int
 
 const (
-	// PeerLossAbort fails the run as soon as a data connection dies. This is
-	// the fail-stop behavior of the non-recovering runtime: retransmission
-	// and dedup still mask individual lost frames, but a broken connection
-	// is fatal. A suspect peer whose connection is still up gets
-	// ReconnectWindow to heal, as under PeerLossWait.
+	// PeerLossAbort fails the run as soon as a data connection dies:
+	// retransmission and dedup still mask individual lost frames, but a
+	// broken connection is fatal. It is the policy of a nil Config.Recovery.
+	// A suspect peer whose connection is still up gets ReconnectWindow to
+	// heal, as under PeerLossWait.
 	PeerLossAbort PeerLossPolicy = iota
 	// PeerLossWait redials (or awaits a redial) for ReconnectWindow; only an
 	// expired window fails the run. A crashed peer that restarts from its
@@ -66,12 +67,14 @@ func ParsePeerLossPolicy(s string) (PeerLossPolicy, error) {
 	}
 }
 
-// RecoveryConfig turns on the loss-tolerant protocol: sequence-numbered
-// SYN/ACK retransmission paced by the internal/sync synchronizer, idempotent
-// dedup on receive, peer reconnection with session resume, and (optionally)
-// a write-ahead journal for crash recovery. With recovery enabled every
-// connection encodes vectors self-contained (dense), because delta
-// compression assumes a lossless FIFO stream.
+// RecoveryConfig tunes the loss-tolerant protocol every node with peers
+// runs: sequence-numbered SYN/ACK retransmission paced by the internal/sync
+// synchronizer, idempotent dedup on receive, peer reconnection with session
+// resume, and (optionally) a write-ahead journal for crash recovery. Vectors
+// travel as per-pair deltas on every connection: each connection has its
+// own codec pair, and a connection that loses no frame while it is up keeps
+// the two in lockstep, across retransmissions, duplicates, reconnects and
+// journal restarts alike.
 type RecoveryConfig struct {
 	// OnPeerLoss selects the degradation policy for a connection that stays
 	// dead, or a peer that stays suspect, past ReconnectWindow.
@@ -98,7 +101,10 @@ type RecoveryConfig struct {
 // the highest sequence number accepted into a mailbox, and (ackSeq,
 // ackFrom, stamp) caches the last committed merge so a retransmitted SYN
 // whose ACK was lost is answered from the cache instead of merged twice.
+// Each entry has its own lock, taken by the sender's node's read loop and
+// by the receiving process: no other rendezvous contends for it.
 type dedupEntry struct {
+	mu      sync.Mutex
 	enq     uint64
 	ackSeq  uint64
 	ackFrom int
@@ -110,8 +116,8 @@ type dedupEntry struct {
 // (duplicate still parked in a mailbox). Returns the frame to send back,
 // if any, and whether to deliver.
 func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
-	n.mu.Lock()
 	e := &n.dedup[f.From]
+	e.mu.Lock()
 	deliver = f.Seq > e.enq
 	if deliver {
 		e.enq = f.Seq
@@ -120,7 +126,7 @@ func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
 		// noteMerged overwrites the cached stamp in place.
 		reack = &wire.Frame{Kind: wire.KindAck, From: e.ackFrom, To: f.From, Seq: e.ackSeq, Vec: e.stamp.Clone()}
 	}
-	n.mu.Unlock()
+	e.mu.Unlock()
 	if !deliver {
 		n.noteDedup()
 	}
@@ -130,8 +136,8 @@ func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
 // noteMerged caches a committed merge for re-ACKing duplicates. The cache
 // owns its vector and, once warm, is overwritten in place.
 func (n *Node) noteMerged(from int, seq uint64, by int, stamp vector.V) {
-	n.mu.Lock()
 	e := &n.dedup[from]
+	e.mu.Lock()
 	e.ackSeq = seq
 	e.ackFrom = by
 	if len(e.stamp) == len(stamp) {
@@ -142,7 +148,7 @@ func (n *Node) noteMerged(from int, seq uint64, by int, stamp vector.V) {
 	if seq > e.enq {
 		e.enq = seq
 	}
-	n.mu.Unlock()
+	e.mu.Unlock()
 }
 
 // noteDedup records one suppressed duplicate frame.
@@ -151,11 +157,14 @@ func (n *Node) noteDedup() {
 	n.ins.DedupFrames.Add(1)
 }
 
-// sendToPeer writes one frame on the current connection to a peer node.
+// sendToPeer writes one frame on the current data connection to a peer
+// node; during a reconnect there is none.
 func (n *Node) sendToPeer(node int, f *wire.Frame) error {
-	pc, err := n.connTo(node)
-	if err != nil {
-		return err
+	n.mu.Lock()
+	pc := n.conns[node]
+	n.mu.Unlock()
+	if pc == nil {
+		return fmt.Errorf("node %d: no connection to node %d", n.cfg.Node, node)
 	}
 	return pc.send(f)
 }
@@ -203,11 +212,10 @@ func (n *Node) spawnRecovery(peer int, cause error) {
 	go n.recoverPeer(peer, cause)
 }
 
-// peerLost handles the death of a data connection under recovery: the
-// connection is retired and, unless nothing is owed either way (peer's BYE
-// seen and ours delivered), the peer was excluded, or the policy is abort,
-// a recovery goroutine redials (or awaits the peer's redial) for
-// ReconnectWindow.
+// peerLost handles the death of a data connection: the connection is
+// retired and, unless nothing is owed either way (peer's BYE seen and ours
+// delivered), the peer was excluded, or the policy is abort, a recovery
+// goroutine redials (or awaits the peer's redial) for ReconnectWindow.
 func (n *Node) peerLost(pc *peerConn, cause error) {
 	n.mu.Lock()
 	lost := n.conns[pc.node] == pc
@@ -324,8 +332,13 @@ func (n *Node) isExcluded(node int) bool {
 
 // exclusionCh returns the current exclusion broadcast channel: it is closed
 // (and replaced) every time a peer is excluded, waking parked rendezvous so
-// they can re-check their partner.
+// they can re-check their partner. Only PeerLossExclude excludes a peer, so
+// under any other policy it returns nil, which no wait ever receives from:
+// those waits then neither take n.mu nor share the broadcast channel.
 func (n *Node) exclusionCh() chan struct{} {
+	if n.rec.OnPeerLoss != PeerLossExclude {
+		return nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.exclCh
@@ -352,10 +365,10 @@ func (n *Node) excludedList() []int {
 	return out
 }
 
-// awaitPeersDone is the end-of-run barrier under recovery: instead of
-// tying completion to reader-goroutine lifetimes (readers die and are
-// replaced across reconnects), it waits until every peer either announced
-// completion with BYE or was excluded.
+// awaitPeersDone is the end-of-run barrier: instead of tying completion to
+// reader-goroutine lifetimes (readers die and are replaced across
+// reconnects), it waits until every peer either announced completion with
+// BYE or was excluded.
 func (n *Node) awaitPeersDone() {
 	for {
 		n.mu.Lock()

@@ -295,6 +295,54 @@ func TestJournalRestoreResume(t *testing.T) {
 	}
 }
 
+// TestOneNodeRestore journals a run on a node that hosts every process,
+// which builds no per-peer table, then restores the journal into a fresh
+// one-node node: a Run with nothing left to do returns the committed logs.
+func TestOneNodeRestore(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	path := filepath.Join(t.TempDir(), "one.journal")
+	run := func(programs map[int]func(*Process) error) (*RunInfo, map[int]int) {
+		t.Helper()
+		j, recs, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		n, err := New(Config{Placement: []int{0, 0}, Dec: dec, Recovery: &RecoveryConfig{Journal: j}}, NewLoop(1).Transport(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		counts, err := n.Restore(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := n.Run(programs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info, counts
+	}
+	const rounds = 3
+	live, _ := run(pingPong(rounds))
+	restored, counts := run(nil)
+	for p := 0; p < 2; p++ {
+		if counts[p] != 2*rounds {
+			t.Fatalf("process %d resumed %d operations, want %d", p, counts[p], 2*rounds)
+		}
+		got, want := restored.Logs[p], live.Logs[p]
+		if len(got) != len(want) {
+			t.Fatalf("process %d: restored %d records, the run logged %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Kind != want[i].Kind || got[i].Peer != want[i].Peer || !vector.Eq(got[i].Stamp, want[i].Stamp) {
+				t.Fatalf("process %d record %d: restored %+v, logged %+v", p, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRestoreRejectsForeignProcess(t *testing.T) {
 	g := graph.Path(2)
 	dec := decomp.Best(g)

@@ -47,7 +47,7 @@ const (
 	// values mean the RTT estimator is timing out too eagerly.
 	MetricSpuriousRetransmits = "spurious_retransmits_total"
 	// MetricSuspicions counts transitions of a peer's health FSM into the
-	// suspect state (recovery mode). Each suspicion arms the degradation
+	// suspect state. Each suspicion arms the degradation
 	// policy; a recovery (evidence before the window expires) disarms it.
 	MetricSuspicions = "peer_suspicions_total"
 	// MetricPeerRTTNS is the per-peer round-trip-time histogram of accepted
@@ -59,7 +59,7 @@ const (
 	// excluded.
 	MetricPeerHealth = "peer_health_state"
 	// MetricJournalAppends gauges the crash-recovery journal's committed
-	// record count at end of run (recovery mode with a journal only).
+	// record count at end of run (with a journal only).
 	MetricJournalAppends = "journal_appends_total"
 	// MetricJournalSyncs gauges the fsync batches that made those records
 	// durable. Syncs well below appends is group commit at work; equal

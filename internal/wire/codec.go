@@ -143,12 +143,11 @@ type Encoder struct {
 	buf   []byte
 	batch bool
 
-	// SelfContained forces every vector into dense form. Delta compression
-	// assumes a lossless FIFO stream — encoder and decoder advance their
-	// baselines in lockstep, so one dropped, duplicated, or reordered frame
-	// corrupts every later vector on the pair. Recovery mode (retransmission
-	// over faulty links) therefore trades the Singhal–Kshemkalyani byte
-	// savings for frames that decode correctly in isolation.
+	// SelfContained forces every vector into dense form, so each frame
+	// decodes in isolation. No runtime stream needs it: encoder and decoder
+	// advance their baselines in lockstep, and a link that loses frames
+	// inside a live connection re-encodes what it delivers through a Relay.
+	// Only tsperf's wire probe sets it, to time the dense encoding.
 	SelfContained bool
 
 	// Overhead accumulates the exact piggyback cost of every SYN/ACK

@@ -174,7 +174,7 @@ func TestBaselinesArePerPair(t *testing.T) {
 // TestSelfContainedFramesDecodeInIsolation drives repeated same-pair traffic
 // through a SelfContained encoder and decodes each frame with a FRESH decoder
 // (zero baselines): every frame must decode to its full vector on its own.
-// This is the property recovery mode relies on — a retransmitted, duplicated,
+// This is the property SelfContained promises — a retransmitted, duplicated,
 // or reordered frame must not need any earlier frame to be interpretable.
 func TestSelfContainedFramesDecodeInIsolation(t *testing.T) {
 	const d = 8
