@@ -73,7 +73,10 @@ obs-test:
 # writer included; the chaos matrix and the full async chaos
 # matrix (every topology family × 8 seeds × loss to 20% × the three jitter
 # profiles, stamps byte-equal to the sequential oracle); resets, exclusion
-# by connection loss and by suspicion with its property-level check;
+# by connection loss and by suspicion with its property-level check, then
+# the exclusion and suspicion tests again (-count=5) and the node's reply
+# slot and receive-loop tests (-count=10), since exclusion answers into
+# slots and mailboxes while senders register, take ACKs or stop;
 # journal restore and the synchronizer's cluster rollup — plus the chaos
 # e2e runs over real OS processes: fault-plan trace determinism, the jittered
 # kill -9 run, and the kill -9 crash-recovery soak three times over (every
@@ -83,7 +86,9 @@ chaos-test:
 	$(GO) test -race ./internal/sync
 	$(GO) test -race -count=10 -run Relay ./internal/wire ./internal/fault
 	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -timeout 30m ./internal/fault
+	$(GO) test -race -count=5 -run 'Exclu|Suspicion' ./internal/fault
 	$(GO) test -race -run 'TestJournal|TestRestore|TestLateAck|TestDialClassification|TestAsync|TestRecoveryRunsTheSynchronizer' ./internal/node
+	$(GO) test -race -count=10 -run 'TestAsyncAbortSurvivesSuspicion|TestSendDropsStaleAnswer|TestStopUnblocksParkedOps|TestRecvFrom' ./internal/node
 	$(GO) test -race -run 'TestE2EFaultPlanDeterministicTraces|TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
 	$(GO) test -race -count=3 -run 'TestE2EKillNineRecoverySoak' -v ./cmd/tsnode
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,13 +73,35 @@ func TestParsePlacement(t *testing.T) {
 }
 
 // freeAddrs reserves n distinct localhost ports and releases them for the
-// nodes to bind. The tiny reuse race is acceptable in tests.
+// nodes to bind. The candidates are drawn from below the kernel's ephemeral
+// port range, which `:0` binds and outgoing connections take their ports
+// from, so no other test in a `go test ./...` run can take one that way
+// before its node binds it; each is checked free with a listen and close.
+// The race that remains is another process, or a later call here, binding
+// the same port by number between that close and the node's bind. Where
+// the range cannot be read, the ports come from `:0` binds, inside the
+// ephemeral range.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
+	lo := 0 // the ephemeral range's first port; 0 when unknown
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			lo, _ = strconv.Atoi(f[0])
+		}
+	}
+	listen := func() (net.Listener, error) {
+		for try := 0; lo > minTestPort && try < 100; try++ {
+			port := minTestPort + rand.Intn(lo-minTestPort)
+			if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port)); err == nil {
+				return ln, nil
+			}
+		}
+		return net.Listen("tcp", "127.0.0.1:0")
+	}
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
 	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := listen()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,6 +113,9 @@ func freeAddrs(t *testing.T, n int) []string {
 	}
 	return addrs
 }
+
+// minTestPort is the lowest port freeAddrs draws: the first unprivileged one.
+const minTestPort = 1024
 
 // inProcessCluster is three tsnode runs inside one test process, on a
 // triangle with one process per node; node 0 collects and verifies.

@@ -284,8 +284,8 @@ func TestChaosExcludeKeepsSurvivorsStamping(t *testing.T) {
 			if _, err := p.RecvFrom(1); err != nil {
 				return err
 			}
-			// The victim is gone by now (or dies while we are parked); the
-			// exclusion broadcast must wake this send with ErrPeerLost.
+			// The victim is gone by now (or dies while we are parked); its
+			// exclusion must answer this send with ErrPeerLost.
 			if _, err := p.Send(2); !errors.Is(err, node.ErrPeerLost) {
 				return fmt.Errorf("send to dead peer: got %v, want ErrPeerLost", err)
 			}
@@ -322,10 +322,63 @@ func TestChaosExcludeKeepsSurvivorsStamping(t *testing.T) {
 		if len(excl) != 1 || excl[0] != 2 {
 			t.Fatalf("survivor node %d excluded %v, want [2]", i, excl)
 		}
+		if st := results[i].info.PeerHealth[2]; st != "excluded" {
+			t.Fatalf("survivor node %d sees excluded peer 2 as %q, want excluded", i, st)
+		}
 	}
 	// Only the 0↔1 round-trip committed; the reconstruction must cover
 	// exactly it and stamp it as the fault-free replay would.
 	if err := verifySequential(res, results, dec, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChaosExcludeWakesParkedReceiver kills one node of a three-node run
+// while a survivor is parked receiving from it. Under OnPeerLoss=exclude
+// the receive must end with ErrPeerLost once the victim is excluded, and a
+// send to the victim after that must fail the same way. The other survivor
+// is parked receiving from a live peer when it excludes the victim, and
+// must keep waiting for it.
+func TestChaosExcludeWakesParkedReceiver(t *testing.T) {
+	dec := decomp.Best(graph.Complete(3))
+	victimErr := errors.New("victim dies on schedule")
+	programs := map[int]func(*node.Process) error{
+		0: func(p *node.Process) error {
+			if _, err := p.RecvFrom(2); !errors.Is(err, node.ErrPeerLost) {
+				return fmt.Errorf("receive from dead peer: got %v, want ErrPeerLost", err)
+			}
+			if _, err := p.Send(2); !errors.Is(err, node.ErrPeerLost) {
+				return fmt.Errorf("send to excluded peer: got %v, want ErrPeerLost", err)
+			}
+			_, err := p.Send(1)
+			return err
+		},
+		1: func(p *node.Process) error {
+			_, err := p.RecvFrom(0)
+			return err
+		},
+		2: func(p *node.Process) error {
+			return victimErr
+		},
+	}
+	rec := chaosRecovery(node.PeerLossExclude)
+	rec.ReconnectWindow = 200 * time.Millisecond
+	res, results, err := runChaos(dec, &fault.Plan{Seed: 1}, rec, programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(results[2].err, victimErr) {
+		t.Fatalf("victim run: got %v, want %v", results[2].err, victimErr)
+	}
+	for i := 0; i < 2; i++ {
+		if results[i].err != nil {
+			t.Fatalf("survivor node %d: %v", i, results[i].err)
+		}
+		if excl := results[i].info.Excluded; len(excl) != 1 || excl[0] != 2 {
+			t.Fatalf("survivor node %d excluded %v, want [2]", i, excl)
+		}
+	}
+	if err := verifySequential(res, results, dec, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,7 @@
 package node
 
 import (
-	"fmt"
-	"time"
+	"errors"
 
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
@@ -44,7 +43,6 @@ func (n *Node) initAsync(cfg tssync.Config) {
 	// so two nodes of one run never share a jitter stream.
 	cfg.Seed = cfg.Seed*1_000_003 + int64(n.cfg.Node)
 	n.coord = tssync.NewCoordinator(cfg, n.nodes, n.cfg.Node)
-	n.suspectWatch = make([]bool, n.nodes)
 	if r := n.cfg.Obs.Registry(); r != nil {
 		n.peerRTT = make([]*obs.Histogram, n.nodes)
 		n.peerHealth = make([]*obs.Gauge, n.nodes)
@@ -59,9 +57,10 @@ func (n *Node) initAsync(cfg tssync.Config) {
 }
 
 // noteAlive is the synchronizer's receive hook, called by the read loop for
-// every frame a peer delivers: the frame itself is liveness evidence, which
-// heals the health FSM (suspect → healthy on a late ACK); the healed state
-// is mirrored into the health gauge.
+// every frame a peer delivers and by register for its HELLO: the frame
+// itself is liveness evidence, which heals the health FSM (suspect →
+// healthy on a late ACK); the healed state is mirrored into the health
+// gauge.
 func (n *Node) noteAlive(peer int) {
 	p := n.coord.Peer(peer)
 	if p == nil {
@@ -90,61 +89,19 @@ func (n *Node) noteTimeout(peer int) {
 	}
 }
 
+// errSuspect is the recovery cause when a peer turns suspect.
+var errSuspect = errors.New("suspect with no liveness evidence")
+
 // noteSuspect reacts to a peer turning suspect: count it, then grant the
-// peer the reconnect window to produce liveness evidence, enforced by a
-// watchdog goroutine. Suspicion alone never fails the run under any
-// policy: on a busy host a healthy peer turns suspect and heals routinely.
-// Abort stays fail-fast for what it names — a dead data connection fails
-// the run at once through peerLost.
+// peer the reconnect window (recoverPeer) to produce liveness evidence.
+// Suspicion alone never fails the run under any policy: on a busy host a
+// healthy peer turns suspect and heals routinely. Abort stays fail-fast for
+// what it names — a dead data connection fails the run at once through
+// peerLost.
 func (n *Node) noteSuspect(peer int) {
 	n.suspicions.Add(1)
 	n.ins.Suspicions.Add(1)
-	n.mu.Lock()
-	skip := n.suspectWatch[peer] || n.excluded[peer]
-	if !skip {
-		n.suspectWatch[peer] = true
-	}
-	n.mu.Unlock()
-	if skip || n.stopped() {
-		return
-	}
-	n.recoveryWG.Add(1)
-	go n.watchSuspect(peer)
-}
-
-// watchSuspect grants a suspect peer the reconnect window, then applies the
-// peer-loss policy if no liveness evidence healed it: exclude removes the
-// peer from the run (its components freeze, parked rendezvous wake with
-// ErrPeerLost), wait and abort fail the run — the same window semantics
-// recoverPeer applies to hard connection loss under wait and exclude, now
-// driven purely by unresponsiveness.
-func (n *Node) watchSuspect(peer int) {
-	defer n.recoveryWG.Done()
-	timer := time.NewTimer(n.rec.ReconnectWindow)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-n.stop:
-		n.mu.Lock()
-		n.suspectWatch[peer] = false
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Lock()
-	n.suspectWatch[peer] = false
-	n.mu.Unlock()
-	p := n.coord.Peer(peer)
-	if p == nil || p.State() != tssync.Suspect || n.stopped() || n.isExcluded(peer) {
-		return // healed, already excluded, or the run is over
-	}
-	switch n.rec.OnPeerLoss {
-	case PeerLossExclude:
-		p.Exclude()
-		n.setHealthGauge(peer, tssync.Excluded)
-		n.excludePeer(peer)
-	default:
-		n.fail(fmt.Errorf("node %d: node %d suspect for %v with no liveness evidence", n.cfg.Node, peer, n.rec.ReconnectWindow))
-	}
+	n.spawnRecovery(peer, errSuspect)
 }
 
 // setHealthGauge mirrors a health state into the peer's /metrics gauge.

@@ -264,16 +264,15 @@ type Node struct {
 	running    int                   // programs started and not yet returned
 	drained    chan struct{}         // closed once a started run has no program left
 	conns      []*peerConn           // indexed by peer node; nil until connected
-	waiters    []chan answer         // indexed by hosted process: a parked remote sender's reply slot
-	waiterSeq  []uint64              // the sequence number each parked remote sender awaits; 0 when none is
+	waiters    []waiter              // indexed by hosted process: its parked remote send
 	retired    []*peerConn           // replaced or dead connections, kept for accounting
 	epochs     []int                 // highest HELLO epoch used/seen per peer
 	excluded   []bool                // peers removed from the run (PeerLossExclude)
 	byeSeen    []bool                // peers that announced completion
 	byeFailed  []bool                // peers our own BYE provably did not reach
-	recovering []bool                // peers with a recoverPeer goroutine in flight
+	recovering []bool                // peers inside a reconnect window (recoverPeer in flight)
+	woken      []bool                // hosted processes with an exclusion wake-up in their mailbox
 	byeSent    bool                  // this node announced completion
-	exclCh     chan struct{}         // closed+replaced on each exclusion (broadcast)
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
 
@@ -287,12 +286,10 @@ type Node struct {
 	recoveryWG sync.WaitGroup
 
 	// Synchronizer state (see async.go; coord is nil only on a node without
-	// peers). suspectWatch (guarded by mu) marks peers with a suspicion
-	// watchdog in flight.
-	coord        *tssync.Coordinator
-	suspectWatch []bool
-	peerRTT      []*obs.Histogram
-	peerHealth   []*obs.Gauge
+	// peers).
+	coord      *tssync.Coordinator
+	peerRTT    []*obs.Histogram
+	peerHealth []*obs.Gauge
 
 	retransmits atomic.Int64
 	reconnects  atomic.Int64
@@ -380,14 +377,13 @@ func New(cfg Config, tr Transport) (*Node, error) {
 	if nodes > 1 {
 		n.digest = wire.Digest(cfg.Dec, cfg.Placement) // a one-node run speaks no HELLO
 		n.conns = make([]*peerConn, nodes)
-		n.waiters = make([]chan answer, procs)
-		n.waiterSeq = make([]uint64, procs)
+		n.waiters = make([]waiter, procs)
 		n.epochs = make([]int, nodes)
 		n.excluded = make([]bool, nodes)
 		n.byeSeen = make([]bool, nodes)
 		n.byeFailed = make([]bool, nodes)
 		n.recovering = make([]bool, nodes)
-		n.exclCh = make(chan struct{})
+		n.woken = make([]bool, procs)
 		n.reports = make(chan *reportConn, nodes)
 		n.regCh = make(chan int, nodes)
 		n.connDone = make(chan struct{})
@@ -400,7 +396,8 @@ func New(cfg Config, tr Transport) (*Node, error) {
 				n.local = append(n.local, p)
 			}
 			// One slot per potential sender keeps any valid computation's
-			// senders from blocking on mailbox insertion.
+			// senders from blocking on mailbox insertion; the process's own
+			// slot holds excludePeer's one pending wake-up.
 			n.mailboxes[p] = make(chan inbound, procs)
 		}
 	}
@@ -601,6 +598,7 @@ func (n *Node) register(pc *peerConn) error {
 		n.reconnects.Add(1)
 		n.ins.Reconnects.Add(1)
 	}
+	n.noteAlive(pc.node) // the peer's HELLO is a frame from it, so it heals suspicion
 	n.readersWG.Add(1)
 	go n.readLoop(pc)
 	if announce {
@@ -742,16 +740,15 @@ func (n *Node) readLoop(pc *peerConn) {
 		case wire.KindAck:
 			n.mu.Lock()
 			var w chan answer
-			if f.Seq != 0 && f.To >= 0 && f.To < len(n.waiters) && n.waiterSeq[f.To] == f.Seq {
-				w = n.waiters[f.To]
-				n.waiterSeq[f.To] = 0 // taken: a duplicate of this ACK finds no sender
+			if f.Seq != 0 && f.To >= 0 && f.To < len(n.waiters) && n.waiters[f.To].seq == f.Seq {
+				w = n.waiters[f.To].reply
+				n.waiters[f.To].seq = 0 // taken: a duplicate of this ACK finds no sender
 			}
 			n.mu.Unlock()
 			if w == nil {
-				// A sender whose rendezvous deadline expired has already
-				// cleared its waiter, and a duplicate ACK's sender has already
-				// taken the first copy — both are legitimate races, not
-				// protocol violations: count and keep reading.
+				// The sender's deadline expired, it took the first copy of a
+				// duplicate ACK, or excludePeer answered it — legitimate
+				// races, not protocol violations: count and keep reading.
 				n.noteDropped()
 				continue
 			}
@@ -791,22 +788,33 @@ func (n *Node) noteDropped() {
 // far (late or duplicate ACKs, unexpected kinds).
 func (n *Node) DroppedFrames() int64 { return n.dropped.Load() }
 
-// registerWaiter parks a remote sender: the first ACK addressed to proc
-// and echoing seq lands in reply, proc's reply slot, and clears the
-// registration. Must be called before the SYN is written, or the ACK could
-// race past.
-func (n *Node) registerWaiter(proc int, reply chan answer, seq uint64) {
+// waiter is a hosted process's parked remote send: its reply slot, the
+// sequence number it awaits (0 when none is) and its partner's node.
+type waiter struct {
+	reply chan answer
+	seq   uint64
+	node  int
+}
+
+// registerWaiter parks a remote sender: the first answer to its send seq,
+// the ACK echoing seq or excludePeer's ErrPeerLost, lands in reply and
+// clears the registration. It reports false if node is already excluded.
+// Must be called before the SYN is written, or the ACK could race past.
+func (n *Node) registerWaiter(proc, node int, reply chan answer, seq uint64) bool {
 	n.mu.Lock()
-	n.waiters[proc] = reply
-	n.waiterSeq[proc] = seq
-	n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.excluded[node] {
+		return false
+	}
+	n.waiters[proc] = waiter{reply: reply, seq: seq, node: node}
+	return true
 }
 
 // clearWaiter withdraws a remote sender's registration when it abandons
 // its send, so a late ACK is counted as dropped.
 func (n *Node) clearWaiter(proc int) {
 	n.mu.Lock()
-	n.waiterSeq[proc] = 0
+	n.waiters[proc].seq = 0
 	n.mu.Unlock()
 }
 

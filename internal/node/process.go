@@ -54,10 +54,13 @@ type Process struct {
 
 // answer is one reply to a send: the agreed stamp, tagged with the
 // sequence number of the send it answers, so that Send can drop a late
-// answer to a send it abandoned.
+// answer to a send it abandoned. An answer with an error ends the send
+// without a stamp: excludePeer answers ErrPeerLost to every send parked on
+// the excluded node.
 type answer struct {
 	seq   uint64
 	stamp vector.V
+	err   error
 }
 
 // armTimer stops the process's timer, drains a tick it may have left in
@@ -115,18 +118,16 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 		return nil, fmt.Errorf("node: process %d -> %d: a payload cannot travel to node %d", p.id, q, target)
 	}
 	// On a remote send, the synchronizer paces retransmissions of the SYN
-	// (dedup on the far side makes them idempotent), and the exclusion
-	// broadcast wakes the wait if the partner's node is removed from the
-	// run. One timer serves both the retries and the deadline: it fires at
-	// the next retry or at the rendezvous deadline, whichever comes first.
+	// (dedup on the far side makes them idempotent). One timer serves both
+	// the retries and the deadline: it fires at the next retry or at the
+	// rendezvous deadline, whichever comes first. If the partner's node is
+	// removed from the run, the exclusion arrives as an answer in the slot.
 	wait := n.cfg.RendezvousTimeout
 	var peer *tssync.Peer
-	var exclC chan struct{}
 	var sendWall, lastWall time.Time
 	var attempts int
 	if remote {
 		peer = n.coord.Peer(target)
-		exclC = n.exclusionCh()
 		sendWall = time.Now()
 		lastWall = sendWall
 		wait = min(wait, peer.RetryIn(0))
@@ -154,7 +155,9 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 		}
 		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 	} else {
-		n.registerWaiter(p.id, p.reply, seq)
+		if !n.registerWaiter(p.id, target, p.reply, seq) {
+			return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
+		}
 		syn = &wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
 		// Best effort: the link may be down mid-reconnect, and the
 		// retransmissions below cover a lost first transmission. A dead
@@ -172,6 +175,9 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 				// (ErrPeerLost) arrived after it moved on.
 				n.noteDropped()
 				continue
+			}
+			if a.err != nil {
+				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, a.err)
 			}
 			stamp := a.stamp
 			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
@@ -224,10 +230,6 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 				n.fail(err)
 				return nil, err
 			}
-			if n.isExcluded(target) {
-				n.clearWaiter(p.id)
-				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
-			}
 			// Best effort: during a reconnect there is no connection to
 			// write to; the next retry goes out on the restored session.
 			_ = n.sendToPeer(target, syn)
@@ -240,12 +242,6 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 			n.ins.BackoffNS.Observe(int64(retry))
 			// The channel was just drained, so Reset cannot leave a stale tick.
 			p.timer.Reset(min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
-		case <-exclC:
-			if n.isExcluded(target) {
-				n.clearWaiter(p.id)
-				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
-			}
-			exclC = n.exclusionCh() // some other peer was excluded; re-arm
 		}
 	}
 }
@@ -253,23 +249,7 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 // Recv blocks for the next incoming rendezvous from any peer, completes it,
 // and returns the message. Requests stashed by earlier RecvFrom calls are
 // delivered first, in arrival order.
-func (p *Process) Recv() (Message, error) {
-	var in inbound
-	if len(p.stash) > 0 {
-		in = p.stash[0]
-		copy(p.stash, p.stash[1:])
-		p.stash = p.stash[:len(p.stash)-1]
-	} else {
-		t0 := p.n.cfg.Obs.Now()
-		select {
-		case in = <-p.n.mailboxes[p.id]:
-		case <-p.n.stop:
-			return Message{}, ErrStopped
-		}
-		p.n.ins.RecvBlockNS.Observe(p.n.cfg.Obs.Now() - t0)
-	}
-	return p.complete(in)
-}
+func (p *Process) Recv() (Message, error) { return p.recv(anySender) }
 
 // RecvFrom blocks for the next rendezvous from the specific process from,
 // leaving requests from other senders pending (their senders remain
@@ -285,42 +265,45 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 	if from < 0 || from >= len(p.n.cfg.Placement) {
 		return Message{}, fmt.Errorf("node: source %d out of range [0,%d)", from, len(p.n.cfg.Placement))
 	}
+	return p.recv(from)
+}
+
+// anySender is recv's from for Recv. It is also the from of the wake-up
+// excludePeer posts into a mailbox, which no request carries.
+const anySender = -1
+
+// recv is the one receive loop: the oldest stashed request from `from`
+// (any sender for anySender), else the mailbox's, stashing other senders'.
+// A wait on a sender whose node is excluded ends with ErrPeerLost, re-checked
+// on entry and on each wake-up excludePeer posts into the mailbox.
+func (p *Process) recv(from int) (Message, error) {
+	n := p.n
 	for i, in := range p.stash {
-		if in.from == from {
+		if from == anySender || in.from == from {
 			p.stash = append(p.stash[:i], p.stash[i+1:]...)
 			return p.complete(in)
 		}
 	}
-	// A wait on a specific remote sender must also wake if that sender's
-	// node gets excluded — otherwise the receiver would park until the
-	// rendezvous deadline for a partner that is never coming.
-	var exclC chan struct{}
-	if p.n.cfg.Placement[from] != p.n.cfg.Node {
-		exclC = p.n.exclusionCh()
-		if exclC != nil && p.n.isExcluded(p.n.cfg.Placement[from]) {
-			return Message{}, fmt.Errorf("node: process %d recvfrom %d: %w", p.id, from, ErrPeerLost)
-		}
-	}
-	t0 := p.n.cfg.Obs.Now()
-	for {
+	lost := from != anySender && n.rec.OnPeerLoss == PeerLossExclude && n.isExcluded(n.cfg.Placement[from])
+	t0 := n.cfg.Obs.Now()
+	for !lost {
 		var in inbound
 		select {
-		case in = <-p.n.mailboxes[p.id]:
-		case <-p.n.stop:
+		case in = <-n.mailboxes[p.id]:
+		case <-n.stop:
 			return Message{}, ErrStopped
-		case <-exclC:
-			if p.n.isExcluded(p.n.cfg.Placement[from]) {
-				return Message{}, fmt.Errorf("node: process %d recvfrom %d: %w", p.id, from, ErrPeerLost)
-			}
-			exclC = p.n.exclusionCh()
-			continue
 		}
-		if in.from == from {
-			p.n.ins.RecvBlockNS.Observe(p.n.cfg.Obs.Now() - t0)
+		switch {
+		case in.from == anySender:
+			lost = n.takeWake(p.id, from)
+		case from == anySender || in.from == from:
+			n.ins.RecvBlockNS.Observe(n.cfg.Obs.Now() - t0)
 			return p.complete(in)
+		default:
+			p.stash = append(p.stash, in)
 		}
-		p.stash = append(p.stash, in)
 	}
+	return Message{}, fmt.Errorf("node: process %d recvfrom %d: %w", p.id, from, ErrPeerLost)
 }
 
 // complete performs the receiver's half of the rendezvous: the Figure 5

@@ -245,11 +245,11 @@ func (n *Node) peerLost(pc *peerConn, cause error) {
 	n.spawnRecovery(pc.node, cause)
 }
 
-// recoverPeer tries to restore the session with a lost peer within the
-// reconnect window, then applies the peer-loss policy. The lower-numbered
-// side waits passively (mesh convention: higher dials lower); the higher
-// side actively redials with a fresh epoch, paced like TCPTransport's dial
-// retries.
+// recoverPeer grants a lost or suspect peer the reconnect window, then
+// applies the peer-loss policy. The window closes early once the peer is
+// connected and not suspect, or once nothing is owed either way. While the
+// connection is down the higher-numbered side redials with a fresh epoch,
+// paced like TCPTransport's dial retries (mesh convention: higher dials lower).
 func (n *Node) recoverPeer(peer int, cause error) {
 	defer func() {
 		n.mu.Lock()
@@ -260,39 +260,36 @@ func (n *Node) recoverPeer(peer int, cause error) {
 	window := n.rec.ReconnectWindow
 	deadline := time.Now().Add(window)
 	bo := tssync.NewBackoff(dialBackoffMin, dialBackoffMax, int64(n.cfg.Node*n.nodes+peer))
-	for attempt := 0; time.Now().Before(deadline) && !n.stopped(); attempt++ {
+	health := n.coord.Peer(peer)
+	for attempt := 0; ; attempt++ {
 		n.mu.Lock()
-		restored := n.conns[peer] != nil
+		connected := n.conns[peer] != nil
 		finished := n.peerDone(peer)
 		n.mu.Unlock()
-		if restored || finished {
+		if (connected && health.State() != tssync.Suspect) || finished || n.stopped() {
 			return
 		}
-		if n.cfg.Node > peer {
-			if err := n.dialPeer(peer, n.nextEpoch(peer)); err == nil {
-				return
+		if !time.Now().Before(deadline) {
+			switch {
+			case n.rec.OnPeerLoss == PeerLossExclude:
+				n.excludePeer(peer)
+			case connected:
+				n.fail(fmt.Errorf("node %d: node %d suspect for %v with no liveness evidence", n.cfg.Node, peer, window))
+			default:
+				n.fail(fmt.Errorf("node %d: node %d unreachable for %v: %w", n.cfg.Node, peer, window, cause))
 			}
+			return
 		}
-		timer := time.NewTimer(bo.Delay(attempt))
+		if !connected && n.cfg.Node > peer && n.dialPeer(peer, n.nextEpoch(peer)) == nil {
+			continue
+		}
+		timer := time.NewTimer(min(bo.Delay(attempt), time.Until(deadline)))
 		select {
 		case <-timer.C:
 		case <-n.stop:
 			timer.Stop()
 			return
 		}
-	}
-	n.mu.Lock()
-	restored := n.conns[peer] != nil
-	finished := n.peerDone(peer)
-	n.mu.Unlock()
-	if restored || finished || n.stopped() {
-		return
-	}
-	switch n.rec.OnPeerLoss {
-	case PeerLossExclude:
-		n.excludePeer(peer)
-	default:
-		n.fail(fmt.Errorf("node %d: node %d unreachable for %v: %w", n.cfg.Node, peer, window, cause))
 	}
 }
 
@@ -304,23 +301,57 @@ func (n *Node) nextEpoch(peer int) int {
 	return n.epochs[peer]
 }
 
-// excludePeer removes a node from the active run: rendezvous parked on its
-// processes return ErrPeerLost, the end-of-run barrier stops waiting for
-// its BYE, and Collect stops expecting its report. The excluded node's
-// star/triangle components simply freeze — every surviving clock keeps the
-// Figure 5 discipline on the components it still advances.
+// excludePeer removes a node from the run, the one way any exclusion
+// happens: it pins the peer's health FSM, answers ErrPeerLost to the sends
+// parked on the node, wakes every hosted process so a receive from the node
+// re-checks, and releases the end-of-run barrier. The node's components
+// freeze; every surviving clock keeps Fig. 5 on the ones it still advances.
+// A repeated call finds no send parked on the node (registerWaiter refuses
+// it), and its wake-ups only make receives re-check.
 func (n *Node) excludePeer(peer int) {
 	n.mu.Lock()
-	first := !n.excluded[peer]
-	if first {
-		n.excluded[peer] = true
-		close(n.exclCh)
-		n.exclCh = make(chan struct{})
+	n.excluded[peer] = true
+	var parked []waiter
+	for proc, w := range n.waiters {
+		if w.seq != 0 && w.node == peer {
+			parked = append(parked, w)
+			n.waiters[proc].seq = 0 // taken, as the read loop takes an ACK's
+		}
+	}
+	var wake []int
+	for _, proc := range n.local {
+		if !n.woken[proc] {
+			n.woken[proc] = true
+			wake = append(wake, proc)
+		}
 	}
 	n.mu.Unlock()
-	if first {
-		n.notePeerEvent()
+	n.coord.Peer(peer).Exclude()
+	n.setHealthGauge(peer, tssync.Excluded)
+	n.notePeerEvent()
+	for _, proc := range wake {
+		// Never blocks: requests fill only the other processes' slots.
+		select {
+		case n.mailboxes[proc] <- inbound{from: anySender}:
+		default:
+		}
 	}
+	for _, w := range parked {
+		select { // as the read loop posts an ACK
+		case w.reply <- answer{seq: w.seq, err: ErrPeerLost}:
+		case <-n.stop:
+			return
+		}
+	}
+}
+
+// takeWake consumes process proc's exclusion wake-up and reports whether
+// the sender its receive waits for (anySender: none) is on an excluded node.
+func (n *Node) takeWake(proc, from int) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.woken[proc] = false
+	return from != anySender && n.excluded[n.cfg.Placement[from]]
 }
 
 // isExcluded reports whether a peer node has been excluded.
@@ -328,20 +359,6 @@ func (n *Node) isExcluded(node int) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return node >= 0 && node < len(n.excluded) && n.excluded[node]
-}
-
-// exclusionCh returns the current exclusion broadcast channel: it is closed
-// (and replaced) every time a peer is excluded, waking parked rendezvous so
-// they can re-check their partner. Only PeerLossExclude excludes a peer, so
-// under any other policy it returns nil, which no wait ever receives from:
-// those waits then neither take n.mu nor share the broadcast channel.
-func (n *Node) exclusionCh() chan struct{} {
-	if n.rec.OnPeerLoss != PeerLossExclude {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.exclCh
 }
 
 // notePeerEvent wakes the end-of-run barrier.

@@ -7,8 +7,8 @@ import (
 	"syncstamp/internal/vector"
 )
 
-// Phase identifies one step of the two-phase rendezvous (see the state
-// machine in package csp's doc) or an internal event.
+// Phase identifies one step of the two-phase rendezvous (see "Rendezvous
+// over the wire" in package node's doc) or an internal event.
 type Phase uint8
 
 // Rendezvous phases, in protocol order.
@@ -19,7 +19,7 @@ const (
 	// carries the agreed stamp v(m).
 	PhaseMerge
 	// PhaseAck: the receiver answered the sender with the merged stamp
-	// v(m), in both runtimes.
+	// v(m), into a local sender's reply slot or on an ACK frame.
 	PhaseAck
 	// PhaseAdopt: the sender adopted the agreed stamp; the rendezvous is
 	// complete on its side.

@@ -12,13 +12,13 @@ type State int
 const (
 	// Healthy: the peer is answering within the estimator's expectations.
 	Healthy State = iota
-	// Degraded: DegradeAfter consecutive retransmission intervals expired
-	// unanswered. The rendezvous keeps retrying; the state is a visible
-	// early warning, not a behavior change.
+	// Degraded: DefaultDegradeAfter consecutive retransmission intervals
+	// expired unanswered. The rendezvous keeps retrying; the state is a
+	// visible early warning, not a behavior change.
 	Degraded
-	// Suspect: SuspectAfter consecutive intervals expired. The degradation
-	// policy (node.OnPeerLoss) now has jurisdiction: a peer that stays
-	// suspect for the reconnect window is excluded or fails the run,
+	// Suspect: DefaultSuspectAfter consecutive intervals expired. The
+	// degradation policy (node.OnPeerLoss) now has jurisdiction: a peer that
+	// stays suspect for the reconnect window is excluded or fails the run,
 	// connection liveness notwithstanding.
 	Suspect
 	// Excluded is terminal: the peer was removed from the run.
@@ -55,7 +55,8 @@ type Monitor struct {
 }
 
 // NewMonitor returns a Healthy monitor with the given consecutive-timeout
-// thresholds (degradeAfter < suspectAfter; NewCoordinator normalizes).
+// thresholds (degradeAfter < suspectAfter; NewCoordinator passes
+// DefaultDegradeAfter and DefaultSuspectAfter).
 func NewMonitor(degradeAfter, suspectAfter int) *Monitor {
 	return &Monitor{degradeAfter: degradeAfter, suspectAfter: suspectAfter}
 }

@@ -41,7 +41,8 @@ import (
 	"time"
 )
 
-// Defaults applied when Config leaves fields zero.
+// Defaults applied when Config leaves fields zero, and the health FSM's
+// thresholds, which no Config field overrides.
 const (
 	DefaultRTTInit = 50 * time.Millisecond
 	DefaultRTOMin  = 1 * time.Millisecond
@@ -67,10 +68,6 @@ type Config struct {
 	// own stream from (Seed, peer), so jitter is independent per link and
 	// replayable per run.
 	Seed int64
-	// DegradeAfter and SuspectAfter are the consecutive-timeout thresholds
-	// of the health FSM. Zero means the defaults.
-	DegradeAfter int
-	SuspectAfter int
 }
 
 // withDefaults returns cfg with zero fields filled in.
@@ -87,12 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.RTOMax < c.RTOMin {
 		c.RTOMax = c.RTOMin
 	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = DefaultDegradeAfter
-	}
-	if c.SuspectAfter <= c.DegradeAfter {
-		c.SuspectAfter = c.DegradeAfter + DefaultSuspectAfter - DefaultDegradeAfter
-	}
 	return c
 }
 
@@ -100,9 +91,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.RTTInit < 0 || c.RTOMin < 0 || c.RTOMax < 0 {
 		return fmt.Errorf("sync: negative duration in config %+v", c)
-	}
-	if c.DegradeAfter < 0 || c.SuspectAfter < 0 {
-		return fmt.Errorf("sync: negative health threshold in config %+v", c)
 	}
 	return nil
 }
@@ -126,7 +114,7 @@ func NewCoordinator(cfg Config, nodes, self int) *Coordinator {
 		c.peers[j] = &Peer{
 			est: NewEstimator(cfg.RTTInit, cfg.RTOMin, cfg.RTOMax),
 			bo:  NewBackoff(cfg.RTOMin, cfg.RTOMax, cfg.Seed*31+int64(j)),
-			mon: NewMonitor(cfg.DegradeAfter, cfg.SuspectAfter),
+			mon: NewMonitor(DefaultDegradeAfter, DefaultSuspectAfter),
 		}
 	}
 	return c

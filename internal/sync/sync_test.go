@@ -219,17 +219,8 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if cfg.RTTInit != DefaultRTTInit || cfg.RTOMin != DefaultRTOMin || cfg.RTOMax != DefaultRTOMax {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if cfg.DegradeAfter != DefaultDegradeAfter || cfg.SuspectAfter != DefaultSuspectAfter {
-		t.Errorf("health defaults not applied: %+v", cfg)
-	}
-	if cfg.SuspectAfter <= cfg.DegradeAfter {
-		t.Errorf("suspectAfter %d must exceed degradeAfter %d", cfg.SuspectAfter, cfg.DegradeAfter)
-	}
 	if err := (Config{RTTInit: -time.Second}).Validate(); err == nil {
 		t.Error("negative RTTInit validated")
-	}
-	if err := (Config{DegradeAfter: -1}).Validate(); err == nil {
-		t.Error("negative threshold validated")
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
