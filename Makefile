@@ -41,13 +41,15 @@ race:
 
 # Networking subsystem gate: the node runtime under the race detector, the
 # coalescing writer's determinism and end-of-run flush again on one CPU (the
-# scheduler shape DESIGN §12's flush yield exists for), csp's join, stop,
+# scheduler shape DESIGN §12's flush yield exists for), the BYE's own flush
+# twenty times over (the test pins one CPU itself), csp's join, stop,
 # deadline, failure and stash tests ten times over (they drive node's local
 # path and its Join on one node), plus the tsnode integration test (real OS
 # processes over localhost TCP).
 net-test:
 	$(GO) test -race ./internal/wire ./internal/node
 	GOMAXPROCS=1 $(GO) test -race -run 'TestCoalescingDeterminism|TestCloseDeliversInheritedFlush' ./internal/node
+	$(GO) test -race -count=20 -run 'TestByeErrorCoversOnlyEarlierFrames' ./internal/node
 	$(GO) test -race -count=10 -run 'Join|Stop|Ops|Deadline|Drain|Failure|Stash' ./internal/csp
 	$(GO) test -race -run 'TestRunInProcessCluster|TestE2E' -v ./cmd/tsnode
 
@@ -68,15 +70,17 @@ obs-test:
 
 # Fault-injection gate: the deterministic injector, the synchronizer and
 # the loss-tolerant protocol under the race detector — the internal/sync
-# estimator/backoff/health units; the wire relay the injector re-encodes
-# delivered frames with, ten times over, its idle reorder flush racing a
-# writer included; the chaos matrix and the full async chaos
+# per-link record, health and backoff units; the wire relay the injector
+# re-encodes delivered frames with, ten times over, its idle reorder flush
+# racing a writer included; the chaos matrix and the full async chaos
 # matrix (every topology family × 8 seeds × loss to 20% × the three jitter
 # profiles, stamps byte-equal to the sequential oracle); resets, exclusion
 # by connection loss and by suspicion with its property-level check, then
 # the exclusion and suspicion tests again (-count=5) and the node's reply
 # slot and receive-loop tests (-count=10), since exclusion answers into
-# slots and mailboxes while senders register, take ACKs or stop;
+# slots and mailboxes while senders register, take ACKs or stop; the two
+# redial tests over TCP (-count=5: the reconnect window and Stop each end
+# a redial);
 # journal restore and the synchronizer's cluster rollup — plus the chaos
 # e2e runs over real OS processes: fault-plan trace determinism, the jittered
 # kill -9 run, and the kill -9 crash-recovery soak three times over (every
@@ -89,6 +93,7 @@ chaos-test:
 	$(GO) test -race -count=5 -run 'Exclu|Suspicion' ./internal/fault
 	$(GO) test -race -run 'TestJournal|TestRestore|TestLateAck|TestDialClassification|TestAsync|TestRecoveryRunsTheSynchronizer' ./internal/node
 	$(GO) test -race -count=10 -run 'TestAsyncAbortSurvivesSuspicion|TestSendDropsStaleAnswer|TestStopUnblocksParkedOps|TestRecvFrom' ./internal/node
+	$(GO) test -race -count=5 -run 'TestRedialEndsWithWindow|TestRedialEndsOnStop' ./internal/node
 	$(GO) test -race -run 'TestE2EFaultPlanDeterministicTraces|TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
 	$(GO) test -race -count=3 -run 'TestE2EKillNineRecoverySoak' -v ./cmd/tsnode
 

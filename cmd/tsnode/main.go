@@ -42,7 +42,7 @@
 // operations and resumes the run; -on-peer-loss picks what survivors do
 // about a peer that stays gone or unresponsive (abort, wait, exclude). Any
 // of these flags floors the per-peer adaptive RTO at -retransmit-min and
-// prints the per-peer health FSM's summary after the run; without them the
+// prints each peer's health summary after the run; without them the
 // floor is -rendezvous-timeout, so a run over lossless TCP never
 // retransmits and any connection error aborts it.
 package main

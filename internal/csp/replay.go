@@ -1,53 +1,19 @@
 package csp
 
 import (
-	"fmt"
-
+	"syncstamp/internal/node"
 	"syncstamp/internal/trace"
 )
 
 // ReplayPrograms builds one program per process that replays the process's
-// projection of tr: its messages are sent/received in projection order
-// (receives use RecvFrom, making the replay deadlock-free for any valid
-// synchronous computation) and its internal ops become Internal events.
-// The actual runtime interleaving may differ from tr's linearization, but
-// it realizes the same synchronous computation, so the reconstructed trace
-// has identical per-process projections and an isomorphic message poset.
+// projection of tr (node.ReplayPrograms, whose internal events are noted
+// "replay-int-<proc>-<step>").
 func ReplayPrograms(tr *trace.Trace) []func(*Process) error {
-	type step struct {
-		op   trace.Op
-		send bool
-	}
-	scripts := make([][]step, tr.N)
-	for _, op := range tr.Ops {
-		switch op.Kind {
-		case trace.OpMessage:
-			scripts[op.From] = append(scripts[op.From], step{op: op, send: true})
-			scripts[op.To] = append(scripts[op.To], step{op: op})
-		case trace.OpInternal:
-			scripts[op.Proc] = append(scripts[op.Proc], step{op: op})
-		}
-	}
+	replay := node.ReplayPrograms(tr)
 	programs := make([]func(*Process) error, tr.N)
 	for pid := range programs {
-		script := scripts[pid]
-		programs[pid] = func(p *Process) error {
-			for i, st := range script {
-				switch {
-				case st.op.Kind == trace.OpInternal:
-					p.Internal(fmt.Sprintf("replay-int-%d-%d", p.ID(), i))
-				case st.send:
-					if _, err := p.Send(st.op.To, i); err != nil {
-						return fmt.Errorf("replay step %d: %w", i, err)
-					}
-				default:
-					if _, err := p.RecvFrom(st.op.From); err != nil {
-						return fmt.Errorf("replay step %d: %w", i, err)
-					}
-				}
-			}
-			return nil
-		}
+		prog := replay[pid]
+		programs[pid] = func(p *Process) error { return prog(p.p) }
 	}
 	return programs
 }

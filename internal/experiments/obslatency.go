@@ -106,7 +106,7 @@ func runObsCluster(tr *trace.Trace, dec *decomp.Decomposition) ([]obs.Event, wir
 	for i := range placement {
 		placement[i] = i % 2
 	}
-	programs := replayPrograms(tr)
+	programs := node.ReplayPrograms(tr)
 	l := node.NewLoop(2)
 	oses := [2]*obs.Obs{obs.New(), obs.New()}
 	for _, o := range oses {
@@ -149,48 +149,6 @@ func runObsCluster(tr *trace.Trace, dec *decomp.Decomposition) ([]obs.Event, wir
 	}
 	obs.SortEvents(events)
 	return events, total, nil
-}
-
-// replayPrograms turns a trace into per-process replay programs. Receives
-// use RecvFrom, which makes replaying the per-process projections of a
-// synchronous computation deadlock-free.
-func replayPrograms(tr *trace.Trace) map[int]func(*node.Process) error {
-	type op struct {
-		send, internal bool
-		peer           int
-	}
-	seqs := make([][]op, tr.N)
-	for _, o := range tr.Ops {
-		switch o.Kind {
-		case trace.OpMessage:
-			seqs[o.From] = append(seqs[o.From], op{send: true, peer: o.To})
-			seqs[o.To] = append(seqs[o.To], op{peer: o.From})
-		case trace.OpInternal:
-			seqs[o.Proc] = append(seqs[o.Proc], op{internal: true})
-		}
-	}
-	programs := make(map[int]func(*node.Process) error, tr.N)
-	for p := 0; p < tr.N; p++ {
-		ops := seqs[p]
-		programs[p] = func(proc *node.Process) error {
-			for _, o := range ops {
-				switch {
-				case o.internal:
-					proc.Internal("replay")
-				case o.send:
-					if _, err := proc.Send(o.peer); err != nil {
-						return err
-					}
-				default:
-					if _, err := proc.RecvFrom(o.peer); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-	}
-	return programs
 }
 
 // sketchHistogram renders the non-empty buckets of a tick histogram as

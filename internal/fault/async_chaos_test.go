@@ -77,7 +77,7 @@ func TestAsyncMatrixStampsMatchSequential(t *testing.T) {
 						if err := plan.Validate(); err != nil {
 							t.Fatal(err)
 						}
-						res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
+						res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), node.ReplayPrograms(tr))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -290,35 +290,17 @@ func TestPropAsyncExclusionPreservesFrozenStamps(t *testing.T) {
 
 		victimErr := errors.New("victim held past exclusion")
 		release := make(chan struct{})
-		programs := make(map[int]func(*node.Process) error, tr.N+1)
-		proj := tr.ProcOps()
-		for proc := 0; proc < tr.N; proc++ {
-			mine := proj[proc]
-			me := proc
-			programs[proc] = func(p *node.Process) error {
-				for _, k := range mine {
-					op := tr.Ops[k]
-					switch {
-					case op.Kind == trace.OpInternal:
-						p.Internal(fmt.Sprint(k))
-					case op.From == me:
-						if _, err := p.Send(op.To); err != nil {
-							return err
-						}
-					default:
-						if _, err := p.RecvFrom(op.From); err != nil {
-							return err
-						}
-					}
-				}
-				if me == 0 {
-					if _, err := p.Send(w); !errors.Is(err, node.ErrPeerLost) {
-						return fmt.Errorf("send to blackholed peer: got %v, want ErrPeerLost", err)
-					}
-					close(release)
-				}
-				return nil
+		programs := node.ReplayPrograms(tr)
+		replay0 := programs[0]
+		programs[0] = func(p *node.Process) error {
+			if err := replay0(p); err != nil {
+				return err
 			}
+			if _, err := p.Send(w); !errors.Is(err, node.ErrPeerLost) {
+				return fmt.Errorf("send to blackholed peer: got %v, want ErrPeerLost", err)
+			}
+			close(release)
+			return nil
 		}
 		programs[w] = func(p *node.Process) error {
 			if _, err := p.RecvFrom(0); err != nil {

@@ -92,36 +92,6 @@ func runChaos(dec *decomp.Decomposition, plan *fault.Plan, rec *node.RecoveryCon
 	return collected, results, collectErr
 }
 
-// projectionPrograms replays tr's per-process projections (the prop-test
-// idiom: RecvFrom keeps the replay deadlock-free).
-func projectionPrograms(tr *trace.Trace) map[int]func(*node.Process) error {
-	programs := make(map[int]func(*node.Process) error, tr.N)
-	proj := tr.ProcOps()
-	for proc := 0; proc < tr.N; proc++ {
-		mine := proj[proc]
-		me := proc
-		programs[proc] = func(p *node.Process) error {
-			for _, k := range mine {
-				op := tr.Ops[k]
-				switch {
-				case op.Kind == trace.OpInternal:
-					p.Internal(fmt.Sprint(k))
-				case op.From == me:
-					if _, err := p.Send(op.To); err != nil {
-						return err
-					}
-				default:
-					if _, err := p.RecvFrom(op.From); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-	}
-	return programs
-}
-
 // verifySequential checks a reconstructed faulty run against the fault-free
 // sequential Figure 5 replay, stamp for stamp, and against Theorem 4. It
 // then streams the logs node 0 collected through a 2-leaf collector tree:
@@ -210,7 +180,7 @@ func TestChaosMatrixStampsMatchSequential(t *testing.T) {
 					Seed:  seed,
 					Links: []fault.LinkFault{{From: -1, To: -1, Drop: 0.15, Dup: 0.15, Reorder: 0.1}},
 				}
-				res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
+				res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), node.ReplayPrograms(tr))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +213,7 @@ func TestChaosConnectionResetReconnects(t *testing.T) {
 		Seed:  1,
 		Links: []fault.LinkFault{{From: -1, To: -1, ResetAfter: []int{4, 11}}},
 	}
-	res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
+	res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), node.ReplayPrograms(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +365,7 @@ func TestChaosDelayIsMaskedByRetransmission(t *testing.T) {
 		Seed:  3,
 		Links: []fault.LinkFault{{From: -1, To: -1, DelayMS: 15, DelayProb: 0.3}},
 	}
-	res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
+	res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), node.ReplayPrograms(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func FuzzFaultPlan(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := trace.Generate(g, trace.GenOptions{Messages: 10, InternalProb: 0.1}, rng)
 
-		res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), projectionPrograms(tr))
+		res, results, err := runChaos(dec, plan, chaosRecovery(node.PeerLossWait), node.ReplayPrograms(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

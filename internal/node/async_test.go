@@ -6,6 +6,7 @@ import (
 
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
 )
 
@@ -69,5 +70,42 @@ func TestAsyncAbortSurvivesSuspicion(t *testing.T) {
 	verifyAgainstSequential(t, res, dec, 1)
 	if results[0].info.Suspicions == 0 {
 		t.Fatal("the sender never suspected the sleeping receiver; the test no longer exercises suspicion")
+	}
+}
+
+// TestExclusionIsTerminal pins that exclusion is the node's one record of
+// a removed peer: once excludePeer(1) ran, neither timeouts toward node 1
+// (enough to cross the suspect threshold) nor a frame from it move its
+// reported health, its peer_health gauge or the suspicion count.
+func TestExclusionIsTerminal(t *testing.T) {
+	leakCheck(t)
+	o := obs.New()
+	n, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: decomp.Best(graph.Path(2)), Obs: o,
+		Recovery: &RecoveryConfig{OnPeerLoss: PeerLossExclude}}, NewLoop(2).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	gauge := o.Registry().Gauge(obs.PeerMetric(obs.MetricPeerHealth, 1))
+	n.noteTimeout(1)
+	n.noteTimeout(1) // degraded, two short of suspect
+	if got := gauge.Value(); got != int64(tssync.Degraded) {
+		t.Fatalf("gauge = %d before the exclusion, want %d (degraded)", got, tssync.Degraded)
+	}
+	n.excludePeer(1)
+	for i := 0; i < 5; i++ {
+		n.noteTimeout(1)
+	}
+	n.noteAlive(1)
+	var info RunInfo
+	n.asyncInfo(&info)
+	if got := info.PeerHealth[1]; got != "excluded" {
+		t.Errorf("PeerHealth[1] = %q, want excluded", got)
+	}
+	if got := gauge.Value(); got != int64(tssync.Excluded) {
+		t.Errorf("gauge = %d, want %d (excluded)", got, tssync.Excluded)
+	}
+	if info.Suspicions != 0 {
+		t.Errorf("Suspicions = %d, want 0: the timeouts came after the exclusion", info.Suspicions)
 	}
 }

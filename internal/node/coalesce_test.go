@@ -1,6 +1,9 @@
 package node
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -10,6 +13,7 @@ import (
 
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/vector"
 	"syncstamp/internal/wire"
 )
 
@@ -203,22 +207,85 @@ func TestCloseDeliversInheritedFlush(t *testing.T) {
 	pc := &peerConn{n: n, node: 1, c: near, enc: enc}
 
 	// A later sender has committed to encoding and not finished, so the
-	// BYE's flush is its responsibility.
+	// ACK's flush is its responsibility.
 	pc.pending.Add(1)
-	if err := pc.send(&wire.Frame{Kind: wire.KindBye}); err != nil {
+	if err := pc.send(&wire.Frame{Kind: wire.KindAck, From: 0, To: 1, Seq: 1, Vec: vector.New(dec.D())}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() {
 		f, err := wire.NewDecoder(far, dec.D()).Decode()
-		if err == nil && f.Kind != wire.KindBye {
-			err = fmt.Errorf("read %v, want BYE", f.Kind)
+		if err == nil && f.Kind != wire.KindAck {
+			err = fmt.Errorf("read %v, want ACK", f.Kind)
 		}
 		got <- err
 	}()
 	pc.close()
 	if err := <-got; err != nil {
-		t.Fatalf("peer did not receive the BYE: %v", err)
+		t.Fatalf("peer did not receive the ACK: %v", err)
+	}
+}
+
+// firstFrameConn delivers the first wire frame written to it and fails the
+// rest, as a peer that closes its end right after reading one frame does.
+type firstFrameConn struct {
+	net.Conn  // unused: only Write is called
+	delivered []byte
+}
+
+var errPeerClosed = errors.New("peer closed")
+
+func (c *firstFrameConn) Write(b []byte) (int, error) {
+	if c.delivered != nil {
+		return 0, errPeerClosed
+	}
+	size, prefix := binary.Uvarint(b)
+	n := prefix + int(size)
+	c.delivered = append([]byte{}, b[:n]...)
+	if n < len(b) {
+		return n, errPeerClosed
+	}
+	return n, nil
+}
+
+// TestByeErrorCoversOnlyEarlierFrames pins what a BYE's send reports: the
+// frames encoded up to the BYE, never a frame encoded after it. At
+// GOMAXPROCS=1 a goroutine's ACK is encoded while the BYE's sender yields,
+// which is when a flush-on-idle sender would hand its flush on; the conn
+// delivers the BYE and fails the ACK. A BYE reported undelivered holds the
+// end-of-run barrier open for a reconnect that never comes.
+func TestByeErrorCoversOnlyEarlierFrames(t *testing.T) {
+	leakCheck(t)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	dec := decomp.Best(graph.Path(2))
+	n, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: dec}, NewLoop(2).Transport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	conn := &firstFrameConn{}
+	enc := wire.NewEncoder(conn, dec.D())
+	enc.SetBatch(true)
+	pc := &peerConn{n: n, node: 1, c: conn, enc: enc}
+
+	acked := make(chan struct{})
+	// A fresh time slice, so nothing preempts the BYE's sender before its
+	// own yield; the ACK's sender is runnable from its go statement on, so
+	// it runs at that yield.
+	runtime.Gosched()
+	go func() {
+		defer close(acked)
+		_ = pc.send(&wire.Frame{Kind: wire.KindAck, From: 0, To: 1, Seq: 1, Vec: vector.New(dec.D())})
+	}()
+	byeErr := pc.send(&wire.Frame{Kind: wire.KindBye})
+	<-acked
+	f, err := wire.NewDecoder(bytes.NewReader(conn.delivered), dec.D()).Decode()
+	if err != nil || f.Kind != wire.KindBye {
+		t.Fatalf("delivered frame %v (%v), want the BYE", f, err)
+	}
+	if byeErr != nil {
+		t.Fatalf("the BYE was delivered, yet its send returned %v", byeErr)
 	}
 }
 

@@ -165,7 +165,7 @@ const flushYields = 1
 // The encoder runs in batch mode and the last concurrent sender out flushes
 // for everyone; send may return with its frame still in the write buffer
 // only when a later sender has already committed to encoding — that sender
-// (or its successor) flushes it.
+// (or its successor) flushes it. A BYE flushes at once instead.
 func (pc *peerConn) send(f *wire.Frame) error {
 	pc.pending.Add(1)
 	//nolint:lockcheck released early on every branch below: the flush-on-idle protocol must drop the lock before yielding so later senders can encode
@@ -179,6 +179,17 @@ func (pc *peerConn) send(f *wire.Frame) error {
 	if err == nil && k < len(pc.n.wireBytes) {
 		pc.n.wireFrames[k].Add(1)
 		pc.n.wireBytes[k].Add(int64(pc.enc.Stats.Bytes[k] - before))
+	}
+	if f.Kind == wire.KindBye {
+		// Flushed under the lock, the BYE's error covers only the frames
+		// encoded up to it: a frame encoded after it and lost in the same
+		// write must not mark a delivered BYE undelivered.
+		if ferr := pc.enc.Flush(); err == nil {
+			err = ferr
+		}
+		pc.pending.Add(-1)
+		pc.mu.Unlock()
+		return err
 	}
 	if pc.pending.Add(-1) > 0 {
 		// A later sender is already committed to encoding; the flush is its
@@ -208,8 +219,8 @@ func (pc *peerConn) send(f *wire.Frame) error {
 // close ends the connection at end of run. It first flushes what
 // concurrent senders encoded but have not flushed yet: the sender that
 // inherited a flush may still be yielding when the end-of-run barrier
-// lifts, and closing under it would strand the frames it owes the peer,
-// this node's BYE among them.
+// lifts, and closing under it would strand the frames it owes the peer
+// (a BYE is never among them: it flushes itself).
 func (pc *peerConn) close() {
 	pc.mu.Lock()
 	_ = pc.enc.Flush() // best effort: a retired connection is already dead
@@ -285,17 +296,15 @@ type Node struct {
 	peerEvent  chan struct{}
 	recoveryWG sync.WaitGroup
 
-	// Synchronizer state (see async.go; coord is nil only on a node without
-	// peers).
-	coord      *tssync.Coordinator
+	// Synchronizer state (see async.go): one record per link, indexed by
+	// peer node (nil for self, and nil on a node without peers).
+	peers      []*tssync.Peer
 	peerRTT    []*obs.Histogram
 	peerHealth []*obs.Gauge
 
 	retransmits atomic.Int64
 	reconnects  atomic.Int64
 	deduped     atomic.Int64
-	spurious    atomic.Int64
-	suspicions  atomic.Int64
 
 	reports   chan *reportConn
 	regCh     chan int      // handshake completions from the accept loop
@@ -618,10 +627,10 @@ func (n *Node) register(pc *peerConn) error {
 }
 
 // dialPeer completes the client side of the HELLO handshake with a
-// lower-numbered node. epoch 0 is a first connection; reconnects carry
-// strictly larger epochs so the acceptor can replace a stale session.
-func (n *Node) dialPeer(j, epoch int) error {
-	deadline := time.Now().Add(n.cfg.HandshakeTimeout)
+// lower-numbered node by the deadline. epoch 0 is a first connection;
+// reconnects carry strictly larger epochs so the acceptor can replace a
+// stale session.
+func (n *Node) dialPeer(j, epoch int, deadline time.Time) error {
 	c, err := n.tr.Dial(j, deadline)
 	if err != nil {
 		return fmt.Errorf("node %d: %w", n.cfg.Node, err)
@@ -663,7 +672,7 @@ func (n *Node) connect() error {
 	epoch := n.baseEpoch // 0, or the restart stride after a journal Restore
 	n.mu.Unlock()
 	for j := 0; j < n.cfg.Node; j++ {
-		if err := n.dialPeer(j, epoch); err != nil {
+		if err := n.dialPeer(j, epoch, time.Now().Add(n.cfg.HandshakeTimeout)); err != nil {
 			return err
 		}
 	}
@@ -855,14 +864,15 @@ type RunInfo struct {
 	// totals are folded into the node's live registry, so /metrics serves
 	// the merged cluster view.
 	Rollup *obs.Snapshot
-	// Spurious and Suspicions are synchronizer totals: retransmissions the
-	// Eifel-style detector proved unnecessary, and transitions of any peer's
-	// health FSM into the suspect state.
+	// Spurious and Suspicions are synchronizer totals, summed over links:
+	// retransmissions the Eifel-style detector proved unnecessary, and the
+	// times a link turned suspect.
 	Spurious   int64
 	Suspicions int64
 	// PeerRTT and PeerHealth are the synchronizer's per-peer view, keyed by
-	// peer node id: the RTT estimator and histogram quantiles, and the
-	// health FSM's final state name. Nil on a node without peers.
+	// peer node id: the RTT estimate and histogram quantiles, and the final
+	// health state's name (excluded for a peer in Excluded). Nil on a node
+	// without peers.
 	PeerRTT    map[int]RTTStats
 	PeerHealth map[int]string
 }

@@ -8,6 +8,7 @@ import (
 	"syncstamp/internal/core"
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
+	"syncstamp/internal/trace"
 	"syncstamp/internal/vector"
 	"syncstamp/internal/wire"
 )
@@ -127,7 +128,7 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	var sendWall, lastWall time.Time
 	var attempts int
 	if remote {
-		peer = n.coord.Peer(target)
+		peer = n.peers[target]
 		sendWall = time.Now()
 		lastWall = sendWall
 		wait = min(wait, peer.RetryIn(0))
@@ -182,14 +183,14 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 			stamp := a.stamp
 			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
 			if remote {
-				// Feed the estimator. Karn's rule and the Eifel-style spurious
-				// check live in OnAck; an accepted sample is the full
-				// first-transmission round trip. time.Since reads only the
-				// monotonic clock, where time.Now reads the wall clock too.
+				// Feed the estimate. Karn's rule and the Eifel-style spurious
+				// check live in OnAck, which counts spurious retransmits per
+				// link; an accepted sample is the full first-transmission
+				// round trip. time.Since reads only the monotonic clock,
+				// where time.Now reads the wall clock too.
 				rtt := time.Since(sendWall)
 				sampled, spurious := peer.OnAck(rtt, rtt-lastWall.Sub(sendWall), attempts)
 				if spurious {
-					n.spurious.Add(1)
 					n.ins.Spurious.Add(1)
 				}
 				if sampled && n.peerRTT != nil && n.peerRTT[target] != nil {
@@ -394,4 +395,36 @@ func noteText(note any) string {
 		return s
 	}
 	return fmt.Sprint(note)
+}
+
+// ReplayPrograms builds one program per process that replays the process's
+// projection of tr: its messages are sent and received in projection order
+// (receives use RecvFrom, which makes the replay deadlock-free for any valid
+// synchronous computation) and its internal ops become Internal events noted
+// "replay-int-<proc>-<step>". The runtime interleaving may differ from tr's
+// linearization, but it realizes the same synchronous computation, so the
+// reconstructed trace has identical per-process projections and an
+// isomorphic message poset.
+func ReplayPrograms(tr *trace.Trace) map[int]func(*Process) error {
+	programs := make(map[int]func(*Process) error, tr.N)
+	for proc, mine := range tr.ProcOps() {
+		programs[proc] = func(p *Process) error {
+			for step, k := range mine {
+				var err error
+				switch op := tr.Ops[k]; {
+				case op.Kind == trace.OpInternal:
+					p.Internal(fmt.Sprintf("replay-int-%d-%d", proc, step))
+				case op.From == proc:
+					_, err = p.Send(op.To)
+				default:
+					_, err = p.RecvFrom(op.From)
+				}
+				if err != nil {
+					return fmt.Errorf("replay step %d: %w", step, err)
+				}
+			}
+			return nil
+		}
+	}
+	return programs
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"syncstamp/internal/check"
-	"syncstamp/internal/trace"
 )
 
 // TestPropLoopRunMatchesSequential is the networking analogue of the csp
@@ -49,32 +48,7 @@ func TestPropLoopRunMatchesSequential(t *testing.T) {
 		}
 		nodes = next
 
-		programs := make(map[int]func(*Process) error, tr.N)
-		proj := tr.ProcOps()
-		for proc := 0; proc < tr.N; proc++ {
-			mine := proj[proc]
-			me := proc
-			programs[proc] = func(p *Process) error {
-				for _, k := range mine {
-					op := tr.Ops[k]
-					switch {
-					case op.Kind == trace.OpInternal:
-						p.Internal(fmt.Sprint(k))
-					case op.From == me:
-						if _, err := p.Send(op.To); err != nil {
-							return err
-						}
-					default:
-						if _, err := p.RecvFrom(op.From); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-		}
-
-		res, results, err := runCluster(in.Dec, placement, loopTransports(nodes), programs,
+		res, results, err := runCluster(in.Dec, placement, loopTransports(nodes), ReplayPrograms(tr),
 			Config{HandshakeTimeout: 10 * time.Second, RendezvousTimeout: 10 * time.Second})
 		if err != nil {
 			return err

@@ -88,10 +88,10 @@ type RecoveryConfig struct {
 	Journal *Journal
 	// Async tunes the synchronizer (see async.go) that paces every remote
 	// Send's retransmissions — a per-peer adaptive RTO from a Jacobson RTT
-	// estimator, doubled with seeded jitter per unanswered attempt — and
-	// drives the per-peer health FSM: a peer still suspect after
-	// ReconnectWindow meets OnPeerLoss without waiting for a connection to
-	// die. Nil means the tssync defaults.
+	// estimate, doubled with seeded jitter per unanswered attempt — and
+	// derives each peer's health from its unanswered intervals: a peer
+	// still suspect after ReconnectWindow meets OnPeerLoss without waiting
+	// for a connection to die. Nil means the tssync defaults.
 	Async *tssync.Config
 }
 
@@ -249,7 +249,8 @@ func (n *Node) peerLost(pc *peerConn, cause error) {
 // applies the peer-loss policy. The window closes early once the peer is
 // connected and not suspect, or once nothing is owed either way. While the
 // connection is down the higher-numbered side redials with a fresh epoch,
-// paced like TCPTransport's dial retries (mesh convention: higher dials lower).
+// paced like TCPTransport's dial retries (mesh convention: higher dials
+// lower); a redial ends with the window, or sooner at the handshake timeout.
 func (n *Node) recoverPeer(peer int, cause error) {
 	defer func() {
 		n.mu.Lock()
@@ -260,7 +261,7 @@ func (n *Node) recoverPeer(peer int, cause error) {
 	window := n.rec.ReconnectWindow
 	deadline := time.Now().Add(window)
 	bo := tssync.NewBackoff(dialBackoffMin, dialBackoffMax, int64(n.cfg.Node*n.nodes+peer))
-	health := n.coord.Peer(peer)
+	health := n.peers[peer]
 	for attempt := 0; ; attempt++ {
 		n.mu.Lock()
 		connected := n.conns[peer] != nil
@@ -280,7 +281,8 @@ func (n *Node) recoverPeer(peer int, cause error) {
 			}
 			return
 		}
-		if !connected && n.cfg.Node > peer && n.dialPeer(peer, n.nextEpoch(peer)) == nil {
+		dialBy := time.Now().Add(min(n.cfg.HandshakeTimeout, time.Until(deadline)))
+		if !connected && n.cfg.Node > peer && n.dialPeer(peer, n.nextEpoch(peer), dialBy) == nil {
 			continue
 		}
 		timer := time.NewTimer(min(bo.Delay(attempt), time.Until(deadline)))
@@ -302,10 +304,11 @@ func (n *Node) nextEpoch(peer int) int {
 }
 
 // excludePeer removes a node from the run, the one way any exclusion
-// happens: it pins the peer's health FSM, answers ErrPeerLost to the sends
-// parked on the node, wakes every hosted process so a receive from the node
-// re-checks, and releases the end-of-run barrier. The node's components
-// freeze; every surviving clock keeps Fig. 5 on the ones it still advances.
+// happens: it records the exclusion, which the peer's reported health and
+// gauge read from then on, answers ErrPeerLost to the sends parked on the
+// node, wakes every hosted process so a receive from the node re-checks,
+// and releases the end-of-run barrier. The node's components freeze; every
+// surviving clock keeps Fig. 5 on the ones it still advances.
 // A repeated call finds no send parked on the node (registerWaiter refuses
 // it), and its wake-ups only make receives re-check.
 func (n *Node) excludePeer(peer int) {
@@ -326,8 +329,7 @@ func (n *Node) excludePeer(peer int) {
 		}
 	}
 	n.mu.Unlock()
-	n.coord.Peer(peer).Exclude()
-	n.setHealthGauge(peer, tssync.Excluded)
+	n.mirrorHealth(peer)
 	n.notePeerEvent()
 	for _, proc := range wake {
 		// Never blocks: requests fill only the other processes' slots.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -620,5 +621,113 @@ func TestDialClassification(t *testing.T) {
 	// Out-of-range peer index is immediately fatal.
 	if _, err := tr.Dial(7, time.Now().Add(time.Second)); err == nil {
 		t.Fatal("out-of-range dial succeeded")
+	}
+}
+
+// TestRedialEndsWithWindow kills node 0 of three over TCP under
+// PeerLossExclude. Both survivors redial it (higher dials lower), and
+// the 300 ms reconnect window must bound each redial: a receive parked on
+// node 0 returns ErrPeerLost when the window ends, not when a redial's 5 s
+// handshake timeout does.
+func TestRedialEndsWithWindow(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Star(3, 0))
+	ts := tcpTransports(t, 3)
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		n, err := New(Config{Node: i, Placement: []int{0, 1, 2}, Dec: dec, HandshakeTimeout: 5 * time.Second,
+			Recovery: &RecoveryConfig{OnPeerLoss: PeerLossExclude, ReconnectWindow: 300 * time.Millisecond}}, ts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[i] = n
+	}
+	var started, wg sync.WaitGroup
+	started.Add(3)
+	lostAt := make([]time.Time, 3)
+	errs := make([]error, 3)
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = n.Run(map[int]func(*Process) error{i: func(p *Process) error {
+				started.Done()
+				if i == 0 {
+					_, err := p.RecvFrom(1) // parks until the kill
+					return err
+				}
+				_, err := p.RecvFrom(0)
+				lostAt[i] = time.Now()
+				if !errors.Is(err, ErrPeerLost) {
+					return fmt.Errorf("RecvFrom(0) = %v, want ErrPeerLost", err)
+				}
+				return nil
+			}})
+		}()
+	}
+	started.Wait()
+	killed := time.Now()
+	nodes[0].Stop() // the "kill": connections and listener drop without a BYE
+	wg.Wait()
+	for i := 1; i < 3; i++ {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v", i, errs[i])
+		}
+		if d := lostAt[i].Sub(killed); d > 2*time.Second {
+			t.Errorf("node %d: ErrPeerLost %v after the kill, want about the 300ms window", i, d)
+		}
+	}
+}
+
+// TestRedialEndsOnStop kills node 0 of two over TCP under PeerLossWait,
+// then fails node 1's program while node 1 still redials inside its 5 s
+// window. The failure stops the node, and Stop must end the redial: Close
+// returns with the failed run, not at the redial's handshake timeout.
+func TestRedialEndsOnStop(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	ts := tcpTransports(t, 2)
+	cfg := Config{Placement: []int{0, 1}, Dec: dec, HandshakeTimeout: 5 * time.Second,
+		Recovery: &RecoveryConfig{OnPeerLoss: PeerLossWait}}
+	n0, err := New(cfg, ts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	cfg.Node = 1
+	n1, err := New(cfg, ts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	n0done := make(chan struct{})
+	go func() {
+		defer close(n0done)
+		_, _ = n0.Run(map[int]func(*Process) error{0: func(p *Process) error {
+			close(started)
+			_, err := p.RecvFrom(1) // parks until the kill
+			return err
+		}})
+	}()
+	go func() {
+		<-started
+		time.Sleep(50 * time.Millisecond)
+		n0.Stop() // the "kill": connections and listener drop without a BYE
+	}()
+	failed := errors.New("program failed")
+	start := time.Now()
+	_, err = n1.Run(map[int]func(*Process) error{1: func(p *Process) error {
+		time.Sleep(300 * time.Millisecond)
+		return failed
+	}})
+	n1.Close()
+	elapsed := time.Since(start)
+	<-n0done
+	if !errors.Is(err, failed) {
+		t.Fatalf("node 1's run returned %v, want its program's failure", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("node 1's Close returned %v after its Run started, want about the program's 300ms", elapsed)
 	}
 }

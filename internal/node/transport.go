@@ -33,6 +33,9 @@ type Transport interface {
 // over TCP, one listener per node, dial with retry and exponential backoff.
 type TCPTransport struct {
 	ln net.Listener
+	// closed ends retrying Dials once Close is called.
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// Retries, when non-nil, counts failed dial attempts that were retried
 	// (obs.MetricDialRetries). Set it before the node starts connecting.
@@ -62,7 +65,7 @@ func NewTCPTransport(listen string) (*TCPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: listen %s: %w", listen, err)
 	}
-	return &TCPTransport{ln: ln}, nil
+	return &TCPTransport{ln: ln, closed: make(chan struct{})}, nil
 }
 
 // SetPeers installs the per-node dial addresses (addrs[j] is node j's
@@ -77,7 +80,7 @@ func (t *TCPTransport) SetPeers(addrs []string) {
 func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 
 // Dial connects to the given node, retrying with seeded-jitter exponential
-// backoff until the deadline.
+// backoff until the deadline or until Close.
 func (t *TCPTransport) Dial(node int, deadline time.Time) (net.Conn, error) {
 	t.mu.Lock()
 	addrs := t.addrs
@@ -112,11 +115,13 @@ func (t *TCPTransport) Dial(node int, deadline time.Time) (net.Conn, error) {
 			return nil, fmt.Errorf("node: dial node %d (%s): %w", node, addrs[node], err)
 		}
 		t.Retries.Add(1)
-		sleep := bo.Delay(attempt)
-		if sleep > remaining {
-			sleep = remaining
+		timer := time.NewTimer(min(bo.Delay(attempt), remaining))
+		select {
+		case <-timer.C:
+		case <-t.closed:
+			timer.Stop()
+			return nil, fmt.Errorf("node: dial node %d (%s): transport closed", node, addrs[node])
 		}
-		time.Sleep(sleep)
 	}
 }
 
@@ -149,8 +154,11 @@ func dialFatal(err error) bool {
 // Accept returns the next inbound TCP connection.
 func (t *TCPTransport) Accept() (net.Conn, error) { return t.ln.Accept() }
 
-// Close stops the listener.
-func (t *TCPTransport) Close() error { return t.ln.Close() }
+// Close stops the listener and ends any retrying Dial.
+func (t *TCPTransport) Close() error {
+	t.closeOnce.Do(func() { close(t.closed) })
+	return t.ln.Close()
+}
 
 // Loop is an in-memory fabric connecting a fixed set of nodes with
 // synchronous net.Pipe streams — the deterministic, port-free transport the

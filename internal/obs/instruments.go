@@ -46,17 +46,17 @@ const (
 	// an earlier copy (the synchronizer's Eifel-style detection). High
 	// values mean the RTT estimator is timing out too eagerly.
 	MetricSpuriousRetransmits = "spurious_retransmits_total"
-	// MetricSuspicions counts transitions of a peer's health FSM into the
-	// suspect state. Each suspicion arms the degradation
-	// policy; a recovery (evidence before the window expires) disarms it.
+	// MetricSuspicions counts the times a peer's link turned suspect (a run
+	// of unanswered retransmission intervals). Each suspicion arms the
+	// degradation policy; a recovery (evidence before the window expires)
+	// disarms it.
 	MetricSuspicions = "peer_suspicions_total"
 	// MetricPeerRTTNS is the per-peer round-trip-time histogram of accepted
 	// RTT samples (LatencyEdges), registered per peer node via PeerMetric.
 	// Its quantiles are the RunInfo p50/p99 source.
 	MetricPeerRTTNS = "peer_rtt_ns"
-	// MetricPeerHealth gauges a peer's final health FSM state, registered
-	// per peer node via PeerMetric: 0 healthy, 1 degraded, 2 suspect, 3
-	// excluded.
+	// MetricPeerHealth gauges a peer's health state, registered per peer
+	// node via PeerMetric: 0 healthy, 1 degraded, 2 suspect, 3 excluded.
 	MetricPeerHealth = "peer_health_state"
 	// MetricJournalAppends gauges the crash-recovery journal's committed
 	// record count at end of run (with a journal only).

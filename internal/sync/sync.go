@@ -12,23 +12,26 @@
 // pacing: when to retransmit an unacknowledged SYN, and when silence means
 // the peer is gone.
 //
-// Three mechanisms live here, combined per peer by a Coordinator:
+// A node keeps one Peer per link (NewPeers), the one record of both:
 //
-//   - Estimator: a Jacobson-style RTT estimator (EWMA smoothed RTT plus
-//     mean deviation) that adapts the retransmission timeout to the link.
+//   - a Jacobson-style RTT estimate (EWMA smoothed RTT plus mean
+//     deviation) that adapts the retransmission timeout to the link.
 //     Karn's rule keeps ambiguous (retransmitted) exchanges out of the
 //     estimate, and Eifel-style spurious-retransmit detection feeds the
-//     estimate back down when a retransmission is proven unnecessary.
+//     estimate back down when a retransmission is proven unnecessary;
 //
-//   - Backoff: capped exponential backoff with deterministic seeded jitter,
-//     so retransmit (and dial) storms desynchronize without wall-clock
-//     randomness — two runs with the same seed jitter identically.
+//   - a Backoff: capped exponential backoff with deterministic seeded
+//     jitter, so retransmit (and dial) storms desynchronize without
+//     wall-clock randomness — two runs with the same seed jitter
+//     identically;
 //
-//   - Monitor: the per-peer health FSM healthy → degraded → suspect →
-//     excluded, driven by consecutive timeouts and healed by any liveness
-//     evidence. Degradation policies (node.OnPeerLoss) act on suspicion,
-//     not on hard connection loss: a peer can be excluded while its TCP
-//     connection is still nominally alive.
+//   - the count of consecutive retransmission intervals that expired
+//     unanswered. The link's health (healthy, degraded, suspect) is derived
+//     from that count, and any liveness evidence resets it. Degradation
+//     policies (node.OnPeerLoss) act on suspicion, not on hard connection
+//     loss: a peer can be excluded while its TCP connection is still
+//     nominally alive. Exclusion itself is the node's record, not this
+//     package's.
 //
 // Everything here is wall-clock-free except the durations callers feed in:
 // the package computes with time.Duration values but never reads a clock,
@@ -38,17 +41,19 @@ package sync
 
 import (
 	"fmt"
+	stdsync "sync"
+	"sync/atomic"
 	"time"
 )
 
-// Defaults applied when Config leaves fields zero, and the health FSM's
+// Defaults applied when Config leaves fields zero, and the health
 // thresholds, which no Config field overrides.
 const (
 	DefaultRTTInit = 50 * time.Millisecond
 	DefaultRTOMin  = 1 * time.Millisecond
 	DefaultRTOMax  = 2 * time.Second
 	// DefaultDegradeAfter and DefaultSuspectAfter are the consecutive-timeout
-	// thresholds of the health FSM: two unanswered retransmission intervals
+	// thresholds of a link's health: two unanswered retransmission intervals
 	// mark a peer degraded, five mark it suspect.
 	DefaultDegradeAfter = 2
 	DefaultSuspectAfter = 5
@@ -60,7 +65,7 @@ type Config struct {
 	// RTTInit seeds each peer's smoothed RTT before the first sample. Zero
 	// means DefaultRTTInit.
 	RTTInit time.Duration
-	// RTOMin and RTOMax clamp the retransmission timeout the estimator
+	// RTOMin and RTOMax clamp the retransmission timeout the estimate
 	// produces. Zero means the defaults.
 	RTOMin time.Duration
 	RTOMax time.Duration
@@ -95,69 +100,69 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Coordinator is one node's synchronizer state: a Peer per other node,
-// created eagerly so access is lock-free.
-type Coordinator struct {
-	cfg   Config
-	peers []*Peer
+// Peer is the synchronizer's record of one link. All methods are safe for
+// concurrent use: several local processes may be mid-rendezvous with the
+// same peer node at once, and the connection's read loop reports evidence
+// meanwhile.
+type Peer struct {
+	// bo paces retransmissions; its [min, max] also clamps the RTO.
+	bo *Backoff
+	// misses counts consecutive retransmission intervals that expired
+	// unanswered; the link's State is derived from it.
+	misses atomic.Int64
+
+	mu         stdsync.Mutex
+	srtt       time.Duration
+	rttvar     time.Duration
+	primed     bool // the first real sample replaces the configured guess
+	samples    int64
+	spurious   int64
+	suspicions int64 // intervals that crossed into Suspect
 }
 
-// NewCoordinator builds the synchronizer for a node among `nodes` nodes.
-// The self entry exists but is never used (a node has no link to itself).
-func NewCoordinator(cfg Config, nodes, self int) *Coordinator {
+// NewPeers builds one node's synchronizer among `nodes` nodes: a Peer per
+// other node, indexed by node, with a nil entry for self (a node has no
+// link to itself).
+func NewPeers(cfg Config, nodes, self int) []*Peer {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, peers: make([]*Peer, nodes)}
-	for j := range c.peers {
+	peers := make([]*Peer, nodes)
+	for j := range peers {
 		if j == self {
 			continue
 		}
-		c.peers[j] = &Peer{
-			est: NewEstimator(cfg.RTTInit, cfg.RTOMin, cfg.RTOMax),
-			bo:  NewBackoff(cfg.RTOMin, cfg.RTOMax, cfg.Seed*31+int64(j)),
-			mon: NewMonitor(DefaultDegradeAfter, DefaultSuspectAfter),
+		// Until the first sample the guess acts as the smoothed RTT with a
+		// variance of half itself (the TCP convention for a connection with
+		// no samples yet).
+		peers[j] = &Peer{
+			bo:     NewBackoff(cfg.RTOMin, cfg.RTOMax, cfg.Seed*31+int64(j)),
+			srtt:   cfg.RTTInit,
+			rttvar: cfg.RTTInit / 2,
 		}
 	}
-	return c
-}
-
-// Config returns the normalized configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
-
-// Peer returns the synchronizer state for peer node j (nil for self or out
-// of range, which no caller should ever ask for).
-func (c *Coordinator) Peer(j int) *Peer {
-	if j < 0 || j >= len(c.peers) {
-		return nil
-	}
-	return c.peers[j]
-}
-
-// Peer combines the three per-link mechanisms. All methods are safe for
-// concurrent use: several local processes may be mid-rendezvous with the
-// same peer node at once.
-type Peer struct {
-	est *Estimator
-	bo  *Backoff
-	mon *Monitor
+	return peers
 }
 
 // RetryIn returns the retransmission delay for the given attempt (0 = the
 // initial wait for the first transmission's ACK). Attempt 0 waits exactly
-// the estimator's current RTO, as RFC 6298 does: jittering it would
-// retransmit before the estimator's own timeout. Later attempts double the
-// RTO per attempt, cap it, and jitter it into [d/2, d).
+// the current RTO, as RFC 6298 does: jittering it would retransmit before
+// the estimate's own timeout. Later attempts double the RTO per attempt,
+// cap it, and jitter it into [d/2, d).
 func (p *Peer) RetryIn(attempt int) time.Duration {
+	p.mu.Lock()
+	rto := p.rto()
+	p.mu.Unlock()
 	if attempt == 0 {
-		return p.est.RTO()
+		return rto
 	}
-	return p.bo.Jitter(scale(p.est.RTO(), attempt, p.bo.max))
+	return p.bo.Jitter(scale(rto, attempt, p.bo.max))
 }
 
 // OnAck records the outcome of an acknowledged exchange. sinceFirst is the
 // elapsed time since the first transmission, sinceLast since the most
 // recent (re)transmission, retransmits how many retransmissions the
 // exchange needed. It reports whether an RTT sample was accepted and
-// whether the exchange was classified a spurious retransmit.
+// whether the exchange was classified a spurious retransmit. A negative
+// sample is ignored.
 //
 // Karn's rule: a retransmitted exchange is ambiguous — the ACK may answer
 // any copy — so it normally contributes no sample. The Eifel-style escape:
@@ -166,39 +171,63 @@ func (p *Peer) RetryIn(attempt int) time.Duration {
 // retransmission was spurious, the full first-transmission time is a valid
 // sample, and feeding it in pulls an over-inflated estimate back down.
 func (p *Peer) OnAck(sinceFirst, sinceLast time.Duration, retransmits int) (sampled, spurious bool) {
-	if retransmits == 0 {
-		p.est.Observe(sinceFirst)
-		return true, false
+	if sinceFirst < 0 {
+		return false, false
 	}
-	if sinceLast < p.est.SRTT()/2 {
-		p.est.Observe(sinceFirst)
-		p.est.noteSpurious()
-		return true, true
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if retransmits > 0 {
+		if sinceLast >= p.srtt/2 {
+			return false, false
+		}
+		spurious = true
+		p.spurious++
 	}
-	return false, false
+	p.observe(sinceFirst)
+	return true, spurious
 }
 
-// OnTimeout records one expired retransmission interval with no ACK and
-// advances the health FSM. It returns the (possibly new) state and whether
-// this timeout changed it.
-func (p *Peer) OnTimeout() (State, bool) { return p.mon.Timeout() }
+// OnTimeout records one retransmission interval that expired with no ACK.
+// It returns the link's state and whether this timeout changed it.
+func (p *Peer) OnTimeout() (State, bool) {
+	m := p.misses.Add(1)
+	if m == DefaultSuspectAfter {
+		p.mu.Lock()
+		p.suspicions++
+		p.mu.Unlock()
+	}
+	return stateOf(m), m == DefaultDegradeAfter || m == DefaultSuspectAfter
+}
 
-// OnEvidence records liveness evidence — any frame received from the peer —
-// and heals the FSM (suspect or degraded → healthy). It returns the state
-// and whether the evidence changed it.
-func (p *Peer) OnEvidence() (State, bool) { return p.mon.Evidence() }
+// OnEvidence records liveness evidence — any frame received from the peer,
+// a late ACK included — and reports whether it healed a degraded or
+// suspect link back to healthy. On a link with no unanswered interval it
+// is one atomic load.
+func (p *Peer) OnEvidence() bool {
+	if p.misses.Load() == 0 {
+		return false
+	}
+	return stateOf(p.misses.Swap(0)) != Healthy
+}
 
-// Exclude pins the FSM at Excluded (terminal).
-func (p *Peer) Exclude() { p.mon.Exclude() }
+// State returns the link's current health.
+func (p *Peer) State() State { return stateOf(p.misses.Load()) }
 
-// State returns the current health state.
-func (p *Peer) State() State { return p.mon.State() }
+// Stats is a point-in-time view of a Peer.
+type Stats struct {
+	SRTT, RTTVar, RTO             time.Duration
+	Samples, Spurious, Suspicions int64
+}
 
-// Estimator exposes the peer's RTT estimator (stats surfaces read it).
-func (p *Peer) Estimator() *Estimator { return p.est }
-
-// Monitor exposes the peer's health monitor.
-func (p *Peer) Monitor() *Monitor { return p.mon }
+// Stats snapshots the peer.
+func (p *Peer) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return Stats{
+		SRTT: p.srtt, RTTVar: p.rttvar, RTO: p.rto(),
+		Samples: p.samples, Spurious: p.spurious, Suspicions: p.suspicions,
+	}
+}
 
 // scale doubles d attempt times, saturating at cap.
 func scale(d time.Duration, attempt int, cap time.Duration) time.Duration {

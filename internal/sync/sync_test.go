@@ -1,17 +1,21 @@
 package sync
 
 import (
+	stdsync "sync"
 	"testing"
 	"time"
 )
 
+// peer builds the synchronizer record of node 0's link to node 1.
+func peer(cfg Config) *Peer { return NewPeers(cfg, 2, 0)[1] }
+
 func TestEstimatorFirstSampleReplacesGuess(t *testing.T) {
-	e := NewEstimator(50*time.Millisecond, time.Millisecond, time.Second)
-	if got := e.SRTT(); got != 50*time.Millisecond {
+	p := peer(Config{RTTInit: 50 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: time.Second})
+	if got := p.Stats().SRTT; got != 50*time.Millisecond {
 		t.Fatalf("initial SRTT = %v, want the 50ms guess", got)
 	}
-	e.Observe(8 * time.Millisecond)
-	s := e.Stats()
+	p.OnAck(8*time.Millisecond, 8*time.Millisecond, 0)
+	s := p.Stats()
 	if s.SRTT != 8*time.Millisecond || s.RTTVar != 4*time.Millisecond {
 		t.Fatalf("after first sample: srtt=%v rttvar=%v, want 8ms/4ms", s.SRTT, s.RTTVar)
 	}
@@ -21,10 +25,10 @@ func TestEstimatorFirstSampleReplacesGuess(t *testing.T) {
 }
 
 func TestEstimatorJacobsonUpdate(t *testing.T) {
-	e := NewEstimator(0, time.Millisecond, time.Second)
-	e.Observe(80 * time.Millisecond) // primes: srtt=80ms, rttvar=40ms
-	e.Observe(40 * time.Millisecond)
-	s := e.Stats()
+	p := peer(Config{RTOMin: time.Millisecond, RTOMax: time.Second})
+	p.OnAck(80*time.Millisecond, 80*time.Millisecond, 0) // primes: srtt=80ms, rttvar=40ms
+	p.OnAck(40*time.Millisecond, 40*time.Millisecond, 0)
+	s := p.Stats()
 	// rttvar += (|40-80| - 40)/4 = 0 → 40ms; srtt += (40-80)/8 = -5ms → 75ms.
 	if s.SRTT != 75*time.Millisecond {
 		t.Errorf("srtt = %v, want 75ms", s.SRTT)
@@ -38,34 +42,36 @@ func TestEstimatorJacobsonUpdate(t *testing.T) {
 }
 
 func TestEstimatorRTOClamped(t *testing.T) {
-	e := NewEstimator(0, 10*time.Millisecond, 100*time.Millisecond)
-	e.Observe(time.Microsecond)
-	if got := e.RTO(); got != 10*time.Millisecond {
+	p := peer(Config{RTOMin: 10 * time.Millisecond, RTOMax: 100 * time.Millisecond})
+	p.OnAck(time.Microsecond, time.Microsecond, 0)
+	if got := p.RetryIn(0); got != 10*time.Millisecond {
 		t.Errorf("tiny samples: RTO = %v, want the 10ms floor", got)
 	}
 	for i := 0; i < 20; i++ {
-		e.Observe(5 * time.Second)
+		p.OnAck(5*time.Second, 5*time.Second, 0)
 	}
-	if got := e.RTO(); got != 100*time.Millisecond {
+	if got := p.RetryIn(0); got != 100*time.Millisecond {
 		t.Errorf("huge samples: RTO = %v, want the 100ms cap", got)
 	}
 }
 
 func TestEstimatorConvergesDownAfterSpike(t *testing.T) {
-	e := NewEstimator(0, time.Millisecond, 10*time.Second)
-	e.Observe(time.Second)
+	p := peer(Config{RTOMin: time.Millisecond, RTOMax: 10 * time.Second})
+	p.OnAck(time.Second, time.Second, 0)
 	for i := 0; i < 200; i++ {
-		e.Observe(2 * time.Millisecond)
+		p.OnAck(2*time.Millisecond, 2*time.Millisecond, 0)
 	}
-	if got := e.SRTT(); got > 5*time.Millisecond {
+	if got := p.Stats().SRTT; got > 5*time.Millisecond {
 		t.Errorf("after 200 fast samples SRTT = %v, estimator failed to converge down", got)
 	}
 }
 
 func TestEstimatorNegativeSampleIgnored(t *testing.T) {
-	e := NewEstimator(50*time.Millisecond, time.Millisecond, time.Second)
-	e.Observe(-time.Second)
-	if s := e.Stats(); s.Samples != 0 || s.SRTT != 50*time.Millisecond {
+	p := peer(Config{RTTInit: 50 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: time.Second})
+	if sampled, _ := p.OnAck(-time.Second, -time.Second, 0); sampled {
+		t.Error("negative sample reported as sampled")
+	}
+	if s := p.Stats(); s.Samples != 0 || s.SRTT != 50*time.Millisecond {
 		t.Errorf("negative sample was not ignored: %+v", s)
 	}
 }
@@ -110,79 +116,70 @@ func TestBackoffDelayRangeAndCap(t *testing.T) {
 	}
 }
 
-// TestMonitorEveryTransition walks the FSM through all its edges:
-// healthy → degraded → suspect on consecutive timeouts, suspect → healthy
-// on late evidence (the late-ACK recovery), degraded → healthy likewise,
-// and excluded as a terminal state that neither timeouts nor evidence move.
-func TestMonitorEveryTransition(t *testing.T) {
-	m := NewMonitor(2, 4)
-	if m.State() != Healthy {
-		t.Fatalf("initial state %v, want healthy", m.State())
+// TestPeerHealthWalk walks a link's health through every edge at the
+// constant thresholds: healthy → degraded → suspect on consecutive
+// timeouts, suspect → healthy on late evidence (the late-ACK recovery),
+// degraded → healthy likewise, and evidence on a healthy link as a no-op.
+func TestPeerHealthWalk(t *testing.T) {
+	p := peer(Config{})
+	if p.State() != Healthy {
+		t.Fatalf("initial state %v, want healthy", p.State())
 	}
-	if st, changed := m.Timeout(); st != Healthy || changed {
-		t.Fatalf("timeout 1: (%v, %v), want (healthy, false)", st, changed)
+	want := []struct {
+		st      State
+		changed bool
+	}{
+		{Healthy, false}, {Degraded, true}, {Degraded, false}, {Degraded, false}, {Suspect, true}, {Suspect, false},
 	}
-	if st, changed := m.Timeout(); st != Degraded || !changed {
-		t.Fatalf("timeout 2: (%v, %v), want (degraded, true)", st, changed)
+	for i, w := range want {
+		if st, changed := p.OnTimeout(); st != w.st || changed != w.changed {
+			t.Fatalf("timeout %d: (%v, %v), want (%v, %v)", i+1, st, changed, w.st, w.changed)
+		}
 	}
-	if st, changed := m.Timeout(); st != Degraded || changed {
-		t.Fatalf("timeout 3: (%v, %v), want (degraded, false)", st, changed)
-	}
-	if st, changed := m.Timeout(); st != Suspect || !changed {
-		t.Fatalf("timeout 4: (%v, %v), want (suspect, true)", st, changed)
-	}
-	// Late ACK: suspect heals to healthy and the counter resets — the next
+	// Late ACK: suspect heals to healthy and the count resets — the next
 	// timeout starts a fresh streak.
-	if st, changed := m.Evidence(); st != Healthy || !changed {
-		t.Fatalf("evidence on suspect: (%v, %v), want (healthy, true)", st, changed)
+	if !p.OnEvidence() || p.State() != Healthy {
+		t.Fatalf("evidence on suspect: state %v, want a heal to healthy", p.State())
 	}
-	if st, changed := m.Timeout(); st != Healthy || changed {
+	if st, changed := p.OnTimeout(); st != Healthy || changed {
 		t.Fatalf("timeout after recovery: (%v, %v), want (healthy, false) — streak must reset", st, changed)
 	}
 	// Degraded → healthy.
-	m.Timeout()
-	if m.State() != Degraded {
-		t.Fatalf("state %v, want degraded", m.State())
+	p.OnTimeout()
+	if p.State() != Degraded {
+		t.Fatalf("state %v, want degraded", p.State())
 	}
-	if st, changed := m.Evidence(); st != Healthy || !changed {
-		t.Fatalf("evidence on degraded: (%v, %v), want (healthy, true)", st, changed)
+	if !p.OnEvidence() || p.State() != Healthy {
+		t.Fatalf("evidence on degraded: state %v, want a heal to healthy", p.State())
 	}
-	// Evidence on healthy is a no-op transition.
-	if st, changed := m.Evidence(); st != Healthy || changed {
-		t.Fatalf("evidence on healthy: (%v, %v), want (healthy, false)", st, changed)
+	// Evidence on healthy changes nothing, one timeout in or none.
+	p.OnTimeout()
+	if p.OnEvidence() || p.OnEvidence() || p.State() != Healthy {
+		t.Fatalf("evidence on healthy reported a change (state %v)", p.State())
 	}
-	// Excluded is terminal.
-	m.Exclude()
-	if st, changed := m.Timeout(); st != Excluded || changed {
-		t.Fatalf("timeout on excluded: (%v, %v), want (excluded, false)", st, changed)
-	}
-	if st, changed := m.Evidence(); st != Excluded || changed {
-		t.Fatalf("evidence on excluded: (%v, %v), want (excluded, false)", st, changed)
-	}
-	s := m.Stats()
-	if s.Suspicions != 1 || s.Recoveries != 2 {
-		t.Errorf("suspicions=%d recoveries=%d, want 1 and 2", s.Suspicions, s.Recoveries)
+	if got := p.Stats().Suspicions; got != 1 {
+		t.Errorf("suspicions = %d, want 1", got)
 	}
 }
 
 func TestPeerOnAckKarnAndSpurious(t *testing.T) {
-	c := NewCoordinator(Config{RTTInit: 40 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: time.Second}, 2, 0)
-	p := c.Peer(1)
-	if c.Peer(0) != nil {
+	peers := NewPeers(Config{RTTInit: 40 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: time.Second}, 2, 0)
+	if peers[0] != nil {
 		t.Fatal("self peer must be nil")
 	}
+	p := peers[1]
 	// Clean exchange: sampled, not spurious.
 	if sampled, spurious := p.OnAck(10*time.Millisecond, 10*time.Millisecond, 0); !sampled || spurious {
 		t.Fatalf("clean exchange: sampled=%v spurious=%v", sampled, spurious)
 	}
-	if got := p.Estimator().SRTT(); got != 10*time.Millisecond {
+	if got := p.Stats().SRTT; got != 10*time.Millisecond {
 		t.Fatalf("SRTT = %v, want 10ms", got)
 	}
 	// Retransmitted, ACK well after the retransmission: Karn — no sample.
 	if sampled, spurious := p.OnAck(30*time.Millisecond, 9*time.Millisecond, 1); sampled || spurious {
 		t.Fatalf("ambiguous exchange: sampled=%v spurious=%v, want neither", sampled, spurious)
 	}
-	if got := p.Estimator().Stats().Samples; got != 1 {
+	if got := p.Stats().Samples; got != 1 {
 		t.Fatalf("samples = %d, Karn's rule must have discarded the ambiguous one", got)
 	}
 	// Retransmitted, but the ACK landed < SRTT/2 after the retransmission:
@@ -190,27 +187,68 @@ func TestPeerOnAckKarnAndSpurious(t *testing.T) {
 	if sampled, spurious := p.OnAck(12*time.Millisecond, time.Millisecond, 1); !sampled || !spurious {
 		t.Fatalf("spurious exchange: sampled=%v spurious=%v, want both", sampled, spurious)
 	}
-	s := p.Estimator().Stats()
+	s := p.Stats()
 	if s.Samples != 2 || s.Spurious != 1 {
 		t.Fatalf("samples=%d spurious=%d, want 2 and 1", s.Samples, s.Spurious)
 	}
 }
 
 func TestPeerRetryInGrowsAndCaps(t *testing.T) {
-	c := NewCoordinator(Config{RTTInit: 10 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: 80 * time.Millisecond, Seed: 3}, 3, 1)
-	p := c.Peer(2)
-	rto := p.Estimator().RTO() // 10ms + 4·5ms = 30ms
+	p := NewPeers(Config{RTTInit: 10 * time.Millisecond, RTOMin: time.Millisecond, RTOMax: 80 * time.Millisecond, Seed: 3}, 3, 1)[2]
+	rto := p.Stats().RTO // 10ms + 4·5ms = 30ms
 	if rto != 30*time.Millisecond {
 		t.Fatalf("initial RTO = %v, want 30ms", rto)
 	}
 	// The first wait is the RTO itself: a jittered one would retransmit
-	// before the estimator's own timeout.
+	// before the estimate's own timeout.
 	if d0 := p.RetryIn(0); d0 != rto {
 		t.Errorf("attempt 0 delay %v, want exactly the RTO %v", d0, rto)
 	}
 	d3 := p.RetryIn(3)
 	if d3 < 40*time.Millisecond || d3 >= 80*time.Millisecond {
 		t.Errorf("attempt 3 delay %v outside the capped [40ms, 80ms)", d3)
+	}
+}
+
+// TestPeerConcurrentUse drives one Peer from concurrent goroutines through
+// every method, as parked senders, the read loop and the stats surfaces
+// do; run it under -race.
+func TestPeerConcurrentUse(t *testing.T) {
+	p := peer(Config{RTTInit: time.Millisecond, RTOMin: time.Millisecond, RTOMax: 10 * time.Millisecond, Seed: 5})
+	const workers, rounds = 8, 500
+	var wg stdsync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				d := p.RetryIn(i % 4)
+				if d <= 0 || d > 10*time.Millisecond {
+					t.Errorf("RetryIn(%d) = %v outside (0, 10ms]", i%4, d)
+					return
+				}
+				switch (w + i) % 3 {
+				case 0:
+					p.OnTimeout()
+				case 1:
+					p.OnEvidence()
+				default:
+					p.OnAck(time.Duration(i%7+1)*time.Millisecond, time.Millisecond, i%2)
+				}
+				if s := p.Stats(); s.RTO < time.Millisecond || s.RTO > 10*time.Millisecond {
+					t.Errorf("RTO %v outside the [1ms, 10ms] clamp", s.RTO)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	p.OnEvidence()
+	if p.State() != Healthy {
+		t.Errorf("state %v after final evidence, want healthy", p.State())
+	}
+	if s := p.Stats(); s.Samples == 0 || s.Samples > workers*rounds {
+		t.Errorf("samples = %d, want in (0, %d]", s.Samples, workers*rounds)
 	}
 }
 
