@@ -42,14 +42,19 @@ race:
 # Networking subsystem gate: the node runtime under the race detector, the
 # coalescing writer's determinism and end-of-run flush again on one CPU (the
 # scheduler shape DESIGN §12's flush yield exists for), the BYE's own flush
-# twenty times over (the test pins one CPU itself), csp's join, stop,
-# deadline, failure and stash tests ten times over (they drive node's local
-# path and its Join on one node), plus the tsnode integration test (real OS
+# twenty times over (the test pins one CPU itself), the one-receive wait
+# tests (Stop, expiries and stale answers meeting a full reply slot) ten
+# times over and again at GOMAXPROCS=1, where a non-blocking post and a
+# parked receive interleave differently, csp's join, stop, deadline,
+# failure and stash tests ten times over (they drive node's local path and
+# its Join on one node), plus the tsnode integration test (real OS
 # processes over localhost TCP).
 net-test:
 	$(GO) test -race ./internal/wire ./internal/node
 	GOMAXPROCS=1 $(GO) test -race -run 'TestCoalescingDeterminism|TestCloseDeliversInheritedFlush' ./internal/node
 	$(GO) test -race -count=20 -run 'TestByeErrorCoversOnlyEarlierFrames' ./internal/node
+	$(GO) test -race -count=10 -run 'TestWait' ./internal/node
+	GOMAXPROCS=1 $(GO) test -race -run 'TestWait' ./internal/node
 	$(GO) test -race -count=10 -run 'Join|Stop|Ops|Deadline|Drain|Failure|Stash' ./internal/csp
 	$(GO) test -race -run 'TestRunInProcessCluster|TestE2E' -v ./cmd/tsnode
 

@@ -26,14 +26,15 @@ func benchMatching(pairs int) (*decomp.Decomposition, []int) {
 	return decomp.Best(g), placement
 }
 
-// runNodes runs one node per transport (no collect) and returns each
-// node's RunInfo, failing tb on any error.
-func runNodes(tb testing.TB, dec *decomp.Decomposition, placement []int, ts []Transport,
-	programs map[int]func(*Process) error) []*RunInfo {
+// runNodes runs one node per transport under cfg, each with its own
+// Config.Node (no collect), and returns each node's RunInfo, failing tb on
+// any error.
+func runNodes(tb testing.TB, cfg Config, ts []Transport, programs map[int]func(*Process) error) []*RunInfo {
 	tb.Helper()
 	nodes := make([]*Node, len(ts))
 	for i := range nodes {
-		n, err := New(Config{Node: i, Placement: placement, Dec: dec}, ts[i])
+		cfg.Node = i
+		n, err := New(cfg, ts[i])
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -94,7 +95,22 @@ func BenchmarkLoopRendezvous(b *testing.B) {
 	rounds := b.N/pairs + 1
 	b.ReportAllocs()
 	b.ResetTimer()
-	runNodes(b, dec, placement, loopTransports(2), benchPrograms(pairs, rounds))
+	runNodes(b, Config{Placement: placement, Dec: dec}, loopTransports(2), benchPrograms(pairs, rounds))
+	b.StopTimer()
+}
+
+// BenchmarkTCPRendezvous runs tsperf's pairs-tcp shape at tsnode's
+// defaults: two nodes over localhost TCP, 32 sender/receiver pairs sharing
+// the one connection, and the 4096-event flight recorder on. ns/op and
+// allocs/op are per message, node set-up and the mesh handshake included.
+func BenchmarkTCPRendezvous(b *testing.B) {
+	const pairs = 32
+	dec, placement := benchMatching(pairs)
+	rounds := b.N/pairs + 1
+	ts := tcpTransports(b, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	runNodes(b, Config{Placement: placement, Dec: dec, FlightRecorder: 4096}, ts, benchPrograms(pairs, rounds))
 	b.StopTimer()
 }
 
@@ -231,9 +247,10 @@ func TestJournalEncodeZeroAlloc(t *testing.T) {
 // about 4.5: the two stamps the logs keep (the receiver's merge and the
 // sender's decoded ACK), the sender's pre-send snapshot, the decoded SYN
 // vector, and log growth. Each process reuses one reply slot and one
-// timer, and each read loop one Frame. The budget leaves room for noise,
-// not for a per-send timer (3 allocations), reply channel or decoded Frame
-// slipping back into the path.
+// timer, whose expiries post a constant answer into that slot, and each
+// read loop one Frame. The budget leaves room for noise, not for a
+// per-send timer (3 allocations), reply channel or decoded Frame slipping
+// back into the path.
 func TestNodeHotPathAllocBudget(t *testing.T) {
 	const (
 		pairs    = 4
@@ -245,7 +262,7 @@ func TestNodeHotPathAllocBudget(t *testing.T) {
 	programs := benchPrograms(pairs, rounds)
 
 	// Warm run to populate connection state, then measure.
-	run := func() { runNodes(t, dec, placement, loopTransports(2), programs) }
+	run := func() { runNodes(t, Config{Placement: placement, Dec: dec}, loopTransports(2), programs) }
 	run()
 	var before, after runtime.MemStats
 	runtime.GC()

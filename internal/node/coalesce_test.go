@@ -340,7 +340,7 @@ func TestTCPBatchesAtOneCPU(t *testing.T) {
 		ts[i] = countingTransport{ts[i], &writes}
 	}
 	frames := 0
-	for _, info := range runNodes(t, dec, placement, ts, benchPrograms(pairs, rounds)) {
+	for _, info := range runNodes(t, Config{Placement: placement, Dec: dec}, ts, benchPrograms(pairs, rounds)) {
 		f, _ := info.Frames.Total()
 		frames += f
 	}

@@ -80,9 +80,11 @@ type Config struct {
 	HandshakeTimeout time.Duration
 	// RendezvousTimeout bounds how long a Send waits for its ACK (or local
 	// reply). Exceeding it aborts the run: a synchronous computation cannot
-	// proceed past a lost rendezvous partner. Zero means the default;
-	// math.MaxInt64 never expires, so it arms no timer (csp's runs, which
-	// Wait bounds as a whole, use it).
+	// proceed past a lost rendezvous partner. The deadline, like each
+	// retransmission, is an expiry of the process's one timer, posted into
+	// the reply slot the Send waits on. Zero means the default;
+	// math.MaxInt64 never expires, so a local send makes no timer and reads
+	// no clock (csp's runs, which Wait bounds as a whole, use it).
 	RendezvousTimeout time.Duration
 	// Obs is the node's observability surface. Nil disables it; the
 	// rendezvous hot paths then cost nothing extra.
@@ -440,17 +442,34 @@ func New(cfg Config, tr Transport) (*Node, error) {
 func (n *Node) Local() []int { return append([]int(nil), n.local...) }
 
 // Stop aborts the run: parked Sends and Recvs return ErrStopped, readers
-// and the accept loop unblock. Idempotent.
+// and the accept loop unblock. Idempotent. It closes the stop channel
+// first, then answers ErrStopped into every hosted process's reply slot
+// and posts one wake-up into every mailbox, where those waits park. Neither
+// post blocks: a full slot or mailbox holds something its waiter reads
+// before it re-checks stopped, and a wait begun later checks it first.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
 		_ = n.tr.Close()
 		n.mu.Lock()
 		conns := append([]*peerConn(nil), n.conns...)
+		procs := n.procs
 		n.mu.Unlock()
 		for _, pc := range conns {
 			if pc != nil {
 				_ = pc.c.Close()
+			}
+		}
+		for _, p := range procs {
+			select {
+			case p.reply <- answer{err: ErrStopped}:
+			default:
+			}
+		}
+		for _, mb := range n.mailboxes {
+			select {
+			case mb <- inbound{from: anySender}: // a nil mailbox (remote process) is never ready
+			default:
 			}
 		}
 	})
@@ -492,6 +511,25 @@ func (n *Node) stopped() bool {
 	case <-n.stop:
 		return true
 	default:
+		return false
+	}
+}
+
+// post delivers v into ch, a mailbox or reply slot that has room by
+// construction: a mailbox holds one request per sender and the wake-ups,
+// a reply slot one answer per send. The first try does not block, so a
+// post touches the node-wide stop channel only when the slot is full. It
+// reports false if the node stopped first.
+func post[T any](n *Node, ch chan T, v T) bool {
+	select {
+	case ch <- v:
+		return true
+	default:
+	}
+	select {
+	case ch <- v:
+		return true
+	case <-n.stop:
 		return false
 	}
 }
@@ -741,9 +779,7 @@ func (n *Node) readLoop(pc *peerConn) {
 				}
 				continue
 			}
-			select {
-			case n.mailboxes[f.To] <- inbound{from: f.From, seq: f.Seq, vec: f.Vec}:
-			case <-n.stop:
+			if !post(n, n.mailboxes[f.To], inbound{from: f.From, seq: f.Seq, vec: f.Vec}) {
 				return
 			}
 		case wire.KindAck:
@@ -761,12 +797,10 @@ func (n *Node) readLoop(pc *peerConn) {
 				n.noteDropped()
 				continue
 			}
-			// The slot is full only while it holds a late answer to a send
-			// its process abandoned; the process drops that answer as soon
-			// as it waits on its next send.
-			select {
-			case w <- answer{seq: f.Seq, stamp: f.Vec}:
-			case <-n.stop:
+			// The slot is full only while it holds an answer the sender is
+			// about to drop: a late answer to a send its process abandoned,
+			// or an expiry.
+			if !post(n, w, answer{seq: f.Seq, stamp: f.Vec}) {
 				return
 			}
 		case wire.KindBye:

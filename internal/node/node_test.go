@@ -215,14 +215,14 @@ func TestLoopTriangleMixedPlacement(t *testing.T) {
 
 // tcpTransports listens on one localhost TCP port per node and gives every
 // transport the full address list.
-func tcpTransports(t *testing.T, nodes int) []Transport {
-	t.Helper()
+func tcpTransports(tb testing.TB, nodes int) []Transport {
+	tb.Helper()
 	tcp := make([]*TCPTransport, nodes)
 	addrs := make([]string, nodes)
 	for i := range tcp {
 		tr, err := NewTCPTransport("127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		tcp[i] = tr
 		addrs[i] = tr.Addr()

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -42,10 +43,13 @@ type Process struct {
 	// for a specific sender in RecvFrom; their senders stay parked.
 	stash []inbound
 	// reply is the one slot every answer to this process's sends lands in,
-	// from a local receiver's complete or from the read loop's ACK.
+	// and a parked Send waits on it alone: a local receiver's complete and
+	// the read loop's ACK post the stamp, excludePeer ErrPeerLost, Stop
+	// ErrStopped, and the timer its expiries.
 	reply chan answer
-	// timer bounds each Send's wait; every Send re-arms it (armTimer), and
-	// Run stops it once every program has returned.
+	// timer posts an expiry into reply (expire) at a Send's next retry or
+	// its deadline. Made by the first Send that has a deadline, re-armed by
+	// every later one, and stopped by Run once every program has returned.
 	timer *time.Timer
 	// prog is the process's program (nil: immediately done) and err what it
 	// returned, set under the node's mu.
@@ -57,31 +61,40 @@ type Process struct {
 // sequence number of the send it answers, so that Send can drop a late
 // answer to a send it abandoned. An answer with an error ends the send
 // without a stamp: excludePeer answers ErrPeerLost to every send parked on
-// the excluded node.
+// the excluded node. Stop's ErrStopped and the timer's errExpired carry no
+// sequence number: Send reads them against the node's stop state and its
+// own due time.
 type answer struct {
 	seq   uint64
 	stamp vector.V
 	err   error
 }
 
-// armTimer stops the process's timer, drains a tick it may have left in
-// its channel, and re-arms it to fire after d. The drain is what keeps a
-// reused timer sound under the pre-Go 1.23 timer semantics this module
-// builds with (go.mod says go 1.22): a timer that fired after an earlier
-// Send stopped reading it holds a stale tick that would end this Send's
-// wait at once.
-func (p *Process) armTimer(d time.Duration) {
+// errExpired marks the timer's answer: the send's next retry or its
+// deadline may be due.
+var errExpired = errors.New("node: rendezvous timer expired")
+
+// arm sets the process's timer to post an expiry after d and returns when
+// that is due. now is read before the timer is set, so no expiry of this
+// arming arrives before the due time.
+func (p *Process) arm(now time.Time, d time.Duration) time.Time {
 	if p.timer == nil {
-		p.timer = time.NewTimer(d)
-		return
+		p.timer = time.AfterFunc(d, p.expire)
+	} else {
+		p.timer.Reset(d)
 	}
-	if !p.timer.Stop() {
-		select {
-		case <-p.timer.C:
-		default:
-		}
+	return now.Add(d)
+}
+
+// expire is the timer's function. It never blocks: an expiry that finds the
+// slot full is lost, and Send, when it drops what filled the slot, checks
+// its due time itself. An expiry of an earlier arming, which can land
+// during a later send, ends nothing before that send is due.
+func (p *Process) expire() {
+	select {
+	case p.reply <- answer{err: errExpired}:
+	default:
 	}
-	p.timer.Reset(d)
 }
 
 // nextSeq allocates the next send sequence number.
@@ -118,26 +131,29 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	if remote && payload != nil {
 		return nil, fmt.Errorf("node: process %d -> %d: a payload cannot travel to node %d", p.id, q, target)
 	}
+	if n.stopped() {
+		return nil, ErrStopped // Stop's answer may have gone to an earlier send or found the slot full
+	}
 	// On a remote send, the synchronizer paces retransmissions of the SYN
 	// (dedup on the far side makes them idempotent). One timer serves both
-	// the retries and the deadline: it fires at the next retry or at the
-	// rendezvous deadline, whichever comes first. If the partner's node is
-	// removed from the run, the exclusion arrives as an answer in the slot.
+	// the retries and the deadline: it posts an expiry into the reply slot at
+	// the next retry or at the rendezvous deadline, whichever comes first.
+	// Exclusion and Stop answer into the slot too, so the wait is one receive.
 	wait := n.cfg.RendezvousTimeout
 	var peer *tssync.Peer
-	var sendWall, lastWall time.Time
 	var attempts int
 	if remote {
 		peer = n.peers[target]
-		sendWall = time.Now()
-		lastWall = sendWall
 		wait = min(wait, peer.RetryIn(0))
 	}
-	var deadline <-chan time.Time // nil: a wait that never expires arms no timer
-	if wait != math.MaxInt64 {
-		p.armTimer(wait)
-		deadline = p.timer.C
+	var sendWall, due time.Time // zero due: a wait that never expires arms no timer
+	if remote || wait != math.MaxInt64 {
+		sendWall = time.Now()
 	}
+	if wait != math.MaxInt64 {
+		due = p.arm(sendWall, wait)
+	}
+	lastWall := sendWall
 
 	pre := p.clock.Current()
 	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
@@ -145,14 +161,8 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	seq := p.nextSeq()
 	var syn *wire.Frame
 	if !remote {
-		select {
-		case n.mailboxes[q] <- inbound{from: p.id, seq: seq, vec: pre, payload: payload, reply: p.reply}:
-		case <-n.stop:
+		if !post(n, n.mailboxes[q], inbound{from: p.id, seq: seq, vec: pre, payload: payload, reply: p.reply}) {
 			return nil, ErrStopped
-		case <-deadline:
-			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
-			n.fail(err)
-			return nil, err
 		}
 		n.ins.SendBlockNS.Observe(n.cfg.Obs.Now() - t0)
 	} else {
@@ -168,83 +178,87 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	}
 
 	t1 := n.cfg.Obs.Now()
+	var a answer
 	for {
-		select {
-		case a := <-p.reply:
-			if a.seq != seq {
-				// The answer to an earlier send this process abandoned
-				// (ErrPeerLost) arrived after it moved on.
-				n.noteDropped()
-				continue
-			}
-			if a.err != nil {
-				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, a.err)
-			}
-			stamp := a.stamp
-			n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
-			if remote {
-				// Feed the estimate. Karn's rule and the Eifel-style spurious
-				// check live in OnAck, which counts spurious retransmits per
-				// link; an accepted sample is the full first-transmission
-				// round trip. time.Since reads only the monotonic clock,
-				// where time.Now reads the wall clock too.
-				rtt := time.Since(sendWall)
-				sampled, spurious := peer.OnAck(rtt, rtt-lastWall.Sub(sendWall), attempts)
-				if spurious {
-					n.ins.Spurious.Add(1)
-				}
-				if sampled && n.peerRTT != nil && n.peerRTT[target] != nil {
-					n.peerRTT[target].Observe(rtt.Nanoseconds())
-				}
-			}
-			err := p.clock.Adopt(stamp, q)
-			if err != nil && p.rebase() {
-				err = p.clock.Adopt(stamp, q)
-			}
-			if err != nil {
-				err = fmt.Errorf("node: process %d -> %d: %w", p.id, q, err)
-				p.n.fail(err)
-				return nil, err
-			}
-			if err := n.journalCommit(JournalRecord{Kind: journalSend, Proc: p.id, Peer: q, Seq: seq, Stamp: stamp}); err != nil {
-				return nil, err
-			}
-			n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseAdopt, stamp)
-			n.ins.Rendezvous.Add(1)
-			n.ins.Proc(p.id).Add(1)
-			if n.ins.CausalTicks != nil {
-				n.ins.CausalTicks.Observe(obs.StampSum(stamp) - obs.StampSum(pre))
-			}
-			p.log = append(p.log, core.Record{Kind: core.RecordSend, Peer: q, Stamp: stamp})
-			return stamp, nil
-		case <-n.stop:
+		if a = <-p.reply; a.seq == seq {
+			break
+		}
+		if a.err == nil {
+			// The answer to an earlier send this process abandoned
+			// (ErrPeerLost) arrived after it moved on.
+			n.noteDropped()
+		}
+		// Stop's answer, an expiry, or a dropped stale answer, which may
+		// have filled the slot when Stop or the timer posted: check both.
+		if n.stopped() {
 			if remote {
 				n.clearWaiter(p.id)
 			}
 			return nil, ErrStopped
-		case <-deadline:
-			if !remote || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
-				if remote {
-					n.clearWaiter(p.id)
-				}
-				err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
-				n.fail(err)
-				return nil, err
+		}
+		if due.IsZero() || time.Now().Before(due) {
+			continue
+		}
+		if !remote || time.Since(sendWall) >= n.cfg.RendezvousTimeout {
+			if remote {
+				n.clearWaiter(p.id)
 			}
-			// Best effort: during a reconnect there is no connection to
-			// write to; the next retry goes out on the restored session.
-			_ = n.sendToPeer(target, syn)
-			n.retransmits.Add(1)
-			n.ins.Retransmits.Add(1)
-			attempts++
-			lastWall = time.Now()
-			n.noteTimeout(target)
-			retry := peer.RetryIn(attempts)
-			n.ins.BackoffNS.Observe(int64(retry))
-			// The channel was just drained, so Reset cannot leave a stale tick.
-			p.timer.Reset(min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
+			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
+			n.fail(err)
+			return nil, err
+		}
+		// Best effort: during a reconnect there is no connection to
+		// write to; the next retry goes out on the restored session.
+		_ = n.sendToPeer(target, syn)
+		n.retransmits.Add(1)
+		n.ins.Retransmits.Add(1)
+		attempts++
+		lastWall = time.Now()
+		n.noteTimeout(target)
+		retry := peer.RetryIn(attempts)
+		n.ins.BackoffNS.Observe(int64(retry))
+		due = p.arm(lastWall, min(retry, n.cfg.RendezvousTimeout-lastWall.Sub(sendWall)))
+	}
+	if a.err != nil {
+		return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, a.err)
+	}
+	stamp := a.stamp
+	n.ins.SynAckNS.Observe(n.cfg.Obs.Now() - t1)
+	if remote {
+		// Feed the estimate. Karn's rule and the Eifel-style spurious
+		// check live in OnAck, which counts spurious retransmits per
+		// link; an accepted sample is the full first-transmission
+		// round trip. time.Since reads only the monotonic clock,
+		// where time.Now reads the wall clock too.
+		rtt := time.Since(sendWall)
+		sampled, spurious := peer.OnAck(rtt, rtt-lastWall.Sub(sendWall), attempts)
+		if spurious {
+			n.ins.Spurious.Add(1)
+		}
+		if sampled && n.peerRTT != nil && n.peerRTT[target] != nil {
+			n.peerRTT[target].Observe(rtt.Nanoseconds())
 		}
 	}
+	err := p.clock.Adopt(stamp, q)
+	if err != nil && p.rebase() {
+		err = p.clock.Adopt(stamp, q)
+	}
+	if err != nil {
+		err = fmt.Errorf("node: process %d -> %d: %w", p.id, q, err)
+		p.n.fail(err)
+		return nil, err
+	}
+	if err := n.journalCommit(JournalRecord{Kind: journalSend, Proc: p.id, Peer: q, Seq: seq, Stamp: stamp}); err != nil {
+		return nil, err
+	}
+	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseAdopt, stamp)
+	n.ins.Rendezvous.Add(1)
+	n.ins.Proc(p.id).Add(1)
+	if n.ins.CausalTicks != nil {
+		n.ins.CausalTicks.Observe(obs.StampSum(stamp) - obs.StampSum(pre))
+	}
+	p.log = append(p.log, core.Record{Kind: core.RecordSend, Peer: q, Stamp: stamp})
+	return stamp, nil
 }
 
 // Recv blocks for the next incoming rendezvous from any peer, completes it,
@@ -270,13 +284,15 @@ func (p *Process) RecvFrom(from int) (Message, error) {
 }
 
 // anySender is recv's from for Recv. It is also the from of the wake-up
-// excludePeer posts into a mailbox, which no request carries.
+// Stop and excludePeer post into a mailbox, which no request carries.
 const anySender = -1
 
 // recv is the one receive loop: the oldest stashed request from `from`
 // (any sender for anySender), else the mailbox's, stashing other senders'.
-// A wait on a sender whose node is excluded ends with ErrPeerLost, re-checked
-// on entry and on each wake-up excludePeer posts into the mailbox.
+// The wait is one receive on the mailbox. A wait on a sender whose node is
+// excluded ends with ErrPeerLost, re-checked on entry and on each wake-up
+// excludePeer posts into the mailbox; Stop's wake-up ends it with
+// ErrStopped.
 func (p *Process) recv(from int) (Message, error) {
 	n := p.n
 	for i, in := range p.stash {
@@ -285,17 +301,19 @@ func (p *Process) recv(from int) (Message, error) {
 			return p.complete(in)
 		}
 	}
+	if n.stopped() {
+		return Message{}, ErrStopped // Stop's wake-up may have gone to an earlier receive
+	}
 	lost := from != anySender && n.rec.OnPeerLoss == PeerLossExclude && n.isExcluded(n.cfg.Placement[from])
 	t0 := n.cfg.Obs.Now()
 	for !lost {
-		var in inbound
-		select {
-		case in = <-n.mailboxes[p.id]:
-		case <-n.stop:
-			return Message{}, ErrStopped
-		}
+		in := <-n.mailboxes[p.id]
 		switch {
 		case in.from == anySender:
+			// Stop's wake-up first: a one-node node has no exclusion table.
+			if n.stopped() {
+				return Message{}, ErrStopped
+			}
 			lost = n.takeWake(p.id, from)
 		case from == anySender || in.from == from:
 			n.ins.RecvBlockNS.Observe(n.cfg.Obs.Now() - t0)
@@ -334,10 +352,8 @@ func (p *Process) complete(in inbound) (Message, error) {
 	}
 	if in.reply != nil {
 		// The sender is parked on its slot; the slot is full only while it
-		// still holds a late answer the sender is about to drop.
-		select {
-		case in.reply <- answer{seq: in.seq, stamp: stamp}:
-		case <-p.n.stop:
+		// still holds an answer the sender is about to drop.
+		if !post(p.n, in.reply, answer{seq: in.seq, stamp: stamp}) {
 			return Message{}, ErrStopped
 		}
 	} else {

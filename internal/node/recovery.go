@@ -339,9 +339,7 @@ func (n *Node) excludePeer(peer int) {
 		}
 	}
 	for _, w := range parked {
-		select { // as the read loop posts an ACK
-		case w.reply <- answer{seq: w.seq, err: ErrPeerLost}:
-		case <-n.stop:
+		if !post(n, w.reply, answer{seq: w.seq, err: ErrPeerLost}) { // as the read loop posts an ACK
 			return
 		}
 	}
