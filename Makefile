@@ -47,8 +47,10 @@ race:
 # times over and again at GOMAXPROCS=1, where a non-blocking post and a
 # parked receive interleave differently, csp's join, stop, deadline,
 # failure and stash tests ten times over (they drive node's local path and
-# its Join on one node), plus the tsnode integration test (real OS
-# processes over localhost TCP).
+# its Join on one node), the two rendezvous benchmarks for a few thousand
+# messages (`go test` compiles benchmarks but never runs them, and
+# BenchmarkTCPRendezvous is the hot path's probe), plus the tsnode
+# integration test (real OS processes over localhost TCP).
 net-test:
 	$(GO) test -race ./internal/wire ./internal/node
 	GOMAXPROCS=1 $(GO) test -race -run 'TestCoalescingDeterminism|TestCloseDeliversInheritedFlush' ./internal/node
@@ -56,6 +58,7 @@ net-test:
 	$(GO) test -race -count=10 -run 'TestWait' ./internal/node
 	GOMAXPROCS=1 $(GO) test -race -run 'TestWait' ./internal/node
 	$(GO) test -race -count=10 -run 'Join|Stop|Ops|Deadline|Drain|Failure|Stash' ./internal/csp
+	$(GO) test -run '^$$' -bench 'BenchmarkTCPRendezvous|BenchmarkLoopRendezvous' -benchtime 2000x ./internal/node
 	$(GO) test -race -run 'TestRunInProcessCluster|TestE2E' -v ./cmd/tsnode
 
 # Observability gate: the obs package (including the zero-alloc-when-

@@ -94,3 +94,46 @@ func TestAdoptCopiesIntoOwnVector(t *testing.T) {
 		t.Fatalf("clock %v after the adopted stamp was mutated, want %v", got, want)
 	}
 }
+
+// TestAppendCurrentIntoCallerBuffer pins AppendCurrent: it appends the same
+// snapshot Current returns, reuses a buffer with room without allocating,
+// and leaves no alias of the clock, so writes to the buffer never reach
+// the clock and later exchanges never reach the buffer.
+func TestAppendCurrentIntoCallerBuffer(t *testing.T) {
+	dec := decomp.Best(graph.Path(3))
+	s, r := NewClock(0, dec), NewClock(1, dec)
+	stamp, err := r.Merge(s.Current(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(stamp, 1); err != nil {
+		t.Fatal(err)
+	}
+	buf := s.AppendCurrent(nil)
+	if !vector.Eq(buf, s.Current()) {
+		t.Fatalf("AppendCurrent = %v, Current = %v", buf, s.Current())
+	}
+	if got := s.AppendCurrent(vector.V{7}); !vector.Eq(got, append(vector.V{7}, s.Current()...)) {
+		t.Fatalf("AppendCurrent onto [7] = %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendCurrent(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendCurrent into a buffer with room allocates %.1f objects, want 0", allocs)
+	}
+	snap := buf.Clone()
+	for k := range buf {
+		buf[k] += 100
+	}
+	if got := s.Current(); !vector.Eq(got, snap) {
+		t.Fatalf("writing the buffer moved the clock to %v, want %v", got, snap)
+	}
+	buf = s.AppendCurrent(buf[:0])
+	if _, err := r.Merge(s.Current(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(r.Current(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !vector.Eq(buf, snap) {
+		t.Fatalf("an exchange after the snapshot rewrote the buffer to %v, want %v", buf, snap)
+	}
+}

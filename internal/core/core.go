@@ -53,6 +53,12 @@ func (c *Clock) Proc() int { return c.proc }
 // (line (4)).
 func (c *Clock) Current() vector.V { return c.v.Clone() }
 
+// AppendCurrent appends the local vector to dst and returns the extended
+// slice, as append does: the snapshot Current takes, into storage the
+// caller owns. A runtime that reuses one buffer per process (dst[:0])
+// snapshots its clock without allocating.
+func (c *Clock) AppendCurrent(dst vector.V) vector.V { return append(dst, c.v...) }
+
 // Rebase switches the clock to a grown decomposition (same d; every channel
 // of the current decomposition keeps its group — see decomp.Extends). The
 // local vector is untouched, so all earlier timestamps stay valid. Rebase

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,19 @@ func TestClockErrors(t *testing.T) {
 	c2 := NewClock(0, sparse)
 	if _, err := c2.Merge(vector.New(sparse.D()), 2); err == nil {
 		t.Fatal("Merge accepted an uncovered channel")
+	}
+	// A self or out-of-range peer is an uncovered channel too: an error,
+	// never a panic, and the clock is left as it was.
+	for _, peer := range []int{0, -1, 3, 1 << 40} {
+		if _, err := c2.Merge(vector.New(sparse.D()), peer); err == nil || !strings.Contains(err.Error(), "not covered") {
+			t.Fatalf("Merge with peer %d: err %v, want a not-covered error", peer, err)
+		}
+		if err := c2.Adopt(vector.New(sparse.D()), peer); err == nil || !strings.Contains(err.Error(), "not covered") {
+			t.Fatalf("Adopt with peer %d: err %v, want a not-covered error", peer, err)
+		}
+	}
+	if got := c2.Current(); !vector.Eq(got, vector.New(sparse.D())) {
+		t.Fatalf("refused exchanges moved the clock to %v", got)
 	}
 	defer func() {
 		if recover() == nil {

@@ -80,10 +80,18 @@ func (g Group) String() string {
 // New; the index of each group is the vector-clock component assigned to its
 // edges by the online algorithm.
 type Decomposition struct {
-	groups    []Group
-	edgeGroup map[graph.Edge]int
+	groups []Group
+	// edgeGroup maps each member edge, keyed by edgeKey, to its group. A
+	// uint64 key takes Go's fast64 map path; a graph.Edge key is hashed as
+	// a struct on every Merge and Adopt.
+	edgeGroup map[uint64]int
 	n         int
 }
+
+// edgeKey packs a normalized edge (0 <= U < V) into one map key: U in the
+// high 32 bits, V in the low. Every member edge lies in [0, n), and GroupOf
+// refuses a channel outside it before packing, so no two edges share a key.
+func edgeKey(e graph.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
 
 // New assembles a Decomposition over a topology with n vertices from its
 // groups. It returns an error if any group's edges do not form the claimed
@@ -92,7 +100,7 @@ type Decomposition struct {
 func New(n int, groups []Group) (*Decomposition, error) {
 	d := &Decomposition{
 		groups:    make([]Group, 0, len(groups)),
-		edgeGroup: make(map[graph.Edge]int),
+		edgeGroup: make(map[uint64]int),
 		n:         n,
 	}
 	for gi, grp := range groups {
@@ -104,7 +112,7 @@ func New(n int, groups []Group) (*Decomposition, error) {
 			if e.V >= n {
 				return nil, fmt.Errorf("decomp: group %d edge %v out of range for n=%d", gi, e, n)
 			}
-			if prev, dup := d.edgeGroup[e]; dup {
+			if prev, dup := d.edgeGroup[edgeKey(e)]; dup {
 				return nil, fmt.Errorf("decomp: edge %v in groups %d and %d", e, prev, gi)
 			}
 			sub.AddEdge(e.U, e.V)
@@ -144,7 +152,7 @@ func New(n int, groups []Group) (*Decomposition, error) {
 		idx := len(d.groups)
 		d.groups = append(d.groups, norm)
 		for _, e := range norm.Edges {
-			d.edgeGroup[e] = idx
+			d.edgeGroup[edgeKey(e)] = idx
 		}
 	}
 	return d, nil
@@ -173,16 +181,23 @@ func (d *Decomposition) Groups() []Group { return d.groups }
 
 // GroupOf returns the index g such that the channel (a, b) belongs to edge
 // group E_g (the e(m) of Section 3.2), and whether the edge is covered at
-// all.
+// all. A channel that cannot be an edge — a self channel, or a negative or
+// out-of-range vertex — is not covered.
 func (d *Decomposition) GroupOf(a, b int) (int, bool) {
-	gi, ok := d.edgeGroup[graph.NewEdge(a, b)]
+	if a > b {
+		a, b = b, a
+	}
+	if a < 0 || a == b || b >= d.n {
+		return 0, false
+	}
+	gi, ok := d.edgeGroup[edgeKey(graph.Edge{U: a, V: b})]
 	return gi, ok
 }
 
 // Covers reports whether every edge of g belongs to some group.
 func (d *Decomposition) Covers(g *graph.Graph) bool {
 	for _, e := range g.Edges() {
-		if _, ok := d.edgeGroup[e]; !ok {
+		if _, ok := d.edgeGroup[edgeKey(e)]; !ok {
 			return false
 		}
 	}

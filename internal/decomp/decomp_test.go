@@ -27,6 +27,29 @@ func TestNewValidStar(t *testing.T) {
 	}
 }
 
+// TestGroupOfUncoveredChannels pins that a channel which cannot be an edge
+// is reported uncovered rather than panicking: a self channel, a negative
+// vertex, or a vertex at or beyond N. Pairs a wrong key packing would merge
+// — (u,v) against (v,u) is the same edge, and vertices past 32 bits —
+// resolve to their own groups or to none.
+func TestGroupOfUncoveredChannels(t *testing.T) {
+	d := Best(graph.Complete(4))
+	for _, ch := range [][2]int{{0, 0}, {3, 3}, {-1, 0}, {0, -1}, {-1, -1}, {-5, 2}, {0, 4}, {4, 0}, {1, 1 << 32}, {1 << 32, 0}, {1 << 33, 1}} {
+		if g, ok := d.GroupOf(ch[0], ch[1]); ok {
+			t.Errorf("GroupOf(%d, %d) = %d, covered; want uncovered", ch[0], ch[1], g)
+		}
+	}
+	for _, grp := range d.Groups() {
+		for _, e := range grp.Edges {
+			g1, ok1 := d.GroupOf(e.U, e.V)
+			g2, ok2 := d.GroupOf(e.V, e.U)
+			if !ok1 || !ok2 || g1 != g2 || d.Groups()[g1].String() != grp.String() {
+				t.Errorf("edge %v: GroupOf = (%d,%v) and (%d,%v), want its group %v", e, g1, ok1, g2, ok2, grp)
+			}
+		}
+	}
+}
+
 func TestNewRejectsBadGroups(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -929,7 +929,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		if st := n.restored[p]; st != nil {
 			// Resume from the journal: the clock, log, and send sequence
 			// counter continue where the previous incarnation committed.
-			proc.clock, proc.log, proc.seq = st.clock, st.log, st.seq
+			proc.clock, proc.log.cur, proc.seq = st.clock, st.log, st.seq
 		} else {
 			proc.clock = core.NewClock(p, n.cfg.Dec)
 		}
@@ -1012,7 +1012,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 		}
 	}
 	for _, proc := range procs {
-		info.Logs[proc.id] = proc.log
+		info.Logs[proc.id] = proc.log.join()
 	}
 	// End-of-run dump, the only one with the frame table: after a journal
 	// Restore re-primed the ring, it holds the incarnation's complete

@@ -31,7 +31,15 @@ type Process struct {
 	id    int
 	n     *Node
 	clock *core.Clock
-	log   []core.Record
+	log   recordLog
+	// pre holds the pre-merge vector of the process's send in flight, the
+	// one a SYN or a local request carries. It is reused by every send:
+	// one send per process is outstanding; a local receiver reads it
+	// before the answer that unparks the sender; retransmissions re-encode
+	// it while the sender is still parked. A local send that ends with an
+	// error has stopped the node, and a send after Stop returns before it
+	// writes the buffer; a remote one's SYN was encoded when written.
+	pre vector.V
 	// seq numbers this process's sends (local and remote alike), starting
 	// at 1. It is what makes retransmission and receiver-side dedup sound:
 	// Send blocks until its ACK, so at most one sequence number is ever
@@ -68,6 +76,49 @@ type answer struct {
 	seq   uint64
 	stamp vector.V
 	err   error
+}
+
+// logChunk is how many records one chunk of a process's log holds: 512
+// records of 56 bytes stay under Go's 32 KB small-object limit.
+const logChunk = 512
+
+// recordLog is a process's rendezvous log. Past its first logChunk
+// records it grows one fixed chunk at a time, so a record is one write
+// into memory the process already owns: one slice regrown by append
+// copies the whole log at every growth, about 1.25× for a long slice, and
+// 1M messages allocated 599 MB of log for 112 MB of records. Run joins the
+// chunks once into RunInfo.Logs.
+type recordLog struct {
+	full [][]core.Record // filled chunks, oldest first
+	cur  []core.Record   // the chunk being filled; grows by append to logChunk
+}
+
+// add appends one record.
+func (l *recordLog) add(r core.Record) {
+	if len(l.cur) >= logChunk {
+		l.full = append(l.full, l.cur)
+		l.cur = make([]core.Record, 0, logChunk)
+	}
+	l.cur = append(l.cur, r)
+}
+
+// join returns the whole log as one slice: the chunk itself for a log
+// that never filled one, else one copy of every chunk, each released as
+// it is copied.
+func (l *recordLog) join() []core.Record {
+	if len(l.full) == 0 {
+		return l.cur
+	}
+	total := len(l.cur)
+	for _, c := range l.full {
+		total += len(c)
+	}
+	out := make([]core.Record, 0, total)
+	for i, c := range l.full {
+		out = append(out, c...)
+		l.full[i] = nil
+	}
+	return append(out, l.cur...)
 }
 
 // errExpired marks the timer's answer: the send's next retry or its
@@ -155,7 +206,8 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	}
 	lastWall := sendWall
 
-	pre := p.clock.Current()
+	p.pre = p.clock.AppendCurrent(p.pre[:0])
+	pre := p.pre
 	n.cfg.Obs.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
 	t0 := n.cfg.Obs.Now()
 	seq := p.nextSeq()
@@ -257,7 +309,7 @@ func (p *Process) SendPayload(q int, payload any) (vector.V, error) {
 	if n.ins.CausalTicks != nil {
 		n.ins.CausalTicks.Observe(obs.StampSum(stamp) - obs.StampSum(pre))
 	}
-	p.log = append(p.log, core.Record{Kind: core.RecordSend, Peer: q, Stamp: stamp})
+	p.log.add(core.Record{Kind: core.RecordSend, Peer: q, Stamp: stamp})
 	return stamp, nil
 }
 
@@ -369,7 +421,7 @@ func (p *Process) complete(in inbound) (Message, error) {
 	p.n.cfg.Obs.Rendezvous(p.n.cfg.Node, p.id, in.from, obs.PhaseAck, stamp)
 	p.n.ins.Rendezvous.Add(1)
 	p.n.ins.Proc(p.id).Add(1)
-	p.log = append(p.log, core.Record{Kind: core.RecordRecv, Peer: in.from, Stamp: stamp})
+	p.log.add(core.Record{Kind: core.RecordRecv, Peer: in.from, Stamp: stamp})
 	return Message{From: in.from, Payload: in.payload, Stamp: stamp}, nil
 }
 
@@ -396,7 +448,7 @@ func (p *Process) Internal(note any) {
 		// clock.
 		_ = p.n.journalCommit(JournalRecord{Kind: journalInternal, Proc: p.id, Note: noteText(note)})
 	}
-	p.log = append(p.log, core.Record{Kind: core.RecordInternal, Note: note})
+	p.log.add(core.Record{Kind: core.RecordInternal, Note: note})
 	p.n.ins.InternalEvents.Add(1)
 	// Guarded so the clock snapshot (a clone) and the rendering only happen
 	// when a recorder is on.

@@ -120,13 +120,14 @@ func (o *Obs) Now() int64 {
 // the hosting node; a csp run is one node, node 0.
 func (o *Obs) Rendezvous(node, proc, peer int, ph Phase, stamp vector.V) {
 	if o.Recording() {
-		o.Recorder.Record(Event{Node: node, Proc: proc, Peer: peer, Phase: ph, Stamp: stamp})
+		o.Recorder.record(node, proc, peer, ph, stamp, "")
 	}
 }
 
 // Internal records an internal event with the process's current vector.
+// The stamp is copied, so the caller may reuse its storage.
 func (o *Obs) Internal(node, proc int, stamp vector.V, note string) {
 	if o.Recording() {
-		o.Recorder.Record(Event{Node: node, Proc: proc, Peer: -1, Phase: PhaseInternal, Stamp: stamp, Note: note})
+		o.Recorder.record(node, proc, -1, PhaseInternal, stamp, note)
 	}
 }

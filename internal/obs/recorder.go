@@ -34,16 +34,33 @@ type Recorder struct {
 	dump func()                     // optional hook fired by RequestDump
 }
 
-// procLog is one process's events. With a ring, events has ring slots,
-// events[n%ring] is the next to overwrite, and slot j's stamp is
-// stamps[j*d:(j+1)*d]. One slab per process keeps a process's writes
-// contiguous; a stamp allocated per slot scattered them across the heap
-// and cost a 32-process node about 40% more CPU in Record.
+// procLog is one process's events. Keeping every event, events holds them
+// in order. A ring holds the last ring events in three arrays indexed by
+// slot, slot n%ring being the next to overwrite: slots, each event's
+// fields but its stamp and note; stamps, a slab in which slot j's stamp
+// starts at j*stride; and notes, which only an event with a note writes.
+// One slab per process keeps a process's writes contiguous; a stamp
+// allocated per slot scattered them across the heap and cost a 32-process
+// node about 40% more CPU in Record.
 type procLog struct {
 	mu     sync.Mutex
 	events []Event
-	stamps vector.V // a ring's stamp slab; reallocated if the stamp width changes
-	n      int      // events ever recorded: the next event's Seq
+	slots  []slot
+	stamps vector.V
+	stride int // the widest stamp yet; the slab is re-laid if a wider one comes
+	notes  []string
+	n      int // events ever recorded: the next event's Seq
+}
+
+// slot is one ring event without its stamp and note. It holds no pointer,
+// so recording writes no pointer into the ring, where an Event's stamp
+// slice and note string put two pointer writes, write barriers included,
+// on every event, and the GC never scans the slots.
+type slot struct {
+	node, peer int
+	width      int32 // the stamp's length
+	phase      Phase
+	note       bool // notes holds the event's note
 }
 
 // NewRecorder returns a recorder that keeps each process's last ring
@@ -67,24 +84,40 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	l := r.log(e.Proc)
+	r.record(e.Node, e.Proc, e.Peer, e.Phase, e.Stamp, e.Note)
+}
+
+// record is Record with the event's fields passed one by one, so the
+// runtime's hooks build no Event on the hot path.
+func (r *Recorder) record(node, proc, peer int, ph Phase, stamp vector.V, note string) {
+	l := r.log(proc)
 	l.mu.Lock()
-	e.Seq = l.n
 	if r.ring == 0 {
-		e.Stamp = e.Stamp.Clone()
-		l.events = append(l.events, e)
+		l.events = append(l.events, Event{Node: node, Proc: proc, Peer: peer, Seq: l.n, Phase: ph, Stamp: stamp.Clone(), Note: note})
 	} else {
-		j, d := l.n%r.ring, len(e.Stamp)
-		if len(l.stamps) != r.ring*d {
-			l.stamps = make(vector.V, r.ring*d)
+		j := l.n % r.ring
+		if len(stamp) > l.stride {
+			l.widen(len(stamp))
 		}
-		s := l.stamps[j*d : (j+1)*d : (j+1)*d]
-		copy(s, e.Stamp)
-		e.Stamp = s
-		l.events[j] = e
+		copy(l.stamps[j*l.stride:], stamp)
+		if note != "" || l.slots[j].note {
+			l.notes[j] = note // a rendezvous event overwriting a note drops it
+		}
+		l.slots[j] = slot{node: node, peer: peer, width: int32(len(stamp)), phase: ph, note: note != ""}
 	}
 	l.n++
 	l.mu.Unlock()
+}
+
+// widen re-lays a ring's slab at stride w, keeping every held stamp. It
+// runs at a process's first event, which fixes the stride for a runtime
+// whose stamps all have the decomposition's width.
+func (l *procLog) widen(w int) {
+	grown := make(vector.V, len(l.slots)*w)
+	for j, s := range l.slots {
+		copy(grown[j*w:], l.stamps[j*l.stride:j*l.stride+int(s.width)])
+	}
+	l.stamps, l.stride = grown, w
 }
 
 // log returns process p's log, adding it on p's first event.
@@ -100,7 +133,7 @@ func (r *Recorder) log(p int) *procLog {
 	}
 	grown := make([]*procLog, max(p+1, len(logs)))
 	copy(grown, logs)
-	grown[p] = &procLog{events: make([]Event, r.ring)}
+	grown[p] = &procLog{slots: make([]slot, r.ring), notes: make([]string, r.ring)}
 	r.logs.Store(&grown)
 	return grown[p]
 }
@@ -114,31 +147,33 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	var out []Event
-	for _, l := range *r.logs.Load() {
+	for p, l := range *r.logs.Load() {
 		if l != nil {
-			out = l.appendTo(out, r.ring)
+			out = l.appendTo(out, p, r.ring)
 		}
 	}
 	return out
 }
 
-// appendTo appends the log's held events to out, oldest first.
-func (l *procLog) appendTo(out []Event, ring int) []Event {
+// appendTo appends the log's held events to out, oldest first. A ring
+// rebuilds each event from its slot, its stamp copied out of the slab (the
+// slab is reused) into one allocation for all of them.
+func (l *procLog) appendTo(out []Event, proc, ring int) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if ring == 0 {
 		// Recorded stamps are never written again, so they can be shared.
 		return append(out, l.events...)
 	}
-	start := len(out)
-	if l.n < ring {
-		out = append(out, l.events[:l.n]...)
-	} else {
-		k := l.n % ring
-		out = append(append(out, l.events[k:]...), l.events[:k]...)
-	}
-	for i := start; i < len(out); i++ {
-		out[i].Stamp = out[i].Stamp.Clone() // the slab is reused
+	first := max(0, l.n-ring)
+	stamps := make(vector.V, (l.n-first)*l.stride) // room for the widest
+	for seq := first; seq < l.n; seq++ {
+		j := seq % ring
+		s := l.slots[j]
+		stamp := stamps[:s.width:s.width]
+		stamps = stamps[s.width:]
+		copy(stamp, l.stamps[j*l.stride:])
+		out = append(out, Event{Node: s.node, Proc: proc, Peer: s.peer, Seq: seq, Phase: s.phase, Stamp: stamp, Note: l.notes[j]})
 	}
 	return out
 }

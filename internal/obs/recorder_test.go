@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"sync"
@@ -98,6 +99,96 @@ func TestFlightDumpDeterministicAcrossInterleavings(t *testing.T) {
 		if !reflect.DeepEqual(e1, e2) {
 			t.Fatalf("ring %d: dumps differ across interleavings:\n%v\n%v", ring, e1, e2)
 		}
+	}
+}
+
+// TestFlightRingMatchesKeepAll is the ring's property: fed the same
+// random per-process event sequences in a random interleaving, a ring
+// recorder's Events equal the last ring events of each process that a
+// keep-all recorder holds, seq included. The sequences mix all five
+// phases, notes (empty ones too), nodes -1 and up, peer -1, and now and
+// then a stamp wider or narrower than the rest, over ring sizes 1 to 9.
+func TestFlightRingMatchesKeepAll(t *testing.T) {
+	phases := []Phase{PhaseSyn, PhaseMerge, PhaseAck, PhaseAdopt, PhaseInternal}
+	for ring := 1; ring <= 9; ring++ {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed*10 + int64(ring)))
+			procs, d := 1+rng.Intn(4), rng.Intn(5)
+			seqs := make([][]Event, procs)
+			for p := range seqs {
+				for k := rng.Intn(3 * ring); k > 0; k-- {
+					e := Event{Node: rng.Intn(4) - 1, Proc: p, Peer: rng.Intn(procs+1) - 1, Phase: phases[rng.Intn(len(phases))]}
+					if e.Phase == PhaseInternal {
+						e.Peer = -1
+						e.Note = []string{"", "n", fmt.Sprintf("note-%d-%d", p, k)}[rng.Intn(3)]
+					}
+					w := d
+					if rng.Intn(8) == 0 {
+						w = max(0, d+rng.Intn(3)-1)
+					}
+					e.Stamp = make(vector.V, w)
+					for c := range e.Stamp {
+						e.Stamp[c] = rng.Intn(50)
+					}
+					seqs[p] = append(seqs[p], e)
+				}
+			}
+			ringRec, all := NewRecorder(ring, 0), NewRecorder(0)
+			for left := append([][]Event(nil), seqs...); ; {
+				var live []int
+				for p, q := range left {
+					if len(q) > 0 {
+						live = append(live, p)
+					}
+				}
+				if len(live) == 0 {
+					break
+				}
+				p := live[rng.Intn(len(live))]
+				e := left[p][0]
+				left[p] = left[p][1:]
+				ringRec.Record(e)
+				all.Record(e)
+				for c := range e.Stamp {
+					e.Stamp[c] = -1 // recorders copy: the caller's vector is free again
+				}
+			}
+			var want []Event // each process's last ring events, in (proc, seq) order
+			for _, e := range all.Events() {
+				if e.Seq >= len(seqs[e.Proc])-ring {
+					want = append(want, e)
+				}
+			}
+			if got := ringRec.Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ring %d seed %d: ring holds\n%v\nkeep-all's last %d per process are\n%v", ring, seed, got, ring, want)
+			}
+			if ringRec.Recorded() != all.Recorded() {
+				t.Fatalf("ring %d seed %d: recorded %d, keep-all %d", ring, seed, ringRec.Recorded(), all.Recorded())
+			}
+		}
+	}
+}
+
+// TestFlightRingDropsOverwrittenNote pins the notes ring: once a
+// rendezvous event overwrites the slot of an internal event, the note is
+// gone from Events and from the ring's storage.
+func TestFlightRingDropsOverwrittenNote(t *testing.T) {
+	const ring = 3
+	r := NewRecorder(ring)
+	r.Record(Event{Proc: 0, Peer: -1, Phase: PhaseInternal, Stamp: vector.V{0, 0}, Note: "gone"})
+	r.Record(Event{Proc: 0, Peer: -1, Phase: PhaseInternal, Stamp: vector.V{0, 0}, Note: "kept"})
+	r.Record(Event{Proc: 0, Peer: 1, Phase: PhaseSyn, Stamp: vector.V{0, 0}})
+	r.Record(Event{Proc: 0, Peer: 1, Phase: PhaseAdopt, Stamp: vector.V{1, 0}}) // overwrites "gone"
+	want := []Event{
+		{Proc: 0, Peer: -1, Seq: 1, Phase: PhaseInternal, Stamp: vector.V{0, 0}, Note: "kept"},
+		{Proc: 0, Peer: 1, Seq: 2, Phase: PhaseSyn, Stamp: vector.V{0, 0}},
+		{Proc: 0, Peer: 1, Seq: 3, Phase: PhaseAdopt, Stamp: vector.V{1, 0}},
+	}
+	if got := r.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events %v, want %v", got, want)
+	}
+	if l := (*r.logs.Load())[0]; l.notes[0] != "" || l.slots[0].note {
+		t.Fatalf("overwritten slot still holds note %q (flag %v)", l.notes[0], l.slots[0].note)
 	}
 }
 

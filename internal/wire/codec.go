@@ -89,9 +89,12 @@ type Verdict struct {
 	Problems []string
 }
 
-// pair keys the delta baselines: the ordered (from, to) process pair whose
-// frames carry vectors from from to to.
-type pair struct{ from, to int }
+// pairKey keys the delta baselines by the ordered (from, to) process pair
+// whose frames carry vectors from from to to: from in the high 32 bits, to
+// in the low. A decoded frame's from and to are at most 1<<31, so every
+// pair a stream can carry has its own key, and one uint64 takes Go's
+// fast64 map path where a struct key is hashed.
+func pairKey(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
 // Stats is per-kind frame accounting, indexed by Kind. Bytes include the
 // length-prefix header, so sums match what the transport actually carried.
@@ -139,7 +142,7 @@ func Kinds() []Kind {
 type Encoder struct {
 	w     *bufio.Writer
 	d     int
-	last  map[pair]vector.V
+	last  map[uint64]vector.V // by pairKey
 	buf   []byte
 	batch bool
 
@@ -161,7 +164,7 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder for vectors of length d.
 func NewEncoder(w io.Writer, d int) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), d: d, last: make(map[pair]vector.V)}
+	return &Encoder{w: bufio.NewWriter(w), d: d, last: make(map[uint64]vector.V)}
 }
 
 // SetBatch switches the encoder between flush-per-frame (the default, every
@@ -335,7 +338,7 @@ func (e *Encoder) appendVec(dst []byte, f *Frame) []byte {
 		e.Overhead.Add(size, size)
 		return dst
 	}
-	key := pair{f.From, f.To}
+	key := pairKey(f.From, f.To)
 	base, ok := e.last[key]
 	if !ok {
 		base = vector.New(e.d)
@@ -405,16 +408,22 @@ func appendZigzag(dst []byte, x int64) []byte {
 
 // Decoder reads frames from one stream, mirroring the Encoder's delta
 // baselines. A Decoder is not safe for concurrent use.
+//
+// A frame that fails to decode may leave its pair's baseline partly
+// advanced: a SYN or ACK is applied to the baseline in place as it is read.
+// The stream is then out of step with its encoder, so a caller drops it
+// after the first error, as every caller does and as it must after any
+// framing error.
 type Decoder struct {
 	r    *bufio.Reader
 	d    int
-	last map[pair]vector.V
+	last map[uint64]vector.V // by pairKey
 	buf  []byte
 }
 
 // NewDecoder returns a Decoder for vectors of length d.
 func NewDecoder(r io.Reader, d int) *Decoder {
-	return &Decoder{r: bufio.NewReader(r), d: d, last: make(map[pair]vector.V)}
+	return &Decoder{r: bufio.NewReader(r), d: d, last: make(map[uint64]vector.V)}
 }
 
 // Decode reads the next frame into a fresh Frame. It returns io.EOF only
@@ -683,27 +692,28 @@ func readNamedValues(r *reader, what string) (map[string]int64, error) {
 }
 
 // readVec decodes a vector and advances the (from, to) baseline exactly as
-// the encoder did. The returned vector is a fresh allocation (internal/node
-// keeps it in mailboxes and logs past the next decode); the baseline is a
-// separate array updated in place, so a warm SYN/ACK costs exactly the
-// vector through DecodeInto and the vector plus the Frame through Decode —
-// bench_test.go pins both.
+// the encoder did. The frame is applied to the baseline in place, dense
+// components and delta entries alike, and the result is cloned once: the
+// returned vector is a fresh allocation (internal/node keeps it in
+// mailboxes and logs past the next decode), so a warm SYN/ACK costs
+// exactly the vector through DecodeInto and the vector plus the Frame
+// through Decode — bench_test.go pins both. A frame that fails part-way
+// leaves the baseline partly advanced (see Decoder).
 func (d *Decoder) readVec(r *reader, from, to int) (vector.V, error) {
 	mode, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
-	key := pair{from, to}
+	key := pairKey(from, to)
 	base, ok := d.last[key]
 	if !ok {
 		base = vector.New(d.d)
 		d.last[key] = base
 	}
-	v := vector.New(d.d)
 	switch mode {
 	case 0: // dense
-		for k := range v {
-			if v[k], err = r.intField("component", 1<<62); err != nil {
+		for k := range base {
+			if base[k], err = r.intField("component", 1<<62); err != nil {
 				return nil, err
 			}
 		}
@@ -712,7 +722,6 @@ func (d *Decoder) readVec(r *reader, from, to int) (vector.V, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(v, base)
 		for i := 0; i < count; i++ {
 			idx, err := r.intField("delta index", uint64(d.d))
 			if err != nil {
@@ -722,14 +731,13 @@ func (d *Decoder) readVec(r *reader, from, to int) (vector.V, error) {
 			if err != nil {
 				return nil, err
 			}
-			if idx >= len(v) {
-				return nil, fmt.Errorf("wire: delta index %d out of range [0,%d)", idx, len(v))
+			if idx >= len(base) {
+				return nil, fmt.Errorf("wire: delta index %d out of range [0,%d)", idx, len(base))
 			}
-			v[idx] = val
+			base[idx] = val
 		}
 	default:
 		return nil, fmt.Errorf("wire: unknown vector mode %d", mode)
 	}
-	copy(base, v)
-	return v, nil
+	return base.Clone(), nil
 }

@@ -17,13 +17,13 @@ import (
 // needs no vector length. A warm Parse and Emit allocate nothing. A Relay
 // is not safe for concurrent use.
 type Relay struct {
-	sent, recv map[pair]vector.V
-	buf        []byte // Emit's (index, value) list
+	sent, recv map[uint64]vector.V // by pairKey
+	buf        []byte              // Emit's (index, value) list
 }
 
 // NewRelay returns a Relay for a fresh stream.
 func NewRelay() *Relay {
-	return &Relay{sent: make(map[pair]vector.V), recv: make(map[pair]vector.V)}
+	return &Relay{sent: make(map[uint64]vector.V), recv: make(map[uint64]vector.V)}
 }
 
 // Parse decodes frame, one SYN or ACK as an Encoder wrote it (length
@@ -51,7 +51,7 @@ func (r *Relay) Parse(frame []byte, f *Frame) error {
 		f.Seq, err = rd.uvarint()
 	}
 	mode := field("vector mode", 1)
-	key := pair{f.From, f.To}
+	key := pairKey(f.From, f.To)
 	base := r.sent[key]
 	if err == nil && mode == 0 { // dense: every component, up to the frame's end
 		base = base[:0]
@@ -79,7 +79,7 @@ func (r *Relay) Parse(frame []byte, f *Frame) error {
 // next: a delta against the reader's baseline for its pair, which it then
 // advances. A frame emitted twice is delivered twice.
 func (r *Relay) Emit(dst []byte, f *Frame) []byte {
-	key := pair{f.From, f.To}
+	key := pairKey(f.From, f.To)
 	base := r.recv[key]
 	for len(base) < len(f.Vec) {
 		base = append(base, 0)

@@ -11,19 +11,22 @@ import (
 
 // relayStream writes n random SYN and ACK frames with a real Encoder over
 // a few process pairs, the first of which carries both kinds, so SYNs and
-// ACKs share its baseline. Each vector moves by one component (a delta) or
-// by all of them (dense), and one frame in five is forced dense. Every
-// frame goes through a Relay, which passes it, drops it, duplicates it, or
-// holds it and releases it after later frames; every frame the reader's
-// Decoder reads must carry exactly the header and vector written.
+// ACKs share its baseline. The pairs include ones a wrong baseline key
+// would merge: (1,2) against (2,1), and (0, 1<<31) against (1<<31, 0).
+// Each vector moves by one component (a delta) or by all of them (dense),
+// and one frame in five is forced dense. Every frame goes through a Relay,
+// which passes it, drops it, duplicates it, or holds it and releases it
+// after later frames; every frame the reader's Decoder reads must carry
+// exactly the header and vector written.
 func relayStream(seed int64, n int) error {
 	rng := rand.New(rand.NewSource(seed))
 	d := 1 + rng.Intn(6)
 	pairs := []struct {
 		kind     Kind
 		from, to int
-	}{{KindSyn, 0, 1}, {KindAck, 0, 1}, {KindAck, 1, 0}, {KindSyn, 2, 0}}
-	clocks := map[pair]vector.V{}
+	}{{KindSyn, 0, 1}, {KindAck, 0, 1}, {KindAck, 1, 0}, {KindSyn, 2, 0},
+		{KindSyn, 1, 2}, {KindAck, 2, 1}, {KindSyn, 0, 1 << 31}, {KindAck, 1 << 31, 0}}
+	clocks := map[[2]int]vector.V{}
 	var wrote, delivered bytes.Buffer
 	enc := NewEncoder(&wrote, d)
 	dec := NewDecoder(&delivered, d)
@@ -38,10 +41,10 @@ func relayStream(seed int64, n int) error {
 	}
 	for i := 0; i < n; i++ {
 		p := pairs[rng.Intn(len(pairs))]
-		v, ok := clocks[pair{p.from, p.to}]
+		v, ok := clocks[[2]int{p.from, p.to}]
 		if !ok {
 			v = vector.New(d)
-			clocks[pair{p.from, p.to}] = v
+			clocks[[2]int{p.from, p.to}] = v
 		}
 		if rng.Intn(4) == 0 {
 			for k := range v {

@@ -137,12 +137,15 @@ func TestDeltaBeatsDenseOnRepeatTraffic(t *testing.T) {
 	}
 }
 
-// TestBaselinesArePerPair interleaves two ordered pairs on one stream and
-// checks neither corrupts the other's delta baseline.
+// TestBaselinesArePerPair interleaves ordered pairs on one stream and
+// checks none corrupts another's delta baseline: every frame must encode to
+// the bytes it gets on a stream carrying its pair alone, and decode to its
+// vector. The pairs include the ones a wrong baseline key would merge —
+// (1,2) against (2,1), and (0, 1<<31) against (1<<31, 0), 1<<31 being the
+// largest process id a frame may carry — with vectors chosen so a shared
+// baseline changes the encoding.
 func TestBaselinesArePerPair(t *testing.T) {
 	const d = 4
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, d)
 	type step struct {
 		from, to int
 		vec      vector.V
@@ -150,13 +153,35 @@ func TestBaselinesArePerPair(t *testing.T) {
 	steps := []step{
 		{1, 2, vector.V{1, 0, 0, 0}},
 		{3, 2, vector.V{0, 0, 0, 7}},
+		{2, 1, vector.V{1, 0, 0, 0}},
 		{1, 2, vector.V{2, 0, 0, 0}},
 		{3, 2, vector.V{0, 0, 0, 9}},
 		{2, 1, vector.V{2, 1, 0, 0}},
+		{0, 1 << 31, vector.V{5, 5, 5, 0}},
+		{1 << 31, 0, vector.V{5, 5, 5, 0}},
+		{0, 1 << 31, vector.V{5, 5, 6, 0}},
+		{1 << 31, 0, vector.V{5, 6, 5, 0}},
+		{1, 2, vector.V{2, 1, 0, 0}},
 	}
-	for _, s := range steps {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, d)
+	alone := map[[2]int]*Encoder{}
+	var aloneBuf bytes.Buffer
+	for i, s := range steps {
+		before := buf.Len()
 		if err := enc.Encode(&Frame{Kind: KindSyn, From: s.from, To: s.to, Vec: s.vec.Clone()}); err != nil {
 			t.Fatal(err)
+		}
+		k := [2]int{s.from, s.to}
+		if alone[k] == nil {
+			alone[k] = NewEncoder(&aloneBuf, d)
+		}
+		aloneBuf.Reset()
+		if err := alone[k].Encode(&Frame{Kind: KindSyn, From: s.from, To: s.to, Vec: s.vec.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[before:]; !bytes.Equal(got, aloneBuf.Bytes()) {
+			t.Fatalf("frame %d (%d->%d): encoded % x on the shared stream, % x alone", i, s.from, s.to, got, aloneBuf.Bytes())
 		}
 	}
 	dec := NewDecoder(&buf, d)
