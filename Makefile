@@ -132,6 +132,7 @@ microbench:
 fuzz:
 	$(GO) test -fuzz=FuzzReadText -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzReadText -fuzztime=10s ./internal/graph
+	$(GO) test -fuzz=FuzzReadText -fuzztime=10s ./internal/decomp
 	$(GO) test -fuzz=FuzzCompare -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzStampTrace -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire

@@ -87,6 +87,9 @@ func ReadText(r io.Reader) (*Decomposition, error) {
 			root := nums[0]
 			var edges []graph.Edge
 			for i := 1; i+1 < len(nums); i += 2 {
+				if nums[i] == nums[i+1] {
+					return nil, fmt.Errorf("decomp: line %d: self-loop on vertex %d", line, nums[i])
+				}
 				edges = append(edges, graph.NewEdge(nums[i], nums[i+1]))
 			}
 			groups = append(groups, Group{Kind: KindStar, Root: root, Edges: edges})
@@ -100,6 +103,9 @@ func ReadText(r io.Reader) (*Decomposition, error) {
 			nums, err := atoiAll(fields[1:])
 			if err != nil {
 				return nil, fmt.Errorf("decomp: line %d: %w", line, err)
+			}
+			if nums[0] == nums[1] || nums[0] == nums[2] || nums[1] == nums[2] {
+				return nil, fmt.Errorf("decomp: line %d: triangle repeats a vertex", line)
 			}
 			groups = append(groups, triangleGroup(nums[0], nums[1], nums[2]))
 		default:
@@ -115,12 +121,13 @@ func ReadText(r io.Reader) (*Decomposition, error) {
 	return New(n, groups)
 }
 
+// atoiAll parses a group line's vertices, each a non-negative integer.
 func atoiAll(fields []string) ([]int, error) {
 	out := make([]int, len(fields))
 	for i, f := range fields {
 		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", f)
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("bad vertex %q", f)
 		}
 		out[i] = v
 	}

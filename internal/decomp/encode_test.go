@@ -35,27 +35,36 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTextErrors feeds the parser input it must refuse. Where want is
+// set, the error must contain it: the four edge cases name their line, and
+// used to panic in graph.NewEdge.
 func TestReadTextErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		want string
 	}{
-		{"missing n", "star 0 0 1\n"},
-		{"duplicate n", "n 3\nn 3\n"},
-		{"bad n", "n x\n"},
-		{"group before n", "star 0 0 1\nn 3\n"},
-		{"star arity", "n 3\nstar 0 1\n"},
-		{"star bad number", "n 3\nstar 0 0 z\n"},
-		{"triangle arity", "n 3\ntriangle 0 1\n"},
-		{"triangle bad number", "n 3\ntriangle 0 1 q\n"},
-		{"unknown directive", "n 3\nblob 1\n"},
-		{"invalid star shape", "n 4\nstar 0 0 1 2 3\n"},
-		{"empty", "\n"},
+		{"missing n", "star 0 0 1\n", ""},
+		{"duplicate n", "n 3\nn 3\n", ""},
+		{"bad n", "n x\n", ""},
+		{"group before n", "star 0 0 1\nn 3\n", ""},
+		{"star arity", "n 3\nstar 0 1\n", ""},
+		{"star bad number", "n 3\nstar 0 0 z\n", ""},
+		{"triangle arity", "n 3\ntriangle 0 1\n", ""},
+		{"triangle bad number", "n 3\ntriangle 0 1 q\n", ""},
+		{"unknown directive", "n 3\nblob 1\n", ""},
+		{"invalid star shape", "n 4\nstar 0 0 1 2 3\n", ""},
+		{"empty", "\n", ""},
+		{"star self-loop", "n 3\nstar 0 1 1\n", "line 2"},
+		{"triangle self-loop", "n 3\ntriangle 0 0 1\n", "line 2"},
+		{"star negative vertex", "n 3\nstar 0 -1 2\n", "line 2"},
+		{"triangle negative vertex", "n 3\ntriangle 0 -1 2\n", "line 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadText(strings.NewReader(tc.in)); err == nil {
-				t.Fatalf("ReadText(%q) succeeded", tc.in)
+			_, err := ReadText(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadText(%q): err = %v, want one containing %q", tc.in, err, tc.want)
 			}
 		})
 	}

@@ -350,7 +350,7 @@ func ReadSpill(dir string, leaves, n int) ([][]core.Record, error) {
 			case journalInternal:
 				cr = core.Record{Kind: core.RecordInternal, Note: rec.Note}
 			default:
-				return nil, fmt.Errorf("node: spill shard %d holds unknown record kind %q", leaf, rec.Kind)
+				return nil, fmt.Errorf("node: spill shard %d holds unknown record kind %d", leaf, rec.Kind)
 			}
 			logs[rec.Proc] = append(logs[rec.Proc], cr)
 		}

@@ -45,6 +45,28 @@ type DumpMeta struct {
 	Frames wire.Stats
 }
 
+// phaseKinds maps each obs phase to its event-file record kind: the
+// rendezvous phases have kinds of their own, and an internal event shares
+// the journal's.
+var phaseKinds = [...]JournalKind{
+	obs.PhaseSyn:      flightSyn,
+	obs.PhaseMerge:    flightMerge,
+	obs.PhaseAck:      flightAck,
+	obs.PhaseAdopt:    flightAdopt,
+	obs.PhaseInternal: journalInternal,
+}
+
+// phaseOf inverts phaseKinds: the phase of an event record of kind k, or 0
+// when k is no phase's kind.
+func phaseOf(k JournalKind) obs.Phase {
+	for ph, pk := range phaseKinds {
+		if pk == k {
+			return obs.Phase(ph)
+		}
+	}
+	return 0
+}
+
 // DumpFlight writes the recorder's held events to Config.FlightDump, with a
 // zero frame table, and reports whether a dump was written. It is a no-op
 // (false) when the flight recorder is off, the dump path is empty, or
@@ -81,8 +103,12 @@ func WriteFlightDump(path string, meta DumpMeta, events []obs.Event) error {
 	events = slices.Clone(events)
 	obs.SortFlight(events)
 	for _, e := range events {
+		var kind JournalKind // 0, which appendRecord refuses, for a phase outside the table
+		if int(e.Phase) < len(phaseKinds) {
+			kind = phaseKinds[e.Phase]
+		}
 		recs = append(recs, JournalRecord{
-			Kind:  e.Phase.String(),
+			Kind:  kind,
 			Proc:  e.Proc,
 			Peer:  e.Peer,
 			Seq:   uint64(e.Seq),
@@ -142,12 +168,12 @@ func ReadFlightDump(path string) (DumpMeta, []obs.Event, error) {
 	events := make([]obs.Event, 0, len(recs)-1)
 	seqs := make([][]int, n)
 	for i, rec := range recs[1:] {
-		ph, err := obs.ParsePhase(rec.Kind)
+		ph := phaseOf(rec.Kind)
 		switch {
 		case rec.Kind == journalMeta:
 			return fail("record %d: a second meta record", i+1)
-		case err != nil:
-			return fail("record %d: %v", i+1, err)
+		case ph == 0:
+			return fail("record %d: kind %d is no event phase", i+1, rec.Kind)
 		case rec.Proc < 0 || rec.Proc >= n:
 			return fail("record %d: process %d out of range [0,%d)", i+1, rec.Proc, n)
 		case ph == obs.PhaseInternal && rec.Peer != -1:

@@ -140,7 +140,7 @@ func TestReadFlightDumpErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := JournalRecord{Kind: journalMeta, Stamp: make(vector.V, 2*wire.KindMax), Note: dec.String()}
-	syn := JournalRecord{Kind: "syn", Proc: 0, Peer: 1, Stamp: vector.V{0}}
+	syn := JournalRecord{Kind: flightSyn, Proc: 0, Peer: 1, Stamp: vector.V{0}}
 	with := func(f func(*JournalRecord)) JournalRecord {
 		r := syn
 		f(&r)
@@ -155,8 +155,8 @@ func TestReadFlightDumpErrors(t *testing.T) {
 		{"no-meta", []JournalRecord{syn}, "no meta record first"},
 		{"event-first", []JournalRecord{syn, meta}, "no meta record first"},
 		{"duplicate-meta", []JournalRecord{meta, meta}, "record 1: a second meta record"},
-		{"unknown-kind", []JournalRecord{meta, with(func(r *JournalRecord) { r.Kind = journalSend })}, `unknown phase "send"`},
-		{"bad-phase", []JournalRecord{meta, with(func(r *JournalRecord) { r.Kind = journalRecv })}, `unknown phase "recv"`},
+		{"unknown-kind", []JournalRecord{meta, with(func(r *JournalRecord) { r.Kind = journalSend })}, "record 1: kind 1 is no event phase"},
+		{"bad-phase", []JournalRecord{meta, with(func(r *JournalRecord) { r.Kind = journalRecv })}, "record 1: kind 2 is no event phase"},
 		{"proc-range", []JournalRecord{meta, with(func(r *JournalRecord) { r.Proc = 9 })}, "process 9 out of range [0,2)"},
 		{"duplicate-seq", []JournalRecord{meta, syn, syn}, "process 0's seq 0 appears twice"},
 		{"seq-gap", []JournalRecord{meta, syn, with(func(r *JournalRecord) { r.Seq = 2 })}, "process 0 lacks seq 1"},

@@ -15,31 +15,26 @@ import (
 	"syncstamp/internal/vector"
 )
 
-// Journal record kinds.
-const (
-	journalSend     = "send"
-	journalRecv     = "recv"
-	journalInternal = "internal"
-	journalRestart  = "restart"
-	// journalMeta heads an event file (flight.go); a journal never holds it.
-	journalMeta = "meta"
-)
+// JournalKind is a record's kind byte in journals, spill files and event
+// files. The codes are part of the file format: a new kind takes the next
+// code, and byte 0 is no kind.
+type JournalKind byte
 
-// recordKinds is the closed table of record kinds: the journal's own, then
-// the obs phases a flight dump records (an internal event shares
-// "internal"), then the dump's meta record. A record's kind byte is its
-// index here, so the table only grows at the end; byte 0 is no kind.
-var recordKinds = [...]string{
-	1: journalSend,
-	2: journalRecv,
-	3: journalInternal,
-	4: journalRestart,
-	5: obs.PhaseSyn.String(),
-	6: obs.PhaseMerge.String(),
-	7: obs.PhaseAck.String(),
-	8: obs.PhaseAdopt.String(),
-	9: journalMeta,
-}
+// Record kinds: the journal's own, then the obs phases an event file
+// records (an internal event shares journalInternal), then the event
+// file's meta record.
+const (
+	journalSend     JournalKind = 1
+	journalRecv     JournalKind = 2
+	journalInternal JournalKind = 3
+	journalRestart  JournalKind = 4
+	flightSyn       JournalKind = 5
+	flightMerge     JournalKind = 6
+	flightAck       JournalKind = 7
+	flightAdopt     JournalKind = 8
+	// journalMeta heads an event file (flight.go); a journal never holds it.
+	journalMeta JournalKind = 9
+)
 
 // journalMagic opens every journal file: a name, a NUL no text file
 // carries, and the format version. OpenJournal refuses a non-empty file
@@ -64,9 +59,9 @@ const stampSlab = 4096
 // re-answered from the dedup cache) or not (replayed from scratch, the
 // peer's retransmission completing it deterministically).
 type JournalRecord struct {
-	// Kind names the record: send, recv, internal or restart, or in a
+	// Kind is the record's kind: send, recv, internal or restart, or in a
 	// flight dump meta or the obs phase (syn, merge, ack, adopt, internal).
-	Kind  string
+	Kind  JournalKind
 	Proc  int
 	Peer  int
 	Seq   uint64
@@ -95,12 +90,11 @@ type JournalRecord struct {
 // appendRecord appends rec, framed, to dst. On error dst is returned
 // unchanged.
 func appendRecord(dst []byte, rec *JournalRecord) ([]byte, error) {
-	kind := kindCode(rec.Kind)
-	if kind == 0 {
-		return dst, fmt.Errorf("node: journal record kind %q is not in the record table", rec.Kind)
+	if rec.Kind == 0 || rec.Kind > journalMeta {
+		return dst, fmt.Errorf("node: unknown journal record kind %d", rec.Kind)
 	}
 	start := len(dst)
-	dst = append(dst, kind)
+	dst = append(dst, byte(rec.Kind))
 	dst = binary.AppendVarint(dst, int64(rec.Proc))
 	dst = binary.AppendVarint(dst, int64(rec.Peer))
 	dst = binary.AppendVarint(dst, int64(rec.Node))
@@ -125,16 +119,6 @@ func frameRecord(dst []byte, start int) []byte {
 	copy(dst[start+h:], dst[start:start+n])
 	copy(dst[start:], hdr[:h])
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+h:], castagnoli))
-}
-
-// kindCode returns kind's byte in recordKinds, 0 when the table lacks it.
-func kindCode(kind string) byte {
-	for c := 1; c < len(recordKinds); c++ {
-		if recordKinds[c] == kind {
-			return byte(c)
-		}
-	}
-	return 0
 }
 
 // decodeJournal decodes a journal file image up to its first torn or
@@ -190,11 +174,10 @@ func parseRecord(b []byte, slab *[]int) (rec JournalRecord, n int, ok bool) {
 	}
 	n = len(b) - len(r.b) + int(size) + 4
 	r = recordReader{b: payload}
-	code := r.byte()
-	if r.bad || code == 0 || int(code) >= len(recordKinds) {
+	rec.Kind = JournalKind(r.byte())
+	if r.bad || rec.Kind == 0 || rec.Kind > journalMeta {
 		return JournalRecord{}, 0, false
 	}
-	rec.Kind = recordKinds[code]
 	rec.Proc = int(r.varint())
 	rec.Peer = int(r.varint())
 	rec.Node = int(r.varint())
@@ -563,8 +546,10 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 		if rec.Kind == journalRestart {
 			continue
 		}
+		// A one-node Placement may run past Dec.N() into Join slots, which
+		// have no clock to restore.
 		p := rec.Proc
-		if p < 0 || p >= len(n.cfg.Placement) || n.cfg.Placement[p] != n.cfg.Node {
+		if p < 0 || p >= n.cfg.Dec.N() || n.cfg.Placement[p] != n.cfg.Node {
 			return nil, fmt.Errorf("node %d: journal holds process %d, not hosted here", n.cfg.Node, p)
 		}
 		st := n.restored[p]
@@ -597,7 +582,7 @@ func (n *Node) Restore(recs []JournalRecord) (map[int]int, error) {
 				n.cfg.Obs.Internal(n.cfg.Node, p, st.clock.Current(), rec.Note)
 			}
 		default:
-			return nil, fmt.Errorf("node %d: journal holds unknown record kind %q", n.cfg.Node, rec.Kind)
+			return nil, fmt.Errorf("node %d: journal holds unknown record kind %d", n.cfg.Node, rec.Kind)
 		}
 		st.ops++
 		counts[p] = st.ops

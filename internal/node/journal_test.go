@@ -20,8 +20,8 @@ func sampleRecords() []JournalRecord {
 		{Kind: journalSend, Proc: 1, Peer: 0, Seq: 300, Stamp: vector.V{1, 1 << 20}},
 		{Kind: journalInternal, Proc: 1, Note: "checkpoint"},
 		{Kind: journalRestart},
-		{Kind: "syn", Node: 2, Proc: 5, Peer: 4, Seq: 7, Stamp: vector.V{3, 0, 9}},
-		{Kind: "internal", Node: 2, Proc: 5, Peer: -1, Seq: 8, Stamp: vector.V{3, 0, 10}, Note: "drained"},
+		{Kind: flightSyn, Node: 2, Proc: 5, Peer: 4, Seq: 7, Stamp: vector.V{3, 0, 9}},
+		{Kind: journalInternal, Node: 2, Proc: 5, Peer: -1, Seq: 8, Stamp: vector.V{3, 0, 10}, Note: "drained"},
 	}
 }
 
@@ -147,8 +147,8 @@ func FuzzJournalReplay(f *testing.F) {
 	// An event file's body: the meta record, then events.
 	f.Add(encodeRecords(f, []JournalRecord{
 		{Kind: journalMeta, Node: 1, Stamp: make(vector.V, 2*wire.KindMax), Note: "n 2\nstar 0 0 1\n"},
-		{Kind: "merge", Node: 1, Proc: 1, Peer: 0, Stamp: vector.V{1}},
-		{Kind: "internal", Node: 1, Proc: 1, Peer: -1, Seq: 1, Stamp: vector.V{1}, Note: "done"},
+		{Kind: flightMerge, Node: 1, Proc: 1, Peer: 0, Stamp: vector.V{1}},
+		{Kind: journalInternal, Node: 1, Proc: 1, Peer: -1, Seq: 1, Stamp: vector.V{1}, Note: "done"},
 	}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		recs, good, err := decodeJournal(append([]byte(journalMagic), body...))

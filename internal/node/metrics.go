@@ -4,13 +4,13 @@ import "syncstamp/internal/obs"
 
 // Cluster metrics rollup.
 //
-// A METRICS frame is a registry snapshot on the wire: reporting nodes ship
-// one ahead of their report's BYE (report.go), and the collecting root
-// merges them — counters and gauges add, histograms merge bucket-wise
-// (obs.Registry.Merge is commutative and associative, so arrival order
-// cannot change the rollup). The merged view lands in the root's own live
-// registry, so its /metrics endpoint serves cluster totals, and in
-// RunInfo.Rollup for programmatic use.
+// A METRICS frame carries a registry snapshot as the JSON /metrics serves:
+// reporting nodes ship one ahead of their report's BYE (report.go), and the
+// collecting root unmarshals and merges them — counters and gauges add,
+// histograms merge bucket-wise (obs.Registry.Merge is commutative and
+// associative, so arrival order cannot change the rollup). The merged view
+// lands in the root's own live registry, so its /metrics endpoint serves
+// cluster totals, and in RunInfo.Rollup for programmatic use.
 
 // mergeMetrics folds one reported snapshot into the collector's rollup
 // registry (created lazily on the first METRICS frame).

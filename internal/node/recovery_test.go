@@ -344,27 +344,41 @@ func TestOneNodeRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsForeignProcess: a journal record must name a process
+// of the decomposition that this node hosts. A process placed on another
+// node is refused, and so is a one-node run's Join slot past Dec.N(), which
+// has no clock to restore (it used to panic in core.NewClock).
 func TestRestoreRejectsForeignProcess(t *testing.T) {
-	g := graph.Path(2)
-	dec := decomp.Best(g)
-	path := filepath.Join(t.TempDir(), "node.journal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	dec := decomp.Best(graph.Path(2))
+	cases := []struct {
+		name      string
+		node      int
+		placement []int
+		rec       JournalRecord
+	}{
+		{"other node", 1, []int{0, 1}, JournalRecord{Kind: journalRecv, Proc: 0, Peer: 1, Seq: 1, Stamp: []int{1, 0}}},
+		{"join slot", 0, []int{0, 0, 0}, JournalRecord{Kind: journalInternal, Proc: 2, Note: "joined"}},
 	}
-	defer j.Close()
-	l := NewLoop(2)
-	n, err := New(Config{
-		Node: 1, Placement: []int{0, 1}, Dec: dec,
-		Recovery: &RecoveryConfig{OnPeerLoss: PeerLossWait, Journal: j},
-	}, l.Transport(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	_, err = n.Restore([]JournalRecord{{Kind: journalRecv, Proc: 0, Peer: 1, Seq: 1, Stamp: []int{1, 0}}})
-	if err == nil || !strings.Contains(err.Error(), "not hosted here") {
-		t.Fatalf("foreign-process journal accepted: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j, _, err := OpenJournal(filepath.Join(t.TempDir(), "node.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			n, err := New(Config{
+				Node: tc.node, Placement: tc.placement, Dec: dec,
+				Recovery: &RecoveryConfig{OnPeerLoss: PeerLossWait, Journal: j},
+			}, NewLoop(2).Transport(tc.node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			_, err = n.Restore([]JournalRecord{tc.rec})
+			if err == nil || !strings.Contains(err.Error(), "not hosted here") {
+				t.Fatalf("journal record for process %d accepted: %v", tc.rec.Proc, err)
+			}
+		})
 	}
 }
 

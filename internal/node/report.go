@@ -1,10 +1,12 @@
 package node
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
 	"syncstamp/internal/core"
+	"syncstamp/internal/obs"
 	"syncstamp/internal/wire"
 )
 
@@ -52,12 +54,15 @@ func (n *Node) SendReport(collector int, info *RunInfo) error {
 			}
 		}
 	}
-	// Ship the node's registry snapshot ahead of the BYE, so the collector
-	// can fold it into the cluster rollup. Registry-less nodes skip it.
+	// Ship the node's registry snapshot, as the JSON /metrics serves, ahead
+	// of the BYE, so the collector can fold it into the cluster rollup.
+	// Registry-less nodes skip it.
 	if r := n.cfg.Obs.Registry(); r != nil {
-		snap := r.Snapshot()
-		f := &wire.Frame{Kind: wire.KindMetrics, Metrics: &snap}
-		if err := enc.Encode(f); err != nil {
+		payload, err := json.Marshal(r.Snapshot())
+		if err == nil {
+			err = enc.Encode(&wire.Frame{Kind: wire.KindMetrics, Metrics: payload})
+		}
+		if err != nil {
 			return fmt.Errorf("node %d: report metrics: %w", n.cfg.Node, err)
 		}
 	}
@@ -202,10 +207,12 @@ func (n *Node) readReport(rc *reportConn, logs [][]core.Record, seen []bool) err
 			}
 			logs[f.Proc] = append(logs[f.Proc], core.Record{Kind: core.RecordInternal, Note: f.Note})
 		case wire.KindMetrics:
-			if f.Metrics == nil {
-				return fmt.Errorf("node %d: empty METRICS frame in report from node %d", n.cfg.Node, rc.node)
+			var snap obs.Snapshot
+			err := json.Unmarshal(f.Metrics, &snap)
+			if err == nil {
+				err = n.mergeMetrics(snap)
 			}
-			if err := n.mergeMetrics(*f.Metrics); err != nil {
+			if err != nil {
 				return fmt.Errorf("node %d: metrics from node %d: %w", n.cfg.Node, rc.node, err)
 			}
 		case wire.KindBye:

@@ -3,6 +3,7 @@ package node
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"syncstamp/internal/graph"
 	"syncstamp/internal/obs"
 	tssync "syncstamp/internal/sync"
+	"syncstamp/internal/wire"
 )
 
 // TestCollectClusterRollup runs a real 2-node cluster: node 1's METRICS
@@ -210,6 +212,51 @@ func TestAsyncClusterRollup(t *testing.T) {
 	// same async totals.
 	if live := regs[0].Snapshot(); !reflect.DeepEqual(live, roll) {
 		t.Errorf("node 0's live registry diverges from RunInfo.Rollup")
+	}
+}
+
+// TestCollectRefusesMalformedMetrics: a METRICS payload comes from another
+// node, so one that is not a JSON snapshot, or whose histogram could not be
+// registered, fails Collect with an error naming the reporting node. The
+// report is written by hand: a HELLO, then the METRICS frame.
+func TestCollectRefusesMalformedMetrics(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	placement := []int{0, 1}
+	cases := []struct{ name, payload string }{
+		{"not-json", "not a snapshot"},
+		{"unsorted-edges", `{"histograms":{"h":{"edges":[5,1],"counts":[0,0,0],"count":0,"sum":0}}}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			transports := loopTransports(2)
+			n, err := New(Config{Node: 0, Placement: placement, Dec: dec}, transports[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			defer func() {
+				n.Close()
+				<-done
+			}()
+			go func() {
+				defer close(done)
+				c, err := transports[1].Dial(0, time.Now().Add(5*time.Second))
+				if err != nil {
+					return // Collect then times out, and the check below names it
+				}
+				defer c.Close()
+				enc := wire.NewEncoder(c, dec.D())
+				hello := &wire.Frame{Kind: wire.KindHello, Role: wire.RoleReport, Node: 1, Procs: []int{1}, Digest: wire.Digest(dec, placement)}
+				if enc.Encode(hello) == nil {
+					_ = enc.Encode(&wire.Frame{Kind: wire.KindMetrics, Metrics: []byte(tc.payload)})
+				}
+			}()
+			_, err = n.Collect(&RunInfo{Logs: map[int][]core.Record{0: nil}}, 5*time.Second)
+			if err == nil || !strings.Contains(err.Error(), "metrics from node 1") {
+				t.Fatalf("Collect err = %v, want one naming node 1's metrics", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -137,5 +138,56 @@ func TestRegistryMergeCommutativeAssociative(t *testing.T) {
 	var nilr *Registry
 	if err := nilr.Merge(snaps[0]); err != nil {
 		t.Fatalf("nil registry merge: %v", err)
+	}
+}
+
+// TestSnapshotJSONRoundTrip: the JSON /metrics serves is also the METRICS
+// frame's payload, the one encoding of a registry snapshot, so a snapshot
+// must survive json.Marshal and Unmarshal exactly. The cases are a negative
+// gauge, a counter past float64's exact range, a histogram with every
+// bucket filled, and an empty registry's snapshot.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("frames_total").Add(1<<53 + 1)
+	r.Gauge("clock_skew").Set(-7)
+	h := r.Histogram("latency_ns", []int64{1000, 2000, 5000})
+	for _, v := range []int64{10, 1500, 3000, 9000} {
+		h.Observe(v)
+	}
+	for _, want := range []Snapshot{r.Snapshot(), NewRegistry().Snapshot()} {
+		b, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Snapshot
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("unmarshal %s: %v", b, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s round-tripped to %+v, want %+v", b, got, want)
+		}
+	}
+}
+
+// TestRegistryMergeRefusesMalformedHistogram: a snapshot may come from
+// another node, so a histogram whose counts are not one per bucket, or
+// whose edges do not ascend, is refused with an error, both into a fresh
+// registry and into one that already holds the histogram. Non-ascending
+// edges used to panic in NewHistogram.
+func TestRegistryMergeRefusesMalformedHistogram(t *testing.T) {
+	bad := []HistogramSnapshot{
+		{Edges: []int64{1, 2}, Counts: []int64{1, 2}, Count: 3},
+		{Edges: []int64{1, 2}, Counts: []int64{1, 2, 3, 4}, Count: 10},
+		{Edges: []int64{5, 1}, Counts: []int64{0, 0, 0}},
+		{Edges: []int64{1, 1}, Counts: []int64{0, 0, 0}},
+	}
+	for _, hs := range bad {
+		held := NewRegistry()
+		held.Histogram("h", []int64{1, 2})
+		for _, r := range []*Registry{NewRegistry(), held} {
+			if err := r.Merge(Snapshot{Histograms: map[string]HistogramSnapshot{"h": hs}}); err == nil {
+				t.Errorf("merged histogram %+v", hs)
+			}
+		}
 	}
 }

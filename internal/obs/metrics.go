@@ -63,14 +63,22 @@ type Histogram struct {
 // NewHistogram returns a histogram with the given ascending upper-bound
 // edges. Typically obtained through Registry.Histogram instead.
 func NewHistogram(edges []int64) *Histogram {
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic(fmt.Sprintf("obs: histogram edges not ascending at %d: %v", i, edges))
-		}
+	if err := checkEdges(edges); err != nil {
+		panic(err.Error())
 	}
 	h := &Histogram{edges: append([]int64(nil), edges...)}
 	h.buckets = make([]atomic.Int64, len(edges)+1)
 	return h
+}
+
+// checkEdges refuses edges that do not strictly ascend.
+func checkEdges(edges []int64) error {
+	for i := 1; i < len(edges); i++ {
+		if edges[i] <= edges[i-1] {
+			return fmt.Errorf("obs: histogram edges not ascending at %d: %v", i, edges)
+		}
+	}
+	return nil
 }
 
 // Observe records one value. Allocation-free.
@@ -268,9 +276,10 @@ type Snapshot struct {
 // rollup semantics — a cluster total is the sum of its nodes), histograms
 // merge bucket-wise. Missing instruments are created, histograms with the
 // snapshot's own edges, so merging into an empty registry reproduces the
-// snapshot exactly. Merge is commutative and associative over snapshots,
-// which is what lets the collector tree roll registries up in any leaf
-// order.
+// snapshot exactly. A histogram whose edges do not ascend or do not match
+// the registered ones, or whose counts are not one per bucket, is refused.
+// Merge is commutative and associative over snapshots, which is what lets
+// the collector tree roll registries up in any leaf order.
 func (r *Registry) Merge(s Snapshot) error {
 	if r == nil {
 		return nil
@@ -301,6 +310,11 @@ func (r *Registry) Merge(s Snapshot) error {
 		hs := s.Histograms[name]
 		if len(hs.Edges) == 0 {
 			continue // snapshot of a nil/empty histogram carries nothing
+		}
+		// A snapshot may come from another node: edges that could not
+		// register a histogram are an error here, not a panic.
+		if err := checkEdges(hs.Edges); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		if err := r.Histogram(name, hs.Edges).Merge(hs); err != nil {
 			return fmt.Errorf("%s: %w", name, err)

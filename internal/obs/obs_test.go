@@ -346,15 +346,3 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/: status %d", code)
 	}
 }
-
-func TestPhaseRoundTrip(t *testing.T) {
-	for _, ph := range []Phase{PhaseSyn, PhaseMerge, PhaseAck, PhaseAdopt, PhaseInternal} {
-		got, err := ParsePhase(ph.String())
-		if err != nil || got != ph {
-			t.Errorf("round trip %v: got %v, %v", ph, got, err)
-		}
-	}
-	if _, err := ParsePhase("bogus"); err == nil {
-		t.Error("ParsePhase must reject unknown names")
-	}
-}

@@ -46,24 +46,6 @@ func (p Phase) String() string {
 	}
 }
 
-// ParsePhase inverts Phase.String.
-func ParsePhase(s string) (Phase, error) {
-	switch s {
-	case "syn":
-		return PhaseSyn, nil
-	case "merge":
-		return PhaseMerge, nil
-	case "ack":
-		return PhaseAck, nil
-	case "adopt":
-		return PhaseAdopt, nil
-	case "internal":
-		return PhaseInternal, nil
-	default:
-		return 0, fmt.Errorf("obs: unknown phase %q", s)
-	}
-}
-
 // Event is one structured trace record. Events of one process form a
 // per-process total order (Seq); cross-process order is recovered from the
 // Stamps, never from wall clocks.

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"syncstamp/internal/core"
-	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
 
@@ -40,8 +38,9 @@ type Frame struct {
 	Note string
 
 	// METRICS payload (node → root): the reporting node's registry
-	// snapshot, for the root to merge into the cluster rollup.
-	Metrics *obs.Snapshot
+	// snapshot as the JSON /metrics serves, for the root to merge into the
+	// cluster rollup. The codec carries it as opaque, non-empty bytes.
+	Metrics []byte
 }
 
 // GroupSummary is one edge group's fingerprint inside a shard summary: the
@@ -251,76 +250,14 @@ func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
 	case KindBye:
 		// No payload beyond the kind byte.
 	case KindMetrics:
-		m := f.Metrics
-		if m == nil {
+		if len(f.Metrics) == 0 {
 			return nil, fmt.Errorf("wire: METRICS frame without a payload")
 		}
-		var err error
-		if dst, err = appendNamedValues(dst, "counter", m.Counters); err != nil {
-			return nil, err
-		}
-		if dst, err = appendNamedValues(dst, "gauge", m.Gauges); err != nil {
-			return nil, err
-		}
-		if len(m.Histograms) > MaxMetrics {
-			return nil, fmt.Errorf("wire: %d histograms exceed limit %d", len(m.Histograms), MaxMetrics)
-		}
-		dst = appendUvarint(dst, uint64(len(m.Histograms)))
-		for _, name := range sortedNames(m.Histograms) {
-			h := m.Histograms[name]
-			if len(name) > MaxNote {
-				return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(name), MaxNote)
-			}
-			if len(h.Edges) > MaxEdges {
-				return nil, fmt.Errorf("wire: histogram %q has %d edges, limit %d", name, len(h.Edges), MaxEdges)
-			}
-			if len(h.Counts) != len(h.Edges)+1 {
-				return nil, fmt.Errorf("wire: histogram %q has %d counts for %d edges", name, len(h.Counts), len(h.Edges))
-			}
-			dst = appendUvarint(dst, uint64(len(name)))
-			dst = append(dst, name...)
-			dst = appendUvarint(dst, uint64(len(h.Edges)))
-			for _, e := range h.Edges {
-				dst = appendZigzag(dst, e)
-			}
-			for _, c := range h.Counts {
-				dst = appendUvarint(dst, uint64(c))
-			}
-			dst = appendUvarint(dst, uint64(h.Count))
-			dst = appendZigzag(dst, h.Sum)
-		}
+		dst = append(dst, f.Metrics...)
 	default:
 		return nil, fmt.Errorf("wire: cannot encode kind %v", f.Kind)
 	}
 	return dst, nil
-}
-
-// appendNamedValues encodes one name/value list of a METRICS frame, names
-// in sorted order, so a snapshot has exactly one encoding.
-func appendNamedValues(dst []byte, what string, vals map[string]int64) ([]byte, error) {
-	if len(vals) > MaxMetrics {
-		return nil, fmt.Errorf("wire: %d %ss exceed limit %d", len(vals), what, MaxMetrics)
-	}
-	dst = appendUvarint(dst, uint64(len(vals)))
-	for _, name := range sortedNames(vals) {
-		if len(name) > MaxNote {
-			return nil, fmt.Errorf("wire: metric name of %d bytes exceeds limit %d", len(name), MaxNote)
-		}
-		dst = appendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = appendZigzag(dst, vals[name])
-	}
-	return dst, nil
-}
-
-// sortedNames returns a METRICS list's instrument names in wire order.
-func sortedNames[T any](m map[string]T) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // appendVec encodes f.Vec in whichever of dense/delta form is smaller,
@@ -398,14 +335,6 @@ func appendUvarint(dst []byte, x uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
-// appendZigzag encodes a signed value as a zigzag uvarint (the encoding
-// binary.PutVarint uses), so small negatives stay small on the wire.
-func appendZigzag(dst []byte, x int64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	return append(dst, buf[:n]...)
-}
-
 // Decoder reads frames from one stream, mirroring the Encoder's delta
 // baselines. A Decoder is not safe for concurrent use.
 //
@@ -478,16 +407,6 @@ func (r *reader) uvarint() (uint64, error) {
 	return x, nil
 }
 
-// varint reads one zigzag-encoded signed value.
-func (r *reader) varint() (int64, error) {
-	x, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: truncated varint at offset %d", r.off)
-	}
-	r.off += n
-	return x, nil
-}
-
 func (r *reader) intField(name string, limit uint64) (int, error) {
 	x, err := r.uvarint()
 	if err != nil {
@@ -511,20 +430,6 @@ func (r *reader) count(name string, limit uint64) (int, error) {
 		return 0, fmt.Errorf("wire: %s %d overruns frame", name, n)
 	}
 	return n, nil
-}
-
-// str reads a length-prefixed string of at most limit bytes.
-func (r *reader) str(name string, limit uint64) (string, error) {
-	n, err := r.intField(name+" length", limit)
-	if err != nil {
-		return "", err
-	}
-	if r.off+n > len(r.b) {
-		return "", fmt.Errorf("wire: %s of %d bytes overruns frame", name, n)
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s, nil
 }
 
 func (r *reader) byte() (byte, error) {
@@ -596,66 +501,13 @@ func (d *Decoder) parse(payload []byte, f *Frame) error {
 	case KindBye:
 		// No payload.
 	case KindMetrics:
-		m := &obs.Snapshot{}
-		if m.Counters, err = readNamedValues(r, "counter"); err != nil {
-			return err
+		if r.off == len(r.b) {
+			return fmt.Errorf("wire: METRICS frame without a payload")
 		}
-		if m.Gauges, err = readNamedValues(r, "gauge"); err != nil {
-			return err
-		}
-		count, err := r.count("histogram count", MaxMetrics)
-		if err != nil {
-			return err
-		}
-		m.Histograms = make(map[string]obs.HistogramSnapshot)
-		var prev string
-		for i := 0; i < count; i++ {
-			name, err := r.str("metric name", MaxNote)
-			if err != nil {
-				return err
-			}
-			if i > 0 && name <= prev {
-				return fmt.Errorf("wire: histogram names not strictly sorted at %q", name)
-			}
-			prev = name
-			var h obs.HistogramSnapshot
-			edges, err := r.count("edge count", MaxEdges)
-			if err != nil {
-				return err
-			}
-			if edges > 0 {
-				h.Edges = make([]int64, edges)
-				for j := range h.Edges {
-					if h.Edges[j], err = r.varint(); err != nil {
-						return err
-					}
-				}
-			}
-			h.Counts = make([]int64, edges+1)
-			for j := range h.Counts {
-				c, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				if c > 1<<62 {
-					return fmt.Errorf("wire: implausible bucket count %d", c)
-				}
-				h.Counts[j] = int64(c)
-			}
-			cnt, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if cnt > 1<<62 {
-				return fmt.Errorf("wire: implausible histogram count %d", cnt)
-			}
-			h.Count = int64(cnt)
-			if h.Sum, err = r.varint(); err != nil {
-				return err
-			}
-			m.Histograms[name] = h
-		}
-		f.Metrics = m
+		// The payload is the rest of the frame, copied out of the buffer
+		// the next frame reuses.
+		f.Metrics = append([]byte(nil), r.b[r.off:]...)
+		r.off = len(r.b)
 	default:
 		return fmt.Errorf("wire: unknown frame kind %d", kb)
 	}
@@ -663,32 +515,6 @@ func (d *Decoder) parse(payload []byte, f *Frame) error {
 		return fmt.Errorf("wire: %d trailing bytes after %v frame", len(r.b)-r.off, f.Kind)
 	}
 	return nil
-}
-
-// readNamedValues decodes one name/value list of a METRICS frame. The
-// bytes come from another process, so names must arrive strictly sorted:
-// an unsorted or repeated name is a malformed frame.
-func readNamedValues(r *reader, what string) (map[string]int64, error) {
-	count, err := r.count(what+" count", MaxMetrics)
-	if err != nil {
-		return nil, err
-	}
-	vals := make(map[string]int64)
-	var prev string
-	for i := 0; i < count; i++ {
-		name, err := r.str("metric name", MaxNote)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && name <= prev {
-			return nil, fmt.Errorf("wire: %s names not strictly sorted at %q", what, name)
-		}
-		prev = name
-		if vals[name], err = r.varint(); err != nil {
-			return nil, err
-		}
-	}
-	return vals, nil
 }
 
 // readVec decodes a vector and advances the (from, to) baseline exactly as

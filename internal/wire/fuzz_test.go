@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"syncstamp/internal/obs"
 	"syncstamp/internal/vector"
 )
 
@@ -37,11 +36,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: KindInternal, Proc: 2, Note: "n"},
 		{Kind: KindBye},
 	}, 3), 3)
-	f.Add(seed([]*Frame{{Kind: KindMetrics, Metrics: &obs.Snapshot{
-		Counters:   map[string]int64{"a": 3, "b": 1},
-		Gauges:     map[string]int64{"g": -2},
-		Histograms: map[string]obs.HistogramSnapshot{"h": {Edges: []int64{1, 10}, Counts: []int64{2, 0, 1}, Count: 3, Sum: 14}},
-	}}}, 3), 3)
+	f.Add(seed([]*Frame{{Kind: KindMetrics, Metrics: []byte(`{"counters":{"a":3,"b":1},"gauges":{"g":-2},` +
+		`"histograms":{"h":{"edges":[1,10],"counts":[2,0,1],"count":3,"sum":14}}}`)}}, 3), 3)
 	f.Fuzz(func(t *testing.T, in []byte, d int) {
 		if d < 0 || d > 64 || len(in) > 1<<16 {
 			return

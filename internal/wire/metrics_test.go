@@ -2,31 +2,24 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
-
-	"syncstamp/internal/obs"
 )
 
-// TestMetricsFrameRoundTrip exercises the cluster-rollup frame: counters,
-// gauges (negative values included), full histogram snapshots, and the
-// snapshot of an empty registry.
+// TestMetricsFrameRoundTrip pins the METRICS payload as opaque bytes: a
+// /metrics-shaped JSON snapshot, a one-byte payload and the largest payload
+// a frame holds each decode byte for byte. The one-byte frame follows the
+// JSON one, so a payload still aliasing the decoder's reused buffer would
+// read back changed.
 func TestMetricsFrameRoundTrip(t *testing.T) {
-	empty := obs.NewRegistry().Snapshot()
+	snapshot := []byte(`{"counters":{"frames_total":1234},"gauges":{"clock_skew":-7},` +
+		`"histograms":{"latency_ns":{"edges":[1000,2000],"counts":[1,0,9],"count":10,"sum":48211}}}`)
 	frames := []*Frame{
-		{Kind: KindMetrics, Metrics: &obs.Snapshot{
-			Counters: map[string]int64{"frames_total": 1234, "rendezvous_total": 56},
-			Gauges:   map[string]int64{"clock_skew": -7, "resident_records": 42},
-			Histograms: map[string]obs.HistogramSnapshot{
-				"latency_ns": {
-					Edges:  []int64{1000, 2000, 5000},
-					Counts: []int64{1, 0, 9, 2},
-					Count:  12,
-					Sum:    48211,
-				},
-			},
-		}},
-		{Kind: KindMetrics, Metrics: &empty},
+		{Kind: KindMetrics, Metrics: snapshot},
+		{Kind: KindMetrics, Metrics: []byte("x")},
+		{Kind: KindMetrics, Metrics: bytes.Repeat([]byte("m"), MaxFrame-1)},
 	}
 	got := pipeRoundTrip(t, 3, frames)
 	if len(got) != len(frames) {
@@ -34,43 +27,25 @@ func TestMetricsFrameRoundTrip(t *testing.T) {
 	}
 	for i := range frames {
 		if !reflect.DeepEqual(frames[i], got[i]) {
-			t.Errorf("frame %d: got %+v, want %+v", i, got[i], frames[i])
+			t.Errorf("frame %d: payload of %d bytes decoded as %d bytes %.40q", i, len(frames[i].Metrics), len(got[i].Metrics), got[i].Metrics)
 		}
 	}
 }
 
-// TestMetricsFrameRejectsMalformed pins the validation: histograms must
-// carry len(edges)+1 buckets, a METRICS frame needs its payload, and the
-// decoder accepts names only in the strictly sorted order the encoder
-// writes them in.
+// TestMetricsFrameRejectsMalformed pins the validation: a METRICS frame
+// needs a payload on both sides of the codec, and the payload must fit a
+// frame beside its kind byte.
 func TestMetricsFrameRejectsMalformed(t *testing.T) {
-	enc := NewEncoder(bytes.NewBuffer(nil), 3)
-	if err := enc.Encode(&Frame{Kind: KindMetrics}); err == nil {
-		t.Fatal("METRICS without a payload encoded without error")
+	enc := NewEncoder(io.Discard, 3)
+	for _, payload := range [][]byte{nil, {}} {
+		if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: payload}); err == nil || !strings.Contains(err.Error(), "without a payload") {
+			t.Errorf("METRICS with payload %v encoded: err = %v", payload, err)
+		}
 	}
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &obs.Snapshot{
-		Histograms: map[string]obs.HistogramSnapshot{"h": {Edges: []int64{1, 2}, Counts: []int64{1, 2}}},
-	}}); err == nil {
-		t.Fatal("histogram with wrong bucket count encoded without error")
+	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: make([]byte, MaxFrame)}); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("METRICS frame over MaxFrame encoded: err = %v", err)
 	}
-
-	// The decoder enforces sortedness on the incoming bytes: take a valid
-	// frame and swap the two encoded names.
-	var buf bytes.Buffer
-	enc = NewEncoder(&buf, 3)
-	if err := enc.Encode(&Frame{Kind: KindMetrics, Metrics: &obs.Snapshot{
-		Counters: map[string]int64{"aa": 1, "bb": 2},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	ai, bi := bytes.Index(raw, []byte("aa")), bytes.Index(raw, []byte("bb"))
-	if ai < 0 || bi < 0 {
-		t.Fatalf("metric names not found in wire bytes %v", raw)
-	}
-	copy(raw[ai:], "bb")
-	copy(raw[bi:], "aa")
-	if _, err := NewDecoder(bytes.NewReader(raw), 3).Decode(); err == nil {
-		t.Fatal("decoder accepted unsorted metric names")
+	if _, err := NewDecoder(bytes.NewReader([]byte{1, byte(KindMetrics)}), 3).Decode(); err == nil || !strings.Contains(err.Error(), "without a payload") {
+		t.Errorf("METRICS frame without a payload decoded: err = %v", err)
 	}
 }

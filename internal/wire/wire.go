@@ -23,12 +23,11 @@
 //	          its per-process logs to the collector
 //	BYE       clean end of stream; an EOF after BYE is a graceful close,
 //	          an EOF without one is a failure
-//	METRICS   an obs.Snapshot riding the report path, node → collecting
-//	          root: named counters, gauges, and histograms (the encoder
-//	          writes names sorted, the decoder rejects any other order),
-//	          which the root merges into one cluster rollup — counters and
-//	          gauges add, histograms merge bucket-wise. It names no node:
-//	          the report stream's HELLO already does
+//	METRICS   a registry snapshot riding the report path, node → collecting
+//	          root: the obs.Snapshot JSON that /metrics serves, opaque to
+//	          the codec, which the root merges into one cluster rollup —
+//	          counters and gauges add, histograms merge bucket-wise. It
+//	          names no node: the report stream's HELLO already does
 //
 // # Differential vector encoding
 //
@@ -106,8 +105,4 @@ const (
 	MaxNote = 1 << 16
 	// MaxProcs bounds the process list of a HELLO.
 	MaxProcs = 1 << 16
-	// MaxMetrics bounds each instrument list of a METRICS frame.
-	MaxMetrics = 1 << 16
-	// MaxEdges bounds a METRICS histogram's bucket-edge list.
-	MaxEdges = 1 << 10
 )
