@@ -107,11 +107,17 @@ chaos-test:
 
 # Load/collector gate: the open-loop driver and the sharded collector tree
 # under the race detector (incremental oracle, spill recovery, leaf-crash
-# and straggler paths), then the 100k-client scale acceptance run and a
-# spilling tsload control run end to end.
+# and straggler paths), the tree's per-process order under tsload's lock
+# discipline ten times over (concurrent writers share each leaf's batch
+# and its recycled buffers), the shard verifier and tree ingest benchmarks
+# for a few thousand records (`go test` compiles benchmarks but never runs
+# them), then the 100k-client scale acceptance run and a spilling tsload
+# control run end to end.
 load-test:
 	$(GO) test -race ./internal/load ./internal/check ./cmd/tsload
 	$(GO) test -race -run 'TestCollector|TestSpill|TestCollectTimeout' ./internal/node
+	$(GO) test -race -count=10 -run 'TestCollectorTreeOrderUnderProcessLocks' ./internal/node
+	$(GO) test -run '^$$' -bench 'BenchmarkShardVerifierIngest|BenchmarkCollectorTreeIngest' -benchtime 5000x ./internal/check ./internal/node
 	$(GO) test -run TestLoadHundredThousandClients -v ./internal/load
 	dir=$$(mktemp -d) && $(GO) run ./cmd/tsload -servers 8 -clients 5000 -msgs 2 \
 		-zipf 0.9 -leaves 4 -spill-dir $$dir -segment 512 -control && rm -rf $$dir

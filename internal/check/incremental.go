@@ -96,14 +96,16 @@ type groupAcc struct {
 
 // ShardVerifier checks one shard's slice of a run as records stream in.
 // Records must arrive in per-process program order; processes may
-// interleave arbitrarily. The verifier's memory is O(|shard| · d + groups
-// touched) and never grows with the record count. It is not safe for
-// concurrent use; a collector tree runs one per leaf goroutine.
+// interleave arbitrarily. The verifier's memory is O(|shard| · d + d) and
+// never grows with the record count. It is not safe for concurrent use; a
+// collector tree runs one per leaf goroutine.
 type ShardVerifier struct {
 	topo Topology
 	leaf int
 	prev map[int]vector.V
-	acc  map[int]*groupAcc
+	// acc holds one accumulator per group, indexed by group: D entries, so
+	// a record's group is found without a map lookup.
+	acc []groupAcc
 
 	sends, recvs, internals uint64
 	err                     error
@@ -111,11 +113,15 @@ type ShardVerifier struct {
 
 // NewShardVerifier returns a verifier for leaf's shard.
 func NewShardVerifier(topo Topology, leaf int) *ShardVerifier {
+	acc := make([]groupAcc, topo.D())
+	for g := range acc {
+		acc[g].rootSeq = -1
+	}
 	return &ShardVerifier{
 		topo: topo,
 		leaf: leaf,
 		prev: make(map[int]vector.V),
-		acc:  make(map[int]*groupAcc),
+		acc:  acc,
 	}
 }
 
@@ -151,9 +157,13 @@ func (v *ShardVerifier) Ingest(proc int, rec core.Record) error {
 	if !ok {
 		return v.fail("shard %d: no edge group covers channel (%d,%d)", v.leaf, proc, rec.Peer)
 	}
+	d := len(v.acc)
+	if g < 0 || g >= d {
+		return v.fail("shard %d: channel (%d,%d) maps to group %d, outside [0,%d)", v.leaf, proc, rec.Peer, g, d)
+	}
 	s := rec.Stamp
-	if len(s) != v.topo.D() {
-		return v.fail("shard %d: process %d stamp has %d components, want %d", v.leaf, proc, len(s), v.topo.D())
+	if len(s) != d {
+		return v.fail("shard %d: process %d stamp has %d components, want %d", v.leaf, proc, len(s), d)
 	}
 	prev := v.prev[proc]
 	prevG := 0
@@ -170,11 +180,7 @@ func (v *ShardVerifier) Ingest(proc int, rec core.Record) error {
 	if root == proc && s[g] != prevG+1 {
 		return v.fail("shard %d: star root %d jumps group %d from %d to %d (a root sequences its group densely)", v.leaf, proc, g, prevG, s[g])
 	}
-	a := v.acc[g]
-	if a == nil {
-		a = &groupAcc{rootSeq: -1}
-		v.acc[g] = a
-	}
+	a := &v.acc[g]
 	h := stampHash(g, s)
 	if rec.Kind == core.RecordSend {
 		a.sendCount++
@@ -187,7 +193,7 @@ func (v *ShardVerifier) Ingest(proc int, rec core.Record) error {
 		a.rootSeq = int64(s[g])
 	}
 	if prev == nil {
-		prev = vector.New(v.topo.D())
+		prev = vector.New(d)
 		v.prev[proc] = prev
 	}
 	copy(prev, s)
@@ -206,13 +212,10 @@ func (v *ShardVerifier) Summary() *wire.ShardSummary {
 	if v.err != nil {
 		s.Err = v.err.Error()
 	}
-	groups := make([]int, 0, len(v.acc))
-	for g := range v.acc {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	for _, g := range groups {
-		a := v.acc[g]
+	for g, a := range v.acc {
+		if a.sendCount+a.recvCount == 0 {
+			continue // no half of this group's messages logged here
+		}
 		s.Groups = append(s.Groups, wire.GroupSummary{
 			Group:     g,
 			SendCount: a.sendCount,
@@ -225,26 +228,30 @@ func (v *ShardVerifier) Summary() *wire.ShardSummary {
 	return s
 }
 
-// stampHash is an FNV-64a over the group index and the stamp components —
-// the per-message fingerprint whose XOR forms a shard's multiset signature.
+// stampHash is the per-message fingerprint whose XOR forms a shard's
+// multiset signature: FNV-1a over the 64-bit words group, len(v) and the
+// components, one xor-multiply per word, then murmur3's fmix64 finalizer,
+// which carries the high bits the multiplies leave unmixed down into the
+// low ones. It is deterministic and unseeded. For a fixed state each step
+// is a bijection of its word (xor, then a multiply by an odd prime modulo
+// 2^64), for a fixed word a bijection of the state, and fmix64 is a
+// bijection too; so two stamps of one length that differ in one component,
+// or only in their group, always hash differently.
 func stampHash(group int, v vector.V) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
-		}
-	}
-	mix(uint64(group))
-	mix(uint64(len(v)))
+	h := (offset ^ uint64(group)) * prime
+	h = (h ^ uint64(len(v))) * prime
 	for _, c := range v {
-		mix(uint64(c))
+		h = (h ^ uint64(c)) * prime
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 

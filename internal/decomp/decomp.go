@@ -15,6 +15,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -95,8 +96,11 @@ func edgeKey(e graph.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
 
 // New assembles a Decomposition over a topology with n vertices from its
 // groups. It returns an error if any group's edges do not form the claimed
-// star or triangle, or if an edge appears in more than one group.
-// Empty groups are rejected.
+// star or triangle, if an edge is not a channel of the topology (an
+// endpoint out of [0, n), or a self-loop), or if an edge appears more than
+// once. Empty groups are rejected. Each group is checked on its own sorted
+// edge list, so New takes time and memory in the number of edges, whatever
+// n is.
 func New(n int, groups []Group) (*Decomposition, error) {
 	d := &Decomposition{
 		groups:    make([]Group, 0, len(groups)),
@@ -107,41 +111,45 @@ func New(n int, groups []Group) (*Decomposition, error) {
 		if len(grp.Edges) == 0 {
 			return nil, fmt.Errorf("decomp: group %d is empty", gi)
 		}
-		sub := graph.New(n)
-		for _, e := range grp.Edges {
-			if e.V >= n {
+		edges := make([]graph.Edge, len(grp.Edges))
+		for i, e := range grp.Edges {
+			switch {
+			case max(e.U, e.V) >= n:
 				return nil, fmt.Errorf("decomp: group %d edge %v out of range for n=%d", gi, e, n)
+			case e.U == e.V:
+				return nil, fmt.Errorf("decomp: group %d edge %v is a self-loop", gi, e)
+			case min(e.U, e.V) < 0:
+				return nil, fmt.Errorf("decomp: group %d edge %v has a negative vertex", gi, e)
 			}
-			if prev, dup := d.edgeGroup[edgeKey(e)]; dup {
+			edges[i] = graph.NewEdge(e.U, e.V)
+			if prev, dup := d.edgeGroup[edgeKey(edges[i])]; dup {
 				return nil, fmt.Errorf("decomp: edge %v in groups %d and %d", e, prev, gi)
 			}
-			sub.AddEdge(e.U, e.V)
 		}
-		if sub.M() != len(grp.Edges) {
-			return nil, fmt.Errorf("decomp: group %d contains duplicate edges", gi)
+		slices.SortFunc(edges, graph.CompareEdges)
+		for i := 1; i < len(edges); i++ {
+			if edges[i] == edges[i-1] {
+				return nil, fmt.Errorf("decomp: group %d contains duplicate edges", gi)
+			}
 		}
 		norm := grp
-		norm.Edges = sub.Edges()
+		norm.Edges = edges
 		switch grp.Kind {
 		case KindStar:
-			root, ok := sub.IsStar()
+			root, ok := graph.StarOf(edges)
 			if !ok {
 				return nil, fmt.Errorf("decomp: group %d is not a star: %v", gi, grp.Edges)
 			}
 			// Honor a declared root when it is valid; otherwise adopt the
 			// detected one.
-			valid := true
-			for _, e := range grp.Edges {
+			for _, e := range edges {
 				if !e.Has(grp.Root) {
-					valid = false
+					norm.Root = root
 					break
 				}
 			}
-			if !valid {
-				norm.Root = root
-			}
 		case KindTriangle:
-			tri, ok := sub.IsTriangle()
+			tri, ok := graph.TriangleOf(edges)
 			if !ok {
 				return nil, fmt.Errorf("decomp: group %d is not a triangle: %v", gi, grp.Edges)
 			}
@@ -151,7 +159,7 @@ func New(n int, groups []Group) (*Decomposition, error) {
 		}
 		idx := len(d.groups)
 		d.groups = append(d.groups, norm)
-		for _, e := range norm.Edges {
+		for _, e := range edges {
 			d.edgeGroup[edgeKey(e)] = idx
 		}
 	}
@@ -255,12 +263,7 @@ func (d *Decomposition) String() string {
 // starGroup builds a star group rooted at root from edges, sorting them.
 func starGroup(root int, edges []graph.Edge) Group {
 	sorted := append([]graph.Edge(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].U != sorted[j].U {
-			return sorted[i].U < sorted[j].U
-		}
-		return sorted[i].V < sorted[j].V
-	})
+	slices.SortFunc(sorted, graph.CompareEdges)
 	return Group{Kind: KindStar, Root: root, Edges: sorted}
 }
 

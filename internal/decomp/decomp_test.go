@@ -66,6 +66,16 @@ func TestNewRejectsBadGroups(t *testing.T) {
 		{"edge out of range", 2, []Group{{Kind: KindStar, Root: 0, Edges: []graph.Edge{{U: 0, V: 5}}}}},
 		{"bad kind", 3, []Group{{Kind: Kind(9), Edges: []graph.Edge{{U: 0, V: 1}}}}},
 		{"duplicate edge within group", 3, []Group{{Kind: KindStar, Root: 0, Edges: []graph.Edge{{U: 0, V: 1}, {U: 0, V: 1}}}}},
+		// Edges that are not channels used to panic in graph.AddEdge.
+		{"self-loop", 4, []Group{{Kind: KindStar, Root: 1, Edges: []graph.Edge{{U: 1, V: 0}, {U: 2, V: 2}}}}},
+		{"negative vertex", 4, []Group{{Kind: KindStar, Root: 1, Edges: []graph.Edge{{U: -1, V: 1}}}}},
+		{"negative second vertex", 4, []Group{{Kind: KindStar, Root: 1, Edges: []graph.Edge{{U: 1, V: -2}}}}},
+		{"reversed edge out of range", 4, []Group{{Kind: KindStar, Root: 1, Edges: []graph.Edge{{U: 7, V: 1}}}}},
+		// The old duplicate check looked the raw edge up and missed this.
+		{"duplicate edge across groups, reversed", 3, []Group{
+			{Kind: KindStar, Root: 0, Edges: []graph.Edge{{U: 0, V: 1}}},
+			{Kind: KindStar, Root: 1, Edges: []graph.Edge{{U: 1, V: 0}}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

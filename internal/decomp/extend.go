@@ -2,7 +2,7 @@ package decomp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"syncstamp/internal/graph"
 )
@@ -38,12 +38,7 @@ func (d *Decomposition) Extend(n int, assign map[graph.Edge]int) (*Decomposition
 	for e := range assign {
 		newEdges = append(newEdges, e)
 	}
-	sort.Slice(newEdges, func(i, j int) bool {
-		if newEdges[i].U != newEdges[j].U {
-			return newEdges[i].U < newEdges[j].U
-		}
-		return newEdges[i].V < newEdges[j].V
-	})
+	slices.SortFunc(newEdges, graph.CompareEdges)
 	for _, e := range newEdges {
 		gi := assign[e]
 		if e.V >= n || e.U < 0 {

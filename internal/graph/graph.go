@@ -6,7 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -41,6 +43,15 @@ func (e Edge) Other(x int) int {
 		return e.U
 	}
 	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of %v", x, e))
+}
+
+// CompareEdges orders edges lexicographically, by U and then by V: the
+// order Edges returns. It is a comparison function for slices.SortFunc.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // Has reports whether x is an endpoint of e.
@@ -145,12 +156,7 @@ func (g *Graph) Edges() []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, CompareEdges)
 	return out
 }
 
@@ -171,8 +177,17 @@ func (g *Graph) Clone() *Graph {
 // is a vertex incident to every edge (Section 3.1). A single edge is a star
 // (rooted at either endpoint). An empty edge set is not considered a star.
 // The second return value is a root when the first is true.
-func (g *Graph) IsStar() (int, bool) {
-	edges := g.Edges()
+func (g *Graph) IsStar() (int, bool) { return StarOf(g.Edges()) }
+
+// IsTriangle reports whether the edge set of g is exactly a triangle
+// (Section 3.1: |E| = 3 and the edges form a 3-cycle). The returned triple
+// lists the triangle's vertices in increasing order when true.
+func (g *Graph) IsTriangle() ([3]int, bool) { return TriangleOf(g.Edges()) }
+
+// StarOf is IsStar over an edge list: normalized, distinct edges in the
+// order Edges returns. The root is the first edge's lower endpoint when
+// every edge touches it, else its upper one.
+func StarOf(edges []Edge) (int, bool) {
 	if len(edges) == 0 {
 		return 0, false
 	}
@@ -191,31 +206,18 @@ func (g *Graph) IsStar() (int, bool) {
 	return 0, false
 }
 
-// IsTriangle reports whether the edge set of g is exactly a triangle
-// (Section 3.1: |E| = 3 and the edges form a 3-cycle). The returned triple
-// lists the triangle's vertices in increasing order when true.
-func (g *Graph) IsTriangle() ([3]int, bool) {
-	edges := g.Edges()
+// TriangleOf is IsTriangle over an edge list: normalized, distinct edges in
+// the order Edges returns. Sorted, the three edges of a triangle x < y < z
+// are (x,y), (x,z), (y,z), and no other three distinct edges line up so.
+func TriangleOf(edges []Edge) ([3]int, bool) {
 	if len(edges) != 3 {
 		return [3]int{}, false
 	}
-	verts := map[int]int{}
-	for _, e := range edges {
-		verts[e.U]++
-		verts[e.V]++
-	}
-	if len(verts) != 3 {
+	xy, xz, yz := edges[0], edges[1], edges[2]
+	if xy.U != xz.U || xy.V != yz.U || xz.V != yz.V {
 		return [3]int{}, false
 	}
-	var tri []int
-	for v, deg := range verts {
-		if deg != 2 {
-			return [3]int{}, false
-		}
-		tri = append(tri, v)
-	}
-	sort.Ints(tri)
-	return [3]int{tri[0], tri[1], tri[2]}, true
+	return [3]int{xy.U, xy.V, xz.V}, true
 }
 
 // Triangles returns every triangle (x, y, z) with x < y < z.

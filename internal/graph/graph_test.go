@@ -161,6 +161,56 @@ func TestIsTriangle(t *testing.T) {
 	}
 }
 
+// TestShapeOfEveryEdgeSubset checks StarOf and TriangleOf, the edge-list
+// forms behind IsStar and IsTriangle, on every edge subset of K5 against
+// the definitions: a star has a vertex on every edge, and a triangle is 3
+// edges over 3 vertices of degree 2.
+func TestShapeOfEveryEdgeSubset(t *testing.T) {
+	all := Complete(5).Edges()
+	for mask := 0; mask < 1<<len(all); mask++ {
+		var edges []Edge
+		for i, e := range all {
+			if mask&(1<<i) != 0 {
+				edges = append(edges, e)
+			}
+		}
+		star := false
+		for v := 0; v < 5 && len(edges) > 0; v++ {
+			touches := true
+			for _, e := range edges {
+				touches = touches && e.Has(v)
+			}
+			star = star || touches
+		}
+		root, ok := StarOf(edges)
+		if ok != star {
+			t.Fatalf("StarOf(%v) = %v, want %v", edges, ok, star)
+		}
+		for _, e := range edges {
+			if ok && !e.Has(root) {
+				t.Fatalf("StarOf(%v) claims root %d, which misses %v", edges, root, e)
+			}
+		}
+		deg := map[int]int{}
+		for _, e := range edges {
+			deg[e.U]++
+			deg[e.V]++
+		}
+		var verts []int
+		triangle := len(edges) == 3 && len(deg) == 3
+		for v := 0; v < 5; v++ {
+			if deg[v] > 0 {
+				verts = append(verts, v)
+				triangle = triangle && deg[v] == 2
+			}
+		}
+		tri, ok := TriangleOf(edges)
+		if ok != triangle || (ok && tri != [3]int{verts[0], verts[1], verts[2]}) {
+			t.Fatalf("TriangleOf(%v) = %v, %v, want %v over %v", edges, tri, ok, triangle, verts)
+		}
+	}
+}
+
 func TestTriangles(t *testing.T) {
 	if got := Complete(4).Triangles(); len(got) != 4 {
 		t.Fatalf("K4 has %d triangles, want 4", len(got))

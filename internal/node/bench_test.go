@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"syncstamp/internal/check"
 	"syncstamp/internal/core"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
@@ -316,4 +318,65 @@ func TestRecordLogGrowsInChunks(t *testing.T) {
 	if perRecord := float64(after.TotalAlloc-before.TotalAlloc) / records / size; perRecord > 2.5 {
 		t.Fatalf("a %d-record log allocated %.2f times its records' bytes, want at most 2.5", records, perRecord)
 	}
+}
+
+// BenchmarkCollectorTreeIngest is a 4-leaf collector tree's cost per
+// record, without spill, on d = 16 client-server stamps streamed from one
+// goroutine as tsperf's collect-tree streams them. Each pass over the run
+// feeds a fresh tree and ends in Finish, which waits for the leaves to
+// verify everything handed to them.
+func BenchmarkCollectorTreeIngest(b *testing.B) {
+	const servers, clients, perClient = 16, 1000, 10
+	groups := make([]decomp.Group, servers)
+	for s := range groups {
+		groups[s] = decomp.Group{Kind: decomp.KindStar, Root: s}
+		for c := servers; c < servers+clients; c++ {
+			groups[s].Edges = append(groups[s].Edges, graph.Edge{U: s, V: c})
+		}
+	}
+	dec := decomp.MustNew(servers+clients, groups)
+	topo := check.NewDecompTopology(dec)
+	st := core.NewStamper(dec)
+	rng := rand.New(rand.NewSource(1))
+	var procs []int
+	var recs []core.Record
+	for round := 0; round < perClient; round++ {
+		for c := servers; c < servers+clients; c++ {
+			s := rng.Intn(servers)
+			stamp, err := st.StampMessage(c, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			procs = append(procs, s, c)
+			recs = append(recs, core.Record{Kind: core.RecordRecv, Peer: c, Stamp: stamp},
+				core.Record{Kind: core.RecordSend, Peer: s, Stamp: stamp})
+		}
+	}
+	newTree := func() *CollectorTree {
+		tree, err := NewCollectorTree(topo, TreeConfig{Leaves: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tree
+	}
+	// finish ends a pass; a pass cut after a receive half leaves that
+	// message unmatched, so only a whole pass must verify.
+	finish := func(tree *CollectorTree, whole bool) {
+		v, err := tree.Finish()
+		if err != nil || (whole && !v.OK) {
+			b.Fatalf("tree verdict %v: %v", v, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	tree := newTree()
+	for i := 0; i < b.N; i++ {
+		k := i % len(recs)
+		if k == 0 && i > 0 {
+			finish(tree, true)
+			tree = newTree()
+		}
+		_ = tree.Ingest(procs[k], recs[k])
+	}
+	finish(tree, b.N%len(recs) == 0)
 }

@@ -15,7 +15,9 @@
 //
 // Root and leaves are goroutines of one process: a leaf reports by storing
 // its summary when its stream ends, and the root reads it once the leaf
-// goroutine has exited.
+// goroutine has exited. Records reach a leaf treeBatch at a time: Ingest
+// appends to the leaf's pending batch, and a full batch is one channel
+// operation for the whole batch rather than one per record.
 package node
 
 import (
@@ -94,22 +96,37 @@ type procRec struct {
 	rec  core.Record
 }
 
+// A leaf's records travel in batches of treeBatch, and treeBuffers batch
+// buffers circulate between Ingest and the leaf goroutine, so at most
+// treeBatch·treeBuffers (1024) records are in flight to one leaf.
+const (
+	treeBatch   = 256
+	treeBuffers = 4
+)
+
 // CollectorTree is a 2-level streaming collector: leaf goroutines verify
 // and spill their shards concurrently, a root combines their summaries.
 // Ingest may be called from many goroutines; Finish must be called exactly
 // once, after every Ingest has returned.
 type CollectorTree struct {
 	topo   check.Topology
-	chans  []chan procRec
 	leaves []*leafCollector
 	wg     sync.WaitGroup
 }
 
 // leafCollector owns one shard: a verifier, a segment buffer, and a spill
-// journal. Its run loop is the only goroutine touching the fields below the
-// channel until it exits; Finish reads them after that.
+// journal. Ingest fills pending under mu and sends each full batch over
+// full; the leaf goroutine drains the batch and hands the emptied buffer
+// back over free. Both channels hold treeBuffers, every buffer there is,
+// so neither send blocks: Ingest waits only to receive a free buffer, when
+// every other one is queued or being drained. The run loop is the only
+// goroutine touching the fields below free until it exits; Finish reads
+// them after that.
 type leafCollector struct {
-	ch chan procRec
+	mu      sync.Mutex
+	pending []procRec
+	full    chan []procRec
+	free    chan []procRec
 
 	ver      *check.ShardVerifier
 	jr       *Journal
@@ -149,10 +166,18 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 	t := &CollectorTree{topo: topo}
 	for i := 0; i < cfg.Leaves; i++ {
 		l := &leafCollector{
-			ch:       make(chan procRec, 1024),
+			full:     make(chan []procRec, treeBuffers),
+			free:     make(chan []procRec, treeBuffers),
 			ver:      check.NewShardVerifier(topo, i),
 			segCap:   cfg.SegmentRecords,
 			keepLogs: cfg.KeepLogs,
+		}
+		// The leaf's buffers share one array; each is capped at treeBatch,
+		// where Ingest hands it over, so none grows into the next.
+		slab := make([]procRec, treeBuffers*treeBatch)
+		l.pending = slab[:0:treeBatch]
+		for b := 1; b < treeBuffers; b++ {
+			l.free <- slab[b*treeBatch : b*treeBatch : (b+1)*treeBatch]
 		}
 		if cfg.KeepLogs {
 			l.logs = make(map[int][]core.Record)
@@ -173,7 +198,6 @@ func NewCollectorTree(topo check.Topology, cfg TreeConfig) (*CollectorTree, erro
 			}
 			l.jr = jr
 		}
-		t.chans = append(t.chans, l.ch)
 		t.leaves = append(t.leaves, l)
 	}
 	for _, l := range t.leaves {
@@ -201,20 +225,39 @@ func SpillPath(dir string, leaf int) string {
 }
 
 // Ingest routes one record to its shard's leaf, in the caller's program
-// order for the process. Safe for concurrent use; callers must preserve
-// per-process ordering themselves (hold the process's lock across the
-// call).
+// order for the process. A leaf sees its records in the order their
+// Ingest calls took its lock. Safe for concurrent use; callers must
+// preserve per-process ordering themselves (hold the process's lock across
+// the call). The record's stamp is read after Ingest returns, up to Finish,
+// so the caller must not modify it.
 func (t *CollectorTree) Ingest(proc int, rec core.Record) error {
-	t.chans[proc%len(t.chans)] <- procRec{proc: proc, rec: rec}
+	l := t.leaves[proc%len(t.leaves)]
+	l.mu.Lock()
+	l.pending = append(l.pending, procRec{proc: proc, rec: rec})
+	if len(l.pending) == treeBatch {
+		l.full <- l.pending
+		// The wait for a free buffer holds mu. The leaf goroutine returns
+		// buffers without taking it, and no other caller could append
+		// while no buffer is pending, so the wait is the shard's
+		// back-pressure and cannot deadlock.
+		l.pending = <-l.free
+	}
+	l.mu.Unlock()
 	return nil
 }
 
-// Finish closes the stream, waits for the leaves, rolls their summaries
-// up to the root, and returns the verdict. No Ingest may be in flight or
-// follow.
+// Finish hands every leaf its partial batch, closes the stream, waits for
+// the leaves, rolls their summaries up to the root, and returns the
+// verdict. No Ingest may be in flight or follow.
 func (t *CollectorTree) Finish() (*TreeVerdict, error) {
-	for _, ch := range t.chans {
-		close(ch)
+	for _, l := range t.leaves {
+		l.mu.Lock()
+		if len(l.pending) > 0 {
+			l.full <- l.pending
+			l.pending = nil
+		}
+		close(l.full)
+		l.mu.Unlock()
 	}
 	t.wg.Wait()
 	t.closeSpills()
@@ -256,11 +299,15 @@ func (t *CollectorTree) Logs() [][]core.Record {
 // run is a leaf's life: drain the stream, flush the last segment, and
 // store the summary for the root.
 func (l *leafCollector) run() {
-	for pr := range l.ch {
-		if l.crashed {
-			continue // drain so Ingest never blocks on a dead shard
+	for batch := range l.full {
+		for i := range batch {
+			if l.crashed {
+				break // drain so Ingest never blocks on a dead shard
+			}
+			l.ingest(&batch[i])
 		}
-		l.ingest(pr)
+		clear(batch) // drop the stamps' references before the buffer is reused
+		l.free <- batch[:0]
 	}
 	if l.crashed {
 		return // simulated mid-stream death: no summary ever reaches the root
@@ -276,7 +323,7 @@ func (l *leafCollector) run() {
 }
 
 // ingest verifies, retains, and spills one record.
-func (l *leafCollector) ingest(pr procRec) {
+func (l *leafCollector) ingest(pr *procRec) {
 	l.records++
 	if l.crashAfter > 0 && l.records >= l.crashAfter {
 		l.crashed = true

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"strings"
 	"sync"
@@ -131,6 +132,96 @@ func TestCollectorTreeMatchesReplay(t *testing.T) {
 			if got.Kind != want.Kind || got.Peer != want.Peer || !vector.Eq(got.Stamp, want.Stamp) {
 				t.Fatalf("process %d record %d: restored %+v, logged %+v", p, i, got, want)
 			}
+		}
+	}
+}
+
+// TestCollectorTreeOrderUnderProcessLocks drives a spilling 4-leaf tree
+// the way tsload does: worker goroutines share one stamper, and each
+// rendezvous holds its client's lock across the exchange and its server's
+// lock across the stamp and the server's own record. Every leaf takes
+// records from several writers at once, and more batches than it has
+// buffers. ReadSpill must still return each process's records in the
+// order its lock admitted them, and the tree's verdict must agree with
+// check.Verify on the restored run: clean as run, and refused once one
+// stamp half is corrupted.
+func TestCollectorTreeOrderUnderProcessLocks(t *testing.T) {
+	const servers, clients, perClient, workers, leaves = 4, 64, 40, 4, 4
+	dec := decomp.Best(graph.ClientServer(servers, clients, false))
+	n := servers + clients
+	for _, corrupt := range []bool{false, true} {
+		dir := t.TempDir()
+		tree, err := NewCollectorTree(check.NewDecompTopology(dec), TreeConfig{Leaves: leaves, SpillDir: dir, SegmentRecords: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := core.NewStamper(dec)
+		locks := make([]sync.Mutex, n)
+		logged := make([][]core.Record, n) // each process's records, in its lock order
+		ingest := func(p int, rec core.Record) {
+			logged[p] = append(logged[p], rec)
+			_ = tree.Ingest(p, rec)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < perClient; i++ {
+					for c := servers + w; c < n; c += workers {
+						s := rng.Intn(servers)
+						locks[c].Lock()
+						locks[s].Lock()
+						stamp, err := st.StampMessage(c, s)
+						if err != nil {
+							t.Error(err)
+						}
+						recv := stamp
+						if corrupt && w == 0 && i == perClient/2 && c == servers {
+							recv = stamp.Clone()
+							recv[len(recv)-1] += 2
+						}
+						ingest(s, core.Record{Kind: core.RecordRecv, Peer: c, Stamp: recv})
+						locks[s].Unlock()
+						ingest(c, core.Record{Kind: core.RecordSend, Peer: s, Stamp: stamp})
+						locks[c].Unlock()
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		v, err := tree.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(2 * clients * perClient); v.Records != want || v.MaxResident > 512 || v.SegmentsSpilled == 0 {
+			t.Fatalf("corrupt=%v: verdict counts %d records (want %d), %d resident, %d segments", corrupt, v.Records, want, v.MaxResident, v.SegmentsSpilled)
+		}
+
+		restored, err := ReadSpill(dir, leaves, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range logged {
+			if len(restored[p]) != len(logged[p]) {
+				t.Fatalf("corrupt=%v, process %d: spill restored %d records, logged %d", corrupt, p, len(restored[p]), len(logged[p]))
+			}
+			for i, want := range logged[p] {
+				if got := restored[p][i]; got.Kind != want.Kind || got.Peer != want.Peer || !vector.Eq(got.Stamp, want.Stamp) {
+					t.Fatalf("corrupt=%v, process %d record %d: restored %+v, logged %+v", corrupt, p, i, got, want)
+				}
+			}
+		}
+		res, err := core.Reconstruct(dec, restored)
+		if err == nil {
+			err = check.Verify(res, dec)
+		}
+		if v.OK != (err == nil) {
+			t.Fatalf("corrupt=%v: tree verdict ok=%v %v, sequential replay says %v", corrupt, v.OK, v.Problems, err)
+		}
+		if v.OK == corrupt {
+			t.Fatalf("corrupt=%v: tree verdict ok=%v", corrupt, v.OK)
 		}
 	}
 }

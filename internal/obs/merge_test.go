@@ -173,7 +173,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 // another node, so a histogram whose counts are not one per bucket, or
 // whose edges do not ascend, is refused with an error, both into a fresh
 // registry and into one that already holds the histogram. Non-ascending
-// edges used to panic in NewHistogram.
+// edges used to panic in NewHistogram. A refusal is all or nothing: the
+// counter, gauge and good histograms beside the bad one are not applied
+// either, the registry's snapshot is what it was, and a valid "h" merges
+// afterwards (into the fresh registry with edges of its own).
 func TestRegistryMergeRefusesMalformedHistogram(t *testing.T) {
 	bad := []HistogramSnapshot{
 		{Edges: []int64{1, 2}, Counts: []int64{1, 2}, Count: 3},
@@ -181,13 +184,36 @@ func TestRegistryMergeRefusesMalformedHistogram(t *testing.T) {
 		{Edges: []int64{5, 1}, Counts: []int64{0, 0, 0}},
 		{Edges: []int64{1, 1}, Counts: []int64{0, 0, 0}},
 	}
+	good := HistogramSnapshot{Edges: []int64{10, 20}, Counts: []int64{1, 0, 2}, Count: 3, Sum: 55}
 	for _, hs := range bad {
 		held := NewRegistry()
-		held.Histogram("h", []int64{1, 2})
-		for _, r := range []*Registry{NewRegistry(), held} {
-			if err := r.Merge(Snapshot{Histograms: map[string]HistogramSnapshot{"h": hs}}); err == nil {
+		held.Counter("c").Add(1)
+		held.Histogram("h", []int64{1, 2}).Observe(2)
+		fresh := NewRegistry()
+		for _, r := range []*Registry{fresh, held} {
+			before := r.Snapshot()
+			snap := Snapshot{
+				Counters:   map[string]int64{"c": 5},
+				Gauges:     map[string]int64{"g": 7},
+				Histograms: map[string]HistogramSnapshot{"a": good, "h": hs, "z": good},
+			}
+			if err := r.Merge(snap); err == nil {
 				t.Errorf("merged histogram %+v", hs)
 			}
+			if after := r.Snapshot(); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused merge of %+v changed the registry:\n before %+v\n after  %+v", hs, before, after)
+			}
+		}
+		valid := HistogramSnapshot{Edges: []int64{3, 4}, Counts: []int64{1, 0, 0}, Count: 1, Sum: 3}
+		if err := fresh.Merge(Snapshot{Histograms: map[string]HistogramSnapshot{"h": valid}}); err != nil {
+			t.Errorf("after refusing %+v, a valid h with edges %v was refused: %v", hs, valid.Edges, err)
+		}
+		valid = HistogramSnapshot{Edges: []int64{1, 2}, Counts: []int64{0, 1, 0}, Count: 1, Sum: 2}
+		if err := held.Merge(Snapshot{Histograms: map[string]HistogramSnapshot{"h": valid}}); err != nil {
+			t.Errorf("after refusing %+v, the held h refused a valid merge: %v", hs, err)
+		}
+		if got := held.Snapshot().Histograms["h"].Counts; !reflect.DeepEqual(got, []int64{0, 2, 0}) {
+			t.Errorf("held h counts %v after one valid merge, want [0 2 0]", got)
 		}
 	}
 }

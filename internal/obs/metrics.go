@@ -179,22 +179,31 @@ func (h *Histogram) Merge(s HistogramSnapshot) error {
 	if len(s.Edges) == 0 && s.Count == 0 {
 		return nil // empty snapshot (e.g. from a nil histogram)
 	}
-	if len(s.Edges) != len(h.edges) {
-		return fmt.Errorf("obs: merging histogram with %d edges into %d", len(s.Edges), len(h.edges))
-	}
-	for i := range h.edges {
-		if s.Edges[i] != h.edges[i] {
-			return fmt.Errorf("obs: merging histogram with edge %d=%d into %d", i, s.Edges[i], h.edges[i])
-		}
-	}
-	if len(s.Counts) != len(h.buckets) {
-		return fmt.Errorf("obs: histogram snapshot has %d counts for %d buckets", len(s.Counts), len(h.buckets))
+	if err := fits(h.edges, s); err != nil {
+		return err
 	}
 	for i, c := range s.Counts {
 		h.buckets[i].Add(c)
 	}
 	h.count.Add(s.Count)
 	h.sum.Add(s.Sum)
+	return nil
+}
+
+// fits reports whether s can merge into a histogram with the given edges:
+// the same edges, and one count per bucket.
+func fits(edges []int64, s HistogramSnapshot) error {
+	if len(s.Edges) != len(edges) {
+		return fmt.Errorf("obs: merging histogram with %d edges into %d", len(s.Edges), len(edges))
+	}
+	for i := range edges {
+		if s.Edges[i] != edges[i] {
+			return fmt.Errorf("obs: merging histogram with edge %d=%d into %d", i, s.Edges[i], edges[i])
+		}
+	}
+	if len(s.Counts) != len(edges)+1 {
+		return fmt.Errorf("obs: histogram snapshot has %d counts for %d buckets", len(s.Counts), len(edges)+1)
+	}
 	return nil
 }
 
@@ -225,6 +234,11 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counter(name)
+}
+
+// counter is Counter with r.mu held.
+func (r *Registry) counter(name string) *Counter {
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -240,6 +254,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gauge(name)
+}
+
+// gauge is Gauge with r.mu held.
+func (r *Registry) gauge(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -256,6 +275,11 @@ func (r *Registry) Histogram(name string, edges []int64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histogram(name, edges)
+}
+
+// histogram is Histogram with r.mu held.
+func (r *Registry) histogram(name string, edges []int64) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		h = NewHistogram(edges)
@@ -277,36 +301,19 @@ type Snapshot struct {
 // merge bucket-wise. Missing instruments are created, histograms with the
 // snapshot's own edges, so merging into an empty registry reproduces the
 // snapshot exactly. A histogram whose edges do not ascend or do not match
-// the registered ones, or whose counts are not one per bucket, is refused.
-// Merge is commutative and associative over snapshots, which is what lets
-// the collector tree roll registries up in any leaf order.
+// the registered ones, or whose counts are not one per bucket, is refused,
+// and a refused snapshot changes nothing: every histogram is checked
+// before any instrument is touched, under the registry's lock. Merge is
+// commutative and associative over snapshots, which is what lets the
+// collector tree roll registries up in any leaf order.
 func (r *Registry) Merge(s Snapshot) error {
 	if r == nil {
 		return nil
 	}
-	var names []string
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r.Counter(name).Add(s.Counters[name])
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		g := r.Gauge(name)
-		g.Set(g.Value() + s.Gauges[name])
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	hists := sortedKeys(s.Histograms)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range hists {
 		hs := s.Histograms[name]
 		if len(hs.Edges) == 0 {
 			continue // snapshot of a nil/empty histogram carries nothing
@@ -316,11 +323,38 @@ func (r *Registry) Merge(s Snapshot) error {
 		if err := checkEdges(hs.Edges); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := r.Histogram(name, hs.Edges).Merge(hs); err != nil {
+		edges := hs.Edges
+		if h, ok := r.histograms[name]; ok {
+			edges = h.edges
+		}
+		if err := fits(edges, hs); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
+	for _, name := range sortedKeys(s.Counters) {
+		r.counter(name).Add(s.Counters[name])
+	}
+	for _, name := range sortedKeys(s.Gauges) {
+		g := r.gauge(name)
+		g.Set(g.Value() + s.Gauges[name])
+	}
+	for _, name := range hists {
+		if hs := s.Histograms[name]; len(hs.Edges) > 0 {
+			// Checked above, so the merge cannot fail.
+			_ = r.histogram(name, hs.Edges).Merge(hs)
+		}
+	}
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Snapshot copies every instrument's current value.
@@ -335,28 +369,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var names []string
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.counters) {
 		s.Counters[name] = r.counters[name].Value()
 	}
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.gauges) {
 		s.Gauges[name] = r.gauges[name].Value()
 	}
-	names = names[:0]
-	for name := range r.histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.histograms) {
 		s.Histograms[name] = r.histograms[name].Snapshot()
 	}
 	return s

@@ -90,10 +90,19 @@ func Compare(u, w V) Ordering {
 // Less reports u < w in the vector order of Equation (2).
 func Less(u, w V) bool { return Compare(u, w) == Before }
 
-// Leq reports u ≤ w (componentwise ≤, equality allowed).
+// Leq reports u ≤ w (componentwise ≤, equality allowed). Vectors of
+// different lengths are incomparable, so neither is ≤ the other. It stops
+// at the first component where u exceeds w.
 func Leq(u, w V) bool {
-	c := Compare(u, w)
-	return c == Before || c == Equal
+	if len(u) != len(w) {
+		return false
+	}
+	for k := range u {
+		if u[k] > w[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // Concurrent reports that u and w are incomparable (u ‖ w).

@@ -46,10 +46,14 @@ type Frame struct {
 // GroupSummary is one edge group's fingerprint inside a shard summary: the
 // multiset of message stamps the shard saw on the group, as a count and an
 // order-independent XOR of per-stamp hashes, split by which half (send or
-// recv) of the rendezvous the shard's processes logged. Summed across every
-// shard, the send multiset and the recv multiset of a consistent run are
-// identical — each message contributes one identical stamp to each — which
-// is what lets the root judge cross-shard consistency in O(groups) memory.
+// recv) of the rendezvous the shard's processes logged. The hash is FNV-1a
+// over 64-bit words (the group, the stamp's length and each component)
+// with murmur3's fmix64 finalizer, so stamps that differ in one component
+// or only in their group never hash alike. A shard reports only the groups
+// it logged a half of, in group order. Summed across every shard, the send
+// multiset and the recv multiset of a consistent run are identical — each
+// message contributes one identical stamp to each — which is what lets the
+// root judge cross-shard consistency in O(groups) memory.
 type GroupSummary struct {
 	Group                int
 	SendCount, RecvCount uint64
